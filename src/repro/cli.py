@@ -263,7 +263,6 @@ def cmd_plan(args: argparse.Namespace) -> None:
             transition=args.transition,
             objective=args.objective,
             modes=tuple(args.modes.split(",")),
-            beam_width=args.beam_width,
             knobs=knobs,
             validate=args.validate,
             sweep_workers=args.workers,
@@ -400,8 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_plan.add_argument("--objective", choices=["time", "energy"],
                         default="time")
     p_plan.add_argument("--modes", default="dp",
-                        help="comma-separated solver modes (dp,oracle,beam)")
-    p_plan.add_argument("--beam-width", type=int, default=4)
+                        help="comma-separated solver modes (dp,oracle)")
     p_plan.add_argument("--search-transforms", action="store_true",
                         help="widen the space with non-default Cook-Toom "
                              "transforms")

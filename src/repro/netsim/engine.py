@@ -36,7 +36,6 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 from ..params import DEFAULT_PARAMS, HardwareParams
 from ..perf import counter_add, phase
 from .fastpath import fastpath_enabled, packet_split, store_and_forward_times
-from .scheduler import make_scheduler
 from .topology import Link, Topology
 
 Callback = Callable[["Message", float], None]
@@ -71,7 +70,7 @@ class _Packet:
     attempt: int = 0
 
 
-# Queue entries are plain ``(time, seq, action)`` tuples: the scheduler
+# Queue entries are plain ``(time, seq, action)`` tuples: the heap
 # then orders with C-level tuple comparison (``seq`` breaks time ties,
 # so the ``action`` callables are never compared), which profiles
 # measurably faster than a dataclass ``__lt__`` at netsim event volumes.
@@ -118,14 +117,16 @@ class _LinkServer:
         # Round-robin: pop the front flow, rotate it to the back (or
         # drop it) after serving.
         flow_id, queue = self.queues.popitem(last=False)
-        # Uncontended fast path: with a single flow queued there is no
-        # arbitration to perform, so a run of back-to-back packets is
-        # serialised under one completion event instead of one per
-        # packet.  Per-packet arrival times are computed exactly as the
-        # packet-by-packet loop would (cumulative serialisation + hop
-        # latency), so delivered timestamps are identical; only the heap
-        # traffic shrinks.  Under contention the batch is one packet and
-        # the round-robin interleave is unchanged.
+        # Uncontended batching: with a single flow queued, a run of
+        # back-to-back packets is serialised under one completion event
+        # instead of one per packet.  Per-packet arrival times are the
+        # packet-by-packet loop's (cumulative serialisation + hop
+        # latency), so a flow that stays alone on the link sees
+        # identical timestamps.  This is *not* bit-identical to the
+        # strict ``max_batch_packets=1`` engine in general: a flow that
+        # reaches the link mid-batch waits for the whole batch instead
+        # of interleaving round-robin after the current packet
+        # (pinned as a strict xfail in tests/netsim/test_engine_batching.py).
         batch = [queue.popleft()]
         if not self.queues:
             limit = sim.max_batch_packets - 1
@@ -140,51 +141,29 @@ class _LinkServer:
         rate = link.bytes_per_s
         latency = link.latency_s
         done_time = sim.now
+        # Inline the ``schedule`` heap push: ``done_time`` only ever
+        # advances from ``sim.now``, so the cannot-schedule-in-the-past
+        # check is vacuous here, and drawing seq numbers in the same
+        # order keeps the event ordering bit-identical.
         heap = sim._heap
-        if heap is not None:
-            # Inline the ``schedule`` heap push: ``done_time`` only ever
-            # advances from ``sim.now``, so the cannot-schedule-in-the-
-            # past check is vacuous here, and drawing seq numbers in the
-            # same order keeps the event ordering bit-identical.
-            push = heapq.heappush
-            seq = sim._seq
-            if faults is None or not faults.may_drop:
-                for packet in batch:
-                    wire = packet.wire_bytes
-                    done_time += wire / rate
-                    link.bytes_carried += wire
-                    push(heap, (done_time + latency, next(seq), partial(arrived, packet)))
-            else:
-                for packet in batch:
-                    wire = packet.wire_bytes
-                    done_time += wire / rate
-                    link.bytes_carried += wire
-                    if faults.drop_packet(link, packet, done_time):
-                        self._handle_drop(packet, done_time, faults)
-                    else:
-                        push(
-                            heap,
-                            (done_time + latency, next(seq), partial(arrived, packet)),
-                        )
-            push(heap, (done_time, next(seq), self._serve_next))
+        push = heapq.heappush
+        seq = sim._seq
+        if faults is None or not faults.may_drop:
+            for packet in batch:
+                wire = packet.wire_bytes
+                done_time += wire / rate
+                link.bytes_carried += wire
+                push(heap, (done_time + latency, next(seq), partial(arrived, packet)))
         else:
-            schedule = sim.schedule
-            if faults is None or not faults.may_drop:
-                for packet in batch:
-                    wire = packet.wire_bytes
-                    done_time += wire / rate
-                    link.bytes_carried += wire
-                    schedule(done_time + latency, partial(arrived, packet))
-            else:
-                for packet in batch:
-                    wire = packet.wire_bytes
-                    done_time += wire / rate
-                    link.bytes_carried += wire
-                    if faults.drop_packet(link, packet, done_time):
-                        self._handle_drop(packet, done_time, faults)
-                    else:
-                        schedule(done_time + latency, partial(arrived, packet))
-            schedule(done_time, self._serve_next)
+            for packet in batch:
+                wire = packet.wire_bytes
+                done_time += wire / rate
+                link.bytes_carried += wire
+                if faults.drop_packet(link, packet, done_time):
+                    self._handle_drop(packet, done_time, faults)
+                else:
+                    push(heap, (done_time + latency, next(seq), partial(arrived, packet)))
+        push(heap, (done_time, next(seq), self._serve_next))
         sim._packets_served_accum += len(batch)
 
     def _handle_drop(self, packet: _Packet, done_time: float, faults) -> None:
@@ -264,7 +243,6 @@ class NetworkSimulator:
         max_batch_packets: int = 16,
         faults: Optional["FaultHooks"] = None,
         fastpath: Optional[bool] = None,
-        scheduler: Optional[str] = None,
     ) -> None:
         if max_batch_packets < 1:
             raise ValueError(f"max_batch_packets must be >= 1, got {max_batch_packets}")
@@ -284,11 +262,8 @@ class NetworkSimulator:
         if faults is not None:
             faults.bind(topology)
         self.now = 0.0
-        self._events = make_scheduler(scheduler)
-        #: Raw event list of the heap backend (``None`` for any other
-        #: scheduler): lets ``schedule``/``run`` drive C-level heapq
-        #: directly instead of paying a Python method hop per event.
-        self._heap = getattr(self._events, "_heap", None)
+        #: The event queue: a ``heapq`` list of ``(time, seq, action)``.
+        self._heap: List[_Event] = []
         #: Wire-size splits by message size (splits repeat massively in
         #: collectives; the lists are shared and read-only).
         self._split_cache: Dict[int, List[int]] = {}
@@ -314,16 +289,13 @@ class NetworkSimulator:
     def schedule(self, time: float, action: Callable[[], None]) -> None:
         if time < self.now - 1e-15:
             raise ValueError(f"cannot schedule in the past ({time} < {self.now})")
-        if self._heap is not None:
-            heapq.heappush(self._heap, (time, next(self._seq), action))
-        else:
-            self._events.push(time, next(self._seq), action)
+        heapq.heappush(self._heap, (time, next(self._seq), action))
 
     def is_quiescent(self) -> bool:
         """No pending events and every link server idle and empty — the
         precondition under which a coalesced flow cannot contend with
         (or be observed by) anything else in flight."""
-        if self._events:
+        if self._heap:
             return False
         for server in self._servers.values():
             if server.busy or server.queues:
@@ -336,36 +308,18 @@ class NetworkSimulator:
             self._run_until = until
             processed = 0
             try:
-                events = self._events
-                # The heap backend exposes its raw list so this loop can
-                # drive C-level heappop directly — the scheduler method
-                # indirection costs real time at netsim event volumes.
-                # Event order (and so every result) is identical either
-                # way; that is the scheduler equivalence contract.
                 heap = self._heap
-                if heap is not None:
-                    pop = heapq.heappop
-                    while heap:
-                        event = pop(heap)
-                        time = event[0]
-                        if until is not None and time > until:
-                            heapq.heappush(heap, event)
-                            self.now = until
-                            return self.now
-                        self.now = time
-                        processed += 1
-                        event[2]()
-                else:
-                    while events:
-                        event = events.pop()
-                        time = event[0]
-                        if until is not None and time > until:
-                            events.push(*event)
-                            self.now = until
-                            return self.now
-                        self.now = time
-                        processed += 1
-                        event[2]()
+                pop = heapq.heappop
+                while heap:
+                    event = pop(heap)
+                    time = event[0]
+                    if until is not None and time > until:
+                        heapq.heappush(heap, event)
+                        self.now = until
+                        return self.now
+                    self.now = time
+                    processed += 1
+                    event[2]()
             finally:
                 self.events_processed += processed
                 self._flush_counters()
@@ -417,11 +371,7 @@ class NetworkSimulator:
             # Guard hoisted out of ``_try_coalesce``: under contention
             # (pending events) the quiescence precondition fails on the
             # first check, so skip the call entirely.
-            if (
-                fastpath
-                and not (heap if heap is not None else self._events)
-                and self._try_coalesce(message, route, sizes)
-            ):
+            if fastpath and not heap and self._try_coalesce(message, route, sizes):
                 return
             link = route[0]
             server = servers.get((link.src, link.dst))
@@ -472,13 +422,8 @@ class NetworkSimulator:
         bit-exact fold the per-packet loop computes (see
         :mod:`repro.netsim.fastpath`).
         """
-        if not self.fastpath:
+        if not self.fastpath or not self.is_quiescent():
             return False
-        if self._heap if self._heap is not None else self._events:
-            return False
-        for server in self._servers.values():
-            if server.busy or server.queues:
-                return False
         start = self.now
         deliveries = store_and_forward_times(
             start, sizes, [(link.bytes_per_s, link.latency_s) for link in route]
@@ -527,7 +472,7 @@ class NetworkSimulator:
 
     def reset(self) -> None:
         self.topology.reset()
-        self._events.clear()
+        self._heap.clear()
         self._servers.clear()
         self.now = 0.0
         # Restart the tie-break and flow counters too, so a reset

@@ -34,13 +34,7 @@ from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from ..params import DEFAULT_PARAMS, HardwareParams
-from .fastpath import fastpath_enabled
 from .topology import Link, Topology
-
-try:  # the validation tier is usable without numpy, just slower
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 
 @dataclass
@@ -65,6 +59,8 @@ class _VirtualChannel:
     occupancy: int = 0  # flits buffered here
     sent: int = 0  # flits forwarded downstream
     received: int = 0  # flits that arrived here
+    #: This worm's VC at the next hop (created lazily on first use).
+    next_vc: Optional["_VirtualChannel"] = None
 
 
 class WormholeSimulator:
@@ -81,21 +77,15 @@ class WormholeSimulator:
         flit_bytes: int = 16,
         buffer_flits: int = 8,
         vc_interleave: bool = False,
-        fastpath: Optional[bool] = None,
     ) -> None:
         """``vc_interleave=False`` models classic wormhole switching (an
         output is held from head to tail — worms suffer head-of-line
         blocking); ``True`` models a virtual-channel router that
         arbitrates per flit, which is what the packet-granularity engine
-        approximates.
-
-        ``fastpath`` enables the vectorised single-worm schedule (see
-        :meth:`_run_single_worm`); ``None`` follows the process-wide
-        ``REPRO_NETSIM_REFERENCE`` switch like the packet engine."""
+        approximates."""
         if flit_bytes < 1 or buffer_flits < 1:
             raise ValueError("flit_bytes and buffer_flits must be >= 1")
         self.vc_interleave = vc_interleave
-        self.fastpath = fastpath_enabled() if fastpath is None else fastpath
         self.topology = topology
         self.params = params
         self.flit_bytes = flit_bytes
@@ -108,7 +98,6 @@ class WormholeSimulator:
         self._link_owner: Dict[Tuple[int, int], Optional[_VirtualChannel]] = {}
         self._link_queue: Dict[Tuple[int, int], Deque[_VirtualChannel]] = {}
         self._link_busy_until: Dict[Tuple[int, int], float] = {}
-        self._injected: List[WormPacket] = []
         self.flits_delivered = 0
 
     # ---- events ----------------------------------------------------------
@@ -116,60 +105,11 @@ class WormholeSimulator:
         heapq.heappush(self._events, (time, next(self._seq), action))
 
     def run(self) -> float:
-        if (
-            self.fastpath
-            and _np is not None
-            and self.now == 0.0
-            and self.flits_delivered == 0
-            and len(self._injected) == 1
-            and len(self._events) == 1
-            and len(self._injected[0].route) == 1
-        ):
-            self._run_single_worm(self._injected[0])
-            return self.now
         while self._events:
             time, _, action = heapq.heappop(self._events)
             self.now = time
             action()
         return self.now
-
-    def _run_single_worm(self, packet: WormPacket) -> None:
-        """Vectorised schedule of one single-hop worm on a quiescent sim.
-
-        One hop is the *provably exact* regime: with no downstream VC
-        there are no credits to stall on and no cross-hop retry events,
-        so every flit departs exactly one flit time after its
-        predecessor — a pure left-to-right ``+= ft`` accumulation, which
-        ``np.add.accumulate`` reproduces bit-for-bit.  Multi-hop worms
-        stay on the event loop: their departure times depend on the
-        whole retry-event soup (the busy check's ``1e-18`` tolerance
-        lets a retry whose timestamp accumulated through different adds
-        transmit one ulp "early"), so no closed form is bit-identical
-        there.  ``tests/netsim/test_wormhole_edges.py`` pins both
-        regimes against the reference loop.
-        """
-        link = packet.route[0]
-        flits = packet.flits
-        ft = self._flit_time(link)
-        steps = _np.full(flits, ft)
-        steps[0] = 0.0
-        departures = _np.add.accumulate(steps)
-        tail_free = float(departures[-1] + ft)
-        finish = float((departures[-1] + ft) + link.latency_s)
-        # Replay the reference loop's end state: the done worm popped
-        # from the arbitration queue, the output released after the
-        # tail, the link busy until the tail cleared it.
-        key = (link.src, link.dst)
-        self._link_queue[key].clear()
-        self._link_owner[key] = None
-        self._link_busy_until[key] = tail_free
-        link.bytes_carried += self.flit_bytes * flits
-        packet.delivered_flits = flits
-        self.flits_delivered += flits
-        self._events.clear()
-        self.now = finish
-        if packet.on_delivered:
-            packet.on_delivered(finish)
 
     # ---- API ---------------------------------------------------------------
     def send(
@@ -196,7 +136,6 @@ class WormholeSimulator:
         vc = _VirtualChannel(packet=packet, hop_index=0, occupancy=flits,
                              received=flits)
         self._enqueue_vc(route[0], vc)
-        self._injected.append(packet)
         return packet
 
     # ---- switching ------------------------------------------------------------
@@ -219,11 +158,10 @@ class WormholeSimulator:
         next_hop = vc.hop_index + 1
         if next_hop >= len(vc.packet.route):
             return None
-        if not hasattr(vc, "_next_vc") or vc._next_vc is None:  # type: ignore[attr-defined]
-            nvc = _VirtualChannel(packet=vc.packet, hop_index=next_hop)
-            vc._next_vc = nvc  # type: ignore[attr-defined]
-            self._enqueue_vc(vc.packet.route[next_hop], nvc)
-        return vc._next_vc  # type: ignore[attr-defined]
+        if vc.next_vc is None:
+            vc.next_vc = _VirtualChannel(packet=vc.packet, hop_index=next_hop)
+            self._enqueue_vc(vc.packet.route[next_hop], vc.next_vc)
+        return vc.next_vc
 
     def _try_send(self, link: Link) -> None:
         key = self._key(link)

@@ -232,7 +232,7 @@ def _bench_netsim_battery() -> Optional[List]:
          "completions": completions, "now": sim.now}
     )
 
-    # Flit level: one single-hop worm (the vectorised wormhole regime).
+    # Flit level: one single-hop 64 KB worm through the flit event loop.
     worm = WormholeSimulator(ring(8))
     finishes: List[float] = []
     worm.send(0, 1, 64 * 1024, on_delivered=finishes.append)

@@ -171,7 +171,6 @@ def plan_report(
     transition: str = "zero",
     objective: str = "time",
     modes: Sequence[str] = ("dp",),
-    beam_width: int = 4,
     knobs: StrategyKnobs = DEFAULT_KNOBS,
     include_greedy: bool = True,
     validate: bool = False,
@@ -212,7 +211,7 @@ def plan_report(
     plans = [
         _plan_network_cached(
             net.name, tuple(net.conv_layers), batch, system, workers, knobs,
-            transition_model, objective, mode, beam_width, params, factors,
+            transition_model, objective, mode, params, factors,
         )
         for mode in modes
     ]

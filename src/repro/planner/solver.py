@@ -1,4 +1,4 @@
-"""Global strategy-chain solvers: Viterbi DP, exhaustive oracle, beam.
+"""Global strategy-chain solvers: Viterbi DP and exhaustive oracle.
 
 The chain problem: pick one strategy candidate per layer minimising
 
@@ -7,8 +7,7 @@ The chain problem: pick one strategy candidate per layer minimising
 Transition costs couple only *adjacent* layers, so the problem has the
 Markov structure of a Viterbi decode and the DP solve is exact.  The
 exhaustive oracle enumerates every path (small nets; the property tests
-use it to certify the DP), and beam search bounds the frontier for
-spaces widened by transform/batch-split knobs.
+use it to certify the DP).
 
 Float-determinism contract: every solver and the greedy reference fold
 path costs with the identical left-associated expression
@@ -47,7 +46,7 @@ from .transition import (
 )
 
 #: Solver modes of :func:`plan_network`.
-MODES: Tuple[str, ...] = ("dp", "oracle", "beam")
+MODES: Tuple[str, ...] = ("dp", "oracle")
 
 #: Paths the exhaustive oracle refuses to enumerate past.
 ORACLE_PATH_LIMIT = 262144
@@ -55,8 +54,8 @@ ORACLE_PATH_LIMIT = 262144
 
 def _step_total(prefix: float, transition_c: float, candidate_c: float) -> float:
     """The one chain-cost fold every solver shares.  Keeping the exact
-    expression (association included) identical across DP, oracle, beam
-    and the greedy reference is what makes their totals comparable in
+    expression (association included) identical across DP, oracle and
+    the greedy reference is what makes their totals comparable in
     floats, not just in exact arithmetic."""
     return (prefix + transition_c) + candidate_c
 
@@ -128,7 +127,6 @@ def plan_network(
     transition: TransitionCostModel = ZERO_TRANSITION,
     objective: str = "time",
     mode: str = "dp",
-    beam_width: int = 4,
     model: Optional[PerfModel] = None,
 ) -> NetworkPlan:
     """Solve the global strategy chain for a whole network.
@@ -144,12 +142,10 @@ def plan_network(
         )
     if mode not in MODES:
         raise PlannerError(f"unknown mode {mode!r}; choose from {MODES}")
-    if beam_width < 1:
-        raise PlannerError(f"beam_width must be >= 1, got {beam_width}")
     model = model or PerfModel()
     return _plan_network_cached(
         net.name, tuple(net.conv_layers), batch, config, workers, knobs,
-        transition, objective, mode, beam_width, model.params, model.factors,
+        transition, objective, mode, model.params, model.factors,
     )
 
 
@@ -164,7 +160,6 @@ def _plan_network_cached(
     transition: TransitionCostModel = ZERO_TRANSITION,
     objective: str = "time",
     mode: str = "dp",
-    beam_width: int = 4,
     params: HardwareParams = DEFAULT_PARAMS,
     factors: TrafficFactors = DEFAULT_FACTORS,
 ) -> NetworkPlan:
@@ -189,14 +184,9 @@ def _plan_network_cached(
             indices = _solve_dp(
                 per_layer, layers, batch, transition, objective, params
             )
-        elif mode == "oracle":
+        else:
             indices = _solve_oracle(
                 per_layer, layers, batch, transition, objective, params
-            )
-        else:
-            indices = _solve_beam(
-                per_layer, layers, batch, transition, objective, params,
-                beam_width,
             )
         return _assemble(
             network, mode, objective, transition, layers, per_layer, indices,
@@ -297,7 +287,7 @@ def _solve_oracle(
         if paths > ORACLE_PATH_LIMIT:
             raise PlannerError(
                 f"oracle space exceeds {ORACLE_PATH_LIMIT} paths; "
-                "use mode='dp' (exact for chain transitions) or 'beam'"
+                "use mode='dp' (exact for chain transitions)"
             )
     n = len(per_layer)
     indices = [0] * n
@@ -326,38 +316,6 @@ def _solve_oracle(
         if position < 0:
             break
     return best_indices
-
-
-def _solve_beam(
-    per_layer: List[Tuple[StrategyCandidate, ...]],
-    layers: Tuple[ConvLayerSpec, ...],
-    batch: int,
-    transition: TransitionCostModel,
-    objective: str,
-    params: HardwareParams,
-    beam_width: int,
-) -> Tuple[int, ...]:
-    """Width-bounded frontier search; ties break on the index path, so
-    the result is deterministic for any width."""
-    states: List[Tuple[float, Tuple[int, ...]]] = [
-        (_step_total(0.0, 0.0, cand.cost_in(objective)), (j,))
-        for j, cand in enumerate(per_layer[0])
-    ]
-    states = sorted(states)[:beam_width]
-    for i in range(1, len(per_layer)):
-        expanded: List[Tuple[float, Tuple[int, ...]]] = []
-        for total, path in states:
-            prev_cand = per_layer[i - 1][path[-1]]
-            for j, cand in enumerate(per_layer[i]):
-                edge = _edge(
-                    transition, prev_cand, cand, layers[i], batch, params,
-                    objective,
-                )
-                expanded.append(
-                    (_step_total(total, edge, cand.cost_in(objective)), path + (j,))
-                )
-        states = sorted(expanded)[:beam_width]
-    return states[0][1]
 
 
 def _assemble(

@@ -1,12 +1,15 @@
-"""Event-batching equivalence: coalescing must never change timing.
+"""Event batching versus the strict one-event-per-packet engine.
 
 The link server coalesces back-to-back packets of an uncontended flow
 into one scheduling batch (up to ``max_batch_packets``); with
 ``max_batch_packets=1`` it degenerates to the strict one-event-per-
-packet engine.  These tests pin the invariant that batching is purely
-an event-count optimisation: delivered timestamps are *identical* (not
-just close) across batch limits, and contended links — where the
-round-robin arbitration matters — never batch.
+packet engine.  For a flow that stays alone on its links, and for the
+collective patterns below, delivered timestamps are *identical* (not
+just close) across batch limits.  Batching is not a pure event-count
+optimisation in general, though: a flow that reaches a link while
+another flow's batch is being serialised waits for the whole batch
+instead of interleaving round-robin after the current packet.
+:class:`TestKnownDeviation` records that case as a strict xfail.
 """
 
 import pytest
@@ -105,3 +108,26 @@ class TestBatchLimitInvariance:
             sim.run()
             counts[limit] = sim.events_processed
         assert counts[16] < counts[1]
+
+
+class TestKnownDeviation:
+    @pytest.mark.xfail(
+        strict=True,
+        reason=(
+            "batching is not round-robin fair to a flow that arrives "
+            "mid-batch: on ring(8), 100 kB 0->1 plus 5 kB 7->1 at t=0, the "
+            "7->1 message completes at 3.736e-07 s with max_batch_packets=1 "
+            "and at 5.056e-07 s with 16; fixing it changes pinned digests"
+        ),
+    )
+    def test_late_flow_interleaves_with_batched_flow(self):
+        def late_completion(limit):
+            sim = _sim(limit)
+            bulk = Message(src=0, dst=1, size_bytes=100_000)
+            late = Message(src=7, dst=1, size_bytes=5_000)  # rides 7->0->1
+            sim.send(bulk)
+            sim.send(late)
+            sim.run()
+            return late.completed_at
+
+        assert late_completion(16) == late_completion(1)

@@ -2,16 +2,15 @@
 
 These tests fix the *exact* event-level behaviour of the flit engine —
 minimal packets, back-to-back worms on one virtual channel, single-body
-flits, extreme backpressure — so the vectorised single-worm fast path
-(`WormholeSimulator._run_single_worm`) can be checked bit-for-bit
-against it.  Every equality here is ``==`` on floats, not approx: the
-fast path's contract is identical arithmetic, and these pins are what
-hold it to that.
+flits, extreme backpressure — against :func:`_fold_single_worm`, a
+closed-form fold of the same left-to-right float operations.  Every
+equality here is ``==`` on floats, not approx: any change to the event
+loop's arithmetic or ordering shows up as a bit difference.
 """
 
 import pytest
 
-from repro.netsim import flattened_butterfly_2d, ring
+from repro.netsim import ring
 from repro.netsim.wormhole import WormholeSimulator
 
 
@@ -71,9 +70,8 @@ class TestMinimalPackets:
     def test_single_hop_exact_times_any_size(self):
         """One hop is the provably-exact regime: no downstream VC means
         no credits and no cross-hop retry events, so every departure is
-        a pure ``+= flit_time`` accumulation.  This is the regime the
-        vectorised fast path covers, so pin it for sizes up to the
-        64 KB bandwidth-validation stream."""
+        a pure ``+= flit_time`` accumulation.  Pin it for sizes up to
+        the 64 KB bandwidth-validation stream."""
         topo = ring(4)
         for size in (1, 16, 1000, 64_000):
             sim = WormholeSimulator(topo, flit_bytes=16)
@@ -94,8 +92,7 @@ class TestMinimalPackets:
         timestamp accumulated through a *different* sequence of adds —
         can land 1 ulp below the link-free time and transmit "early".
         Multi-hop timing is therefore a property of the whole event
-        soup, which is exactly why the fast path refuses multi-hop
-        worms (see ``_single_worm_schedule``)."""
+        soup, not of a per-hop closed form."""
         topo = ring(8)
         for size in (1, 16, 100):
             sim = WormholeSimulator(topo, flit_bytes=16, buffer_flits=128)
@@ -179,92 +176,6 @@ class TestExtremeBackpressure:
         shallow.send(0, 3, 1600, on_delivered=lambda t: done.setdefault("shallow", t))
         shallow.run()
         assert done["shallow"] >= done["deep"]
-
-class TestSingleWormFastPath:
-    """The vectorised single-hop schedule must be indistinguishable from
-    the reference event loop — same floats, same counters, same residual
-    simulator state."""
-
-    @staticmethod
-    def _observe(topo, fastpath, *sends, **kwargs):
-        sim = WormholeSimulator(topo, fastpath=fastpath, **kwargs)
-        deliveries = []
-        packets = [
-            sim.send(src, dst, size, on_delivered=deliveries.append)
-            for src, dst, size in sends
-        ]
-        finish = sim.run()
-        return {
-            "deliveries": deliveries,
-            "finish": finish,
-            "now": sim.now,
-            "flits": [p.delivered_flits for p in packets],
-            "total_flits": sim.flits_delivered,
-            "busy": dict(sim._link_busy_until),
-            "owners": {k: v for k, v in sim._link_owner.items() if v is not None},
-            "queues": {k: len(q) for k, q in sim._link_queue.items()},
-        }
-
-    @pytest.mark.parametrize("size", [1, 15, 16, 17, 1000, 64_000])
-    @pytest.mark.parametrize("vc_interleave", [False, True])
-    def test_single_hop_bit_identical(self, size, vc_interleave):
-        topo_fast, topo_ref = ring(4), ring(4)
-        fast = self._observe(topo_fast, True, (0, 1, size),
-                             vc_interleave=vc_interleave)
-        ref = self._observe(topo_ref, False, (0, 1, size),
-                            vc_interleave=vc_interleave)
-        assert fast == ref
-        assert (topo_fast.link(0, 1).bytes_carried
-                == topo_ref.link(0, 1).bytes_carried)
-
-    @pytest.mark.parametrize("flit_bytes,buffer_flits", [(1, 1), (7, 3), (64, 8)])
-    def test_single_hop_bit_identical_odd_geometry(self, flit_bytes, buffer_flits):
-        fast = self._observe(ring(6), True, (2, 3, 333),
-                             flit_bytes=flit_bytes, buffer_flits=buffer_flits)
-        ref = self._observe(ring(6), False, (2, 3, 333),
-                            flit_bytes=flit_bytes, buffer_flits=buffer_flits)
-        assert fast == ref
-
-    def test_multi_hop_takes_reference_path(self):
-        """Multi-hop worms must not be scheduled in closed form (the
-        event soup is not reproducible there) — both modes run the
-        reference loop and agree trivially."""
-        fast = self._observe(ring(8), True, (0, 3, 1000))
-        ref = self._observe(ring(8), False, (0, 3, 1000))
-        assert fast == ref
-
-    def test_two_worms_take_reference_path(self):
-        fast = self._observe(ring(4), True, (0, 1, 160), (0, 1, 160))
-        ref = self._observe(ring(4), False, (0, 1, 160), (0, 1, 160))
-        assert fast == ref
-
-    def test_fbfly_single_hop_bit_identical(self):
-        fast = self._observe(flattened_butterfly_2d(2, 2), True, (0, 3, 4096))
-        ref = self._observe(flattened_butterfly_2d(2, 2), False, (0, 3, 4096))
-        assert fast == ref
-
-    def test_send_after_fast_run_uses_reference_loop(self):
-        """A second injection on a warm simulator replays the reference
-        semantics (the fast path only fires on a quiescent t=0 sim)."""
-        sim = WormholeSimulator(ring(4), fastpath=True)
-        times = []
-        sim.send(0, 1, 160, on_delivered=times.append)
-        sim.run()
-        sim.send(0, 1, 160, on_delivered=times.append)
-        sim.run()
-        ref = WormholeSimulator(ring(4), fastpath=False)
-        ref_times = []
-        ref.send(0, 1, 160, on_delivered=ref_times.append)
-        ref.run()
-        ref.send(0, 1, 160, on_delivered=ref_times.append)
-        ref.run()
-        assert times == ref_times
-
-    def test_reference_env_var_disables(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NETSIM_REFERENCE", "1")
-        assert WormholeSimulator(ring(4)).fastpath is False
-        monkeypatch.delenv("REPRO_NETSIM_REFERENCE")
-        assert WormholeSimulator(ring(4)).fastpath is True
 
 
 class TestInterleaveEquivalence:

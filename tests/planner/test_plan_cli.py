@@ -53,11 +53,11 @@ class TestGolden:
 class TestReportShape:
     def test_schema_and_sections(self):
         report = plan_report(
-            "vgg16", transition="rerouted", modes=("dp", "beam"), validate=True
+            "vgg16", transition="rerouted", modes=("dp",), validate=True
         )
         assert report["schema"] == REPORT_SCHEMA
         assert report["network"] == "VGG-16"
-        assert [plan["mode"] for plan in report["plans"]] == ["dp", "beam"]
+        assert [plan["mode"] for plan in report["plans"]] == ["dp"]
         assert report["greedy"]["mode"] == "greedy"
         for plan in report["plans"]:
             assert plan["vs_greedy"]["greedy_total"] >= plan["total_cost"]
@@ -73,6 +73,13 @@ class TestReportShape:
             plan_report("vgg16", config="tpu")
         with pytest.raises(PlannerError):
             plan_report("vgg16", transition="teleport")
+
+    def test_cli_rejects_removed_beam_mode(self, tmp_path):
+        with pytest.raises(SystemExit) as excinfo:
+            run_plan(tmp_path, "--modes", "beam")
+        message = str(excinfo.value.code)
+        assert "'beam'" in message
+        assert "'dp'" in message and "'oracle'" in message
 
 
 class TestValidation:

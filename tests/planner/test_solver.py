@@ -1,4 +1,4 @@
-"""Chain solvers: DP optimality, greedy recovery, oracle/beam bounds.
+"""Chain solvers: DP optimality, greedy recovery, oracle certification.
 
 These are the PR's acceptance assertions: across the paper grids the DP
 plan is never costlier than greedy, and under the zero-transition preset
@@ -99,37 +99,13 @@ class TestOracleAndBeam:
                 mode="oracle",
             )
 
-    @pytest.mark.parametrize("beam_width", [1, 2, 8])
-    def test_beam_bounded_below_by_dp(self, beam_width):
-        net = wide_resnet_40_10()
-        transition = preset("rerouted")
-        dp = plan_network(net, CONFIG, 256, 256, transition=transition)
-        beam = plan_network(
-            net, CONFIG, 256, 256, transition=transition, mode="beam",
-            beam_width=beam_width,
-        )
-        assert beam.total_cost >= dp.total_cost
-
-    def test_wide_beam_matches_dp(self):
-        net = small_chain()
-        transition = preset("rerouted")
-        dp = plan_network(net, CONFIG, 256, 256, transition=transition)
-        beam = plan_network(
-            net, CONFIG, 256, 256, transition=transition, mode="beam",
-            beam_width=64,
-        )
-        assert beam.total_cost == dp.total_cost
-
 
 class TestValidationAndEdges:
     def test_unknown_mode_and_objective_raise(self):
         net = small_chain(2)
-        with pytest.raises(PlannerError):
-            plan_network(net, CONFIG, 256, 256, mode="anneal")
-        with pytest.raises(PlannerError):
-            plan_network(net, CONFIG, 256, 256, objective="carbon")
-        with pytest.raises(PlannerError):
-            plan_network(net, CONFIG, 256, 256, beam_width=0)
+        for kwargs in ({"mode": "anneal"}, {"mode": "beam"}, {"objective": "carbon"}):
+            with pytest.raises(PlannerError):
+                plan_network(net, CONFIG, 256, 256, **kwargs)
 
     def test_empty_network_plans_empty(self):
         net = CnnSpec(name="empty", dataset="none", conv_layers=[])
