@@ -1,4 +1,4 @@
-"""Closed-form fast paths over the packet engine — bit-identical by
+"""Exact fast paths over the packet engine — bit-identical by
 construction.
 
 This module extends the uncontended-batch precedent of the link server
@@ -7,22 +7,29 @@ This module extends the uncontended-batch precedent of the link server
 * **Flow-level coalescing** (:func:`store_and_forward_times` + the
   engine's ``_try_coalesce``): a whole message traversing a quiescent
   simulator collapses into one bulk completion event.
-* **Collective shortcuts** (:func:`ring_allreduce_shortcut`,
-  :func:`all_to_all_shortcut`): a symmetric ring all-reduce or a
-  fully-connected all-to-all on an idle simulator is priced without
-  creating a single packet, including per-link wire-byte accounting
-  that matches the COST004 closed forms (``2*(N-1)*MB`` ring wire
-  bytes, ``N*(N-1)*BPP`` all-to-all wire bytes).
+* **Ring all-reduce shortcut** (:func:`ring_allreduce_shortcut`): the
+  whole collective on an idle simulator is priced by a per-link FIFO
+  replay, without creating a packet — multi-hop ring pairs included,
+  such as the splice pairs of the host-bridged 256-worker ring.
+* **All-to-all shortcut** (:func:`all_to_all_shortcut`): a
+  fully-connected all-to-all, where every message owns its link.
+
+Both collective shortcuts commit per-link wire bytes that match the
+COST004 closed forms (``2*(N-1)*MB`` ring wire bytes, ``N*(N-1)*BPP``
+all-to-all wire bytes).
 
 The equivalence contract — the reason these are *fast paths* and not
 *approximations* — is that every produced timestamp is the bit-exact
-IEEE-754 value the per-packet event loop would compute.  The engine's
-arithmetic is a left-to-right fold: a link serialising packet ``i``
-computes ``done = fl(max(done, arrival_i) + wire_i/rate)`` and delivers
-at ``fl(done + latency)``, with batching boundaries never changing the
-accumulated value (PR 2's invariant).  The kernels below replay exactly
-that fold — they never algebraically simplify ``k`` additions of
-``s/r`` into ``k*s/r``, which would differ in the last ulp.
+IEEE-754 value the per-packet event loop would compute.  A link
+serialising packet ``i`` computes ``done = fl(max(free, arrival_i) +
+wire_i/rate)`` and delivers at ``fl(done + latency)``; the link
+server's batching boundaries never change the accumulated value.  The
+kernels below replay exactly that fold — they never algebraically
+simplify ``k`` additions of ``s/r`` into ``k*s/r``, which would differ
+in the last ulp.  A replay is only exact where the engine's
+round-robin arbitration cannot reorder work: a flow alone on its links,
+or (the ring replay) one-packet flows that reach each link in strictly
+increasing order, for which round-robin is FIFO.
 
 Fallback is always safe and always total: every precondition failure
 returns ``None``/``False`` and the caller runs the reference per-packet
@@ -30,21 +37,23 @@ path.  The preconditions are:
 
 * the fast path is enabled (``REPRO_NETSIM_REFERENCE=1`` disables it);
 * the simulator is quiescent (no pending events, no busy or queued
-  link server) so nothing can contend with the coalesced flow;
+  link server) so nothing outside the priced work can contend with it;
+* each shortcut's arbitration rules hold (see its docstring);
 * any attached fault injector classifies every involved link as
-  ``"clean"`` over the whole coalesced horizon (ring shortcuts also
-  accept ``"dead"`` links — stranding is deterministic); an injector
+  ``"clean"`` over the whole fault-free horizon (the ring shortcut also
+  accepts ``"dead"`` links — stranding is deterministic); an injector
   that does not implement :meth:`FaultHooks.link_state`, or any finite
   fault window or packet-loss rule touching the horizon, disables the
   fast path (``"dirty"``);
 * a ``run(until=...)`` / collective deadline would not truncate the
-  coalesced work mid-flight.
+  priced work mid-flight.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple
 
 from ..perf import counter_add, effect_free
 from ..perf.profiler import phase
@@ -134,22 +143,29 @@ def ring_allreduce_shortcut(
     start_time: float,
     deadline_s: Optional[float],
 ) -> Optional[Dict[str, object]]:
-    """Closed-form schedule of a pipelined ring all-reduce, or ``None``.
+    """Exact schedule of a pipelined ring all-reduce, or ``None``.
 
-    The ring all-reduce runs ``n`` independent slice chains; chain ``i``
-    forwards its slice ``2*(n-1)`` times, using ring link ``(i+k) mod n``
-    at step ``k``.  When every consecutive node pair is one hop apart
-    and each chain's serialisation windows never overlap another chain's
-    on any link (guaranteed for equal slices on uniform links, verified
-    explicitly otherwise), no arbitration ever happens and each chain's
-    trajectory is the plain store-and-forward fold — which this kernel
-    replays without touching the event queue.
+    The ring all-reduce runs one chain per non-empty slice: chain ``i``
+    forwards its slice ``2*(n-1)`` times, over ring pair ``(i+k) mod n``
+    at step ``k``, hop by hop along that pair's route.  Every pair is
+    used by exactly one chain per step, so when no link lies on two
+    pairs' routes each link serves its users one step after another.
+    If they also *arrive* in strictly increasing step order (checked
+    during the replay — a float tie would leave the order to event
+    sequence numbers), round-robin arbitration among one-packet flows
+    is FIFO, and a per-link FIFO replay in step order is exactly the
+    engine's schedule: per hop ``begin = max(arrival, free)``,
+    ``done = begin + wire/rate``, ``arrival = done + latency``.
 
-    Permanently-dead links (state ``"dead"``) are allowed: a chain
-    reaching one strands deterministically, exactly as its queued
-    packets would (the watchdog-detection signal the resilience layer
-    consumes).  Any ``"dirty"`` link falls back to the reference
-    engine.
+    Queued multi-packet flows interleave packet by packet instead, so a
+    ring with any multi-packet slice needs one-hop routes and no chain
+    may reach a link before its previous user is done.  Equal slices on
+    uniform one-hop links share one trajectory, folded in O(steps).
+
+    Faults: every used link is classified over the fault-free horizon.
+    ``"dead"`` links strand each chain at its first dead hop (earlier
+    hops still carry bytes, as queued packets would); any other
+    non-clean link falls back to the reference engine.
 
     Returns ``None`` to fall back, else a dict with the
     :class:`~repro.netsim.collectives.CollectiveResult` fields; the
@@ -167,153 +183,166 @@ def ring_allreduce_shortcut(
         return _ring_shortcut_locked(sim, nodes, slice_sizes, start_time, deadline_s)
 
 
+@dataclass(frozen=True)
+class _RingSchedule:
+    """What a priced ring all-reduce commits to the simulator."""
+
+    #: Time of the last engine event: the simulator clock after the run.
+    latest: float
+    #: The collective's finish: last delivery of a chain that completed
+    #: every step (``start_time`` when none did).
+    finish: float
+    messages: int
+    payload_bytes: int
+    #: Packet-hops served (the ``netsim.packets_served`` delta).
+    packets: int
+    #: Wire bytes per link, in route order.
+    carried: List[int]
+    completed: bool
+
+
 def _ring_shortcut_locked(
     sim, nodes, slice_sizes, start_time, deadline_s
 ) -> Optional[Dict[str, object]]:
     n = len(nodes)
     try:
-        links = []
-        for i in range(n):
-            route = sim.topology.route(nodes[i], nodes[(i + 1) % n])
-            if len(route) != 1:
-                return None
-            links.append(route[0])
-    except Exception:
+        routes = [sim.topology.route(nodes[i], nodes[(i + 1) % n]) for i in range(n)]
+    except (KeyError, ValueError, RuntimeError):
         return None  # unreachable pair: the reference path raises it
+    links = [link for route in routes for link in route]
+    if len({(link.src, link.dst) for link in links}) != len(links):
+        return None  # a link on two pairs' routes: steps do not order its users
     payload = sim.packet_bytes
     header = sim.params.packet_header_bytes
     splits = {b: packet_split(b, payload, header) for b in sorted(set(slice_sizes)) if b}
     if not splits:
         return None  # all-zero slices: reference path is already trivial
-    rates = [link.bytes_per_s for link in links]
-    lats = [link.latency_s for link in links]
+    one_packet = all(len(sizes) == 1 for sizes in splits.values())
+    single_hop = len(links) == n
+    if not (one_packet or single_hop):
+        return None  # multi-packet messages pipeline across hops and interleave
     steps = 2 * (n - 1)
-    uniform = len(set(rates)) == 1 and len(set(lats)) == 1
-    equal = len(set(slice_sizes)) == 1
-
-    # ---- clean-run trajectories (faults, if any, only remove suffixes)
-    if equal and uniform:
-        # All chains share one trajectory and use disjoint links at every
-        # step, so windows can never overlap — one fold covers the ring.
+    if (
+        single_hop
+        and len(set(slice_sizes)) == 1
+        and len({(link.bytes_per_s, link.latency_s) for link in links}) == 1
+    ):
+        # Every chain follows one trajectory on disjoint links.
         sizes = splits[slice_sizes[0]]
-        rate, lat = rates[0], lats[0]
-        traj: List[float] = []
         t = start_time
         for _ in range(steps):
-            t = _serialise_step(t, sizes, rate) + lat
-            traj.append(t)
-        trajectories: List[Optional[List[float]]] = [traj] * n
+            t = _serialise_step(t, sizes, links[0].bytes_per_s) + links[0].latency_s
+        count = n * steps
+        schedule = _RingSchedule(
+            t, t, count, count * slice_sizes[0], count * len(sizes),
+            [steps * sum(sizes)] * n, True,
+        )
     else:
-        # Ragged slices / non-uniform links: fold every chain, recording
-        # each serialisation window, then verify no link ever serves two
-        # chains at once (back-to-back with equal boundaries is fine —
-        # the engine's restart value at an exact handoff is the same
-        # accumulated float either way).
-        trajectories = []
-        windows: List[List[Tuple[float, float]]] = [[] for _ in range(n)]
-        for i in range(n):
-            b = slice_sizes[i]
-            if not b:
-                trajectories.append(None)
-                continue
-            sizes = splits[b]
-            t = start_time
-            traj = []
-            for k in range(steps):
-                li = (i + k) % n
-                done = _serialise_step(t, sizes, rates[li])
-                windows[li].append((t, done))
-                t = done + lats[li]
-                traj.append(t)
-            trajectories.append(traj)
-        for wins in windows:
-            wins.sort()
-            for (_s0, e0), (s1, _e1) in zip(wins, wins[1:]):
-                if s1 < e0:
-                    return None  # genuine contention: reference engine
-    finish_bound = max(
-        traj[-1] for traj in trajectories if traj is not None
-    )
+        schedule = _fifo_replay(routes, splits, slice_sizes, start_time, one_packet)
+        if schedule is None:
+            return None
 
-    # ---- fault gate over the whole horizon --------------------------------
     faults = sim.faults
-    dead = [False] * n
     if faults is not None:
-        for li, link in enumerate(links):
-            state = _hooks_link_state(faults, link, start_time, finish_bound)
+        dead = set()
+        for index, link in enumerate(links):
+            state = _hooks_link_state(faults, link, start_time, schedule.latest)
             if state == "dead":
-                dead[li] = True
+                dead.add(index)
             elif state != "clean":
                 return None
-
-    # ---- per-chain completed steps (strand at the first dead link) --------
-    strand = [steps] * n
-    if any(dead):
-        for i in range(n):
-            if trajectories[i] is None:
-                continue
-            for k in range(steps):
-                if dead[(i + k) % n]:
-                    strand[i] = k
-                    break
-
-    # ---- deadline gate ----------------------------------------------------
-    # ``last_delivery`` is the engine clock after the run (time of the
-    # final delivery event); ``finish`` is what the collective reports —
-    # the reference collector only advances it when a chain completes
-    # *all* steps, so a fully-stranded run reports ``start_time``.
-    last_delivery = start_time
-    finish = start_time
-    for i in range(n):
-        traj = trajectories[i]
-        if traj is None or not strand[i]:
-            continue
-        last = traj[strand[i] - 1]
-        if last > last_delivery:
-            last_delivery = last
-        if strand[i] == steps and last > finish:
-            finish = last
-    if deadline_s is not None and last_delivery > deadline_s:
+        if dead:
+            # Stranding only removes users, so no event moves later and
+            # the fault-free horizon still covers the run.
+            schedule = _fifo_replay(
+                routes, splits, slice_sizes, start_time, one_packet, dead
+            )
+            if schedule is None:
+                return None
+    if deadline_s is not None and schedule.latest > deadline_s:
         return None  # would be cut off mid-flight: reference semantics
 
-    # ---- commit -----------------------------------------------------------
-    chains_expected = 0
-    messages = 0
-    payload_bytes = 0
-    packets_served = 0
-    for i in range(n):
-        b = slice_sizes[i]
-        if trajectories[i] is None:
-            continue
-        chains_expected += 1
-        done_steps = strand[i]
-        messages += done_steps
-        payload_bytes += done_steps * b
-        wire = sum(splits[b])
-        packets = len(splits[b])
-        packets_served += done_steps * packets
-        if any(dead) or not (equal and uniform):
-            for k in range(done_steps):
-                links[(i + k) % n].bytes_carried += wire
-    if equal and uniform and not any(dead):
-        wire = sum(splits[slice_sizes[0]])
-        for link in links:
-            link.bytes_carried += steps * wire
-    completed = all(
-        strand[i] == steps for i in range(n) if trajectories[i] is not None
-    )
-    if last_delivery > sim.now:
-        sim.now = last_delivery
-    sim.messages_delivered += messages
-    sim.bytes_delivered += payload_bytes
-    counter_add("netsim.packets_served", packets_served)
+    for link, wire in zip(links, schedule.carried):
+        link.bytes_carried += wire
+    if schedule.latest > sim.now:
+        sim.now = schedule.latest
+    sim.messages_delivered += schedule.messages
+    sim.bytes_delivered += schedule.payload_bytes
+    counter_add("netsim.packets_served", schedule.packets)
     counter_add("netsim.collectives_coalesced", 1)
     return {
-        "finish": finish,
-        "messages": messages,
-        "bytes": float(payload_bytes),
-        "completed": completed,
+        "finish": schedule.finish,
+        "messages": schedule.messages,
+        "bytes": float(schedule.payload_bytes),
+        "completed": schedule.completed,
     }
+
+
+def _fifo_replay(
+    routes: Sequence[Sequence],
+    splits: Dict[int, List[int]],
+    slice_sizes: Sequence[int],
+    start_time: float,
+    queue_ok: bool,
+    dead: AbstractSet[int] = frozenset(),
+) -> Optional[_RingSchedule]:
+    """Per-link FIFO replay of a ring all-reduce, or ``None``.
+
+    Walks steps in order, then each step's chains, then each hop of the
+    chain's route, applying the engine's float expressions per hop.
+    Links are indexed by their position in the concatenated ``routes``
+    (each appears once); a chain strands at its first link in ``dead``.
+    Declines when a link's users do not arrive in strictly increasing
+    step order, or when a chain would queue and ``queue_ok`` is False.
+    """
+    n = len(routes)
+    hops = []
+    index = 0
+    for route in routes:
+        hops.append([(index + h, link.bytes_per_s, link.latency_s)
+                     for h, link in enumerate(route)])
+        index += len(route)
+    free = [float("-inf")] * index
+    last = [float("-inf")] * index
+    carried = [0] * index
+    times = [start_time] * n
+    active = [i for i in range(n) if slice_sizes[i]]
+    chains = len(active)
+    latest = start_time
+    messages = payload = packets = 0
+    for k in range(2 * (n - 1)):
+        survivors = []
+        for i in active:
+            sizes = splits[slice_sizes[i]]
+            arrival = times[i]
+            for li, rate, latency in hops[(i + k) % n]:
+                if li in dead:
+                    break
+                if arrival <= last[li]:
+                    return None  # tie or overtake: not FIFO in step order
+                last[li] = arrival
+                begin = free[li]
+                if arrival >= begin:
+                    begin = arrival
+                elif not queue_ok:
+                    return None  # a queued multi-packet flow interleaves
+                done = _serialise_step(begin, sizes, rate)
+                free[li] = done
+                arrival = done + latency
+                if arrival > latest:
+                    latest = arrival
+                carried[li] += sum(sizes)
+                packets += len(sizes)
+            else:
+                times[i] = arrival
+                messages += 1
+                payload += slice_sizes[i]
+                survivors.append(i)
+        active = survivors
+    finish = max([start_time] + [times[i] for i in active])
+    return _RingSchedule(
+        latest, finish, messages, payload, packets, carried, len(active) == chains
+    )
 
 
 def all_to_all_shortcut(
@@ -350,8 +379,8 @@ def all_to_all_shortcut(
                     if len(route) != 1:
                         return None
                     links.append(route[0])
-        except Exception:
-            return None
+        except (KeyError, ValueError, RuntimeError):
+            return None  # unreachable pair: the reference path raises it
         if len(set(link.bytes_per_s for link in links)) != 1:
             return None
         if len(set(link.latency_s for link in links)) != 1:

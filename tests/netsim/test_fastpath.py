@@ -24,14 +24,24 @@ from repro.faults.plan import (
     PacketLoss,
     WorkerFault,
 )
+from repro.faults.resilience import _watchdog
 from repro.netsim import (
     Message,
     NetworkSimulator,
+    Topology,
     all_to_all,
     flattened_butterfly_2d,
     hybrid,
     ring,
     ring_allreduce,
+)
+from repro.netsim.reconfiguration import reconfigure
+from repro.params import DEFAULT_PARAMS
+from repro.perf import (
+    profiling_disabled,
+    profiling_enabled,
+    reset_profile,
+    snapshot_profile,
 )
 
 #: The paper's machine grids (num_groups x num_clusters); (1, 256) is
@@ -68,6 +78,18 @@ def _assert_identical(build, plan=None):
     return fast
 
 
+def _assert_identical_events(build, plan=None):
+    """:func:`_assert_identical` for observations that also carry the
+    engine event count (``"events"``), which differs by design; returns
+    the fast observation and the fast side's event count."""
+    fast = _run_collective(True, build, plan)
+    ref = _run_collective(False, build, plan)
+    fast_events, ref_events = fast.pop("events"), ref.pop("events")
+    assert fast == ref
+    assert ref_events > 0
+    return fast, fast_events
+
+
 class TestRingAllreduceIdentity:
     @pytest.mark.parametrize("n", [2, 3, 8, 16])
     @pytest.mark.parametrize("message_bytes", [1, 999, 64 * 1024])
@@ -99,6 +121,53 @@ class TestRingAllreduceIdentity:
                     "links": _topo_snapshot(topo)}
 
         _assert_identical(build)
+
+    def test_pairs_sharing_a_link(self):
+        """Ring order 0-2-1-3-5-4 on ``ring(6)``: pairs 0->2 and 1->3
+        both route over link 1->2, so the replay declines."""
+
+        def build(fastpath, injector):
+            topo = ring(6)
+            sim = NetworkSimulator(
+                topo, packet_bytes=DEFAULT_PARAMS.collective_packet_bytes,
+                fastpath=fastpath,
+            )
+            result = ring_allreduce(sim, [0, 2, 1, 3, 5, 4], 600)
+            return {"result": result, "now": sim.now,
+                    "events": sim.events_processed,
+                    "links": _topo_snapshot(topo)}
+
+        _fast, events = _assert_identical_events(build)
+        assert events > 0
+
+    @pytest.mark.parametrize("message_bytes,replayed", [
+        (8 * 256, True),       # one-packet slices queue FIFO
+        (8 * 768 + 1, False),  # 3- and 4-packet slices interleave
+        (8 * 1024, False),
+    ])
+    def test_chains_queue_behind_a_slow_link(self, message_bytes, replayed):
+        """An 8-ring whose link 0->1 runs at a third of the rate: chains
+        catch up and queue there.  Queued one-packet flows are FIFO, so
+        the replay prices them; queued multi-packet flows interleave
+        round-robin, so the engine must run."""
+
+        def build(fastpath, injector):
+            topo = Topology(num_nodes=8)
+            rate = DEFAULT_PARAMS.full_link_bytes_per_s
+            for i in range(8):
+                topo.add_link(i, (i + 1) % 8, rate / 3 if i == 0 else rate,
+                              8e-9, name="ring")
+            sim = NetworkSimulator(
+                topo, packet_bytes=DEFAULT_PARAMS.collective_packet_bytes,
+                fastpath=fastpath,
+            )
+            result = ring_allreduce(sim, list(range(8)), message_bytes)
+            return {"result": result, "now": sim.now,
+                    "links": _topo_snapshot(topo),
+                    "events": sim.events_processed}
+
+        _fast, events = _assert_identical_events(build)
+        assert (events == 0) == replayed
 
 
 class TestAllToAllIdentity:
@@ -156,6 +225,194 @@ class TestPaperGridIdentity:
     @pytest.mark.parametrize("num_groups,num_clusters", PAPER_GRIDS_SLOW)
     def test_grid_collectives_slow(self, num_groups, num_clusters):
         _assert_identical(self._build_grid(num_groups, num_clusters, 8192))
+
+
+def _spliced_ring_build(groups, clusters, message_bytes, deadline_s=None,
+                        start_time=0.0):
+    """Build ``reconfigure(groups, clusters, 1)`` and run the all-reduce
+    on its host-bridged logical ring with collective packets (as the
+    resilience layer does), observing the ``netsim.packets_served``
+    counter and the engine event count as well."""
+
+    def build(fastpath, injector):
+        machine = reconfigure(groups, clusters, 1)
+        sim = NetworkSimulator(
+            machine.topology,
+            packet_bytes=DEFAULT_PARAMS.collective_packet_bytes,
+            faults=injector,
+            fastpath=fastpath,
+        )
+        profiling_enabled()
+        reset_profile()
+        try:
+            result = ring_allreduce(sim, machine.logical_rings[0], message_bytes,
+                                    start_time=start_time, deadline_s=deadline_s)
+            counters = snapshot_profile()["counters"]
+        finally:
+            profiling_disabled()
+            reset_profile()
+        return {
+            "result": result,
+            "now": sim.now,
+            "delivered": (sim.messages_delivered, sim.bytes_delivered),
+            "links": _topo_snapshot(machine.topology),
+            "packets_served": counters.get("netsim.packets_served", 0),
+            "events": sim.events_processed,
+        }
+
+    return build
+
+
+def _splice_hop(machine):
+    """The last hop of the first ring pair that routes over two hops
+    (a narrow cluster-FBFLY link at a splice point)."""
+    ring_order = machine.logical_rings[0]
+    for a, b in zip(ring_order, ring_order[1:] + ring_order[:1]):
+        route = machine.topology.route(a, b)
+        if len(route) > 1:
+            return route[-1]
+    raise AssertionError("no multi-hop ring pair")
+
+
+class TestSplicedRingIdentity:
+    """The host-bridged logical ring of ``reconfigure(16, 4, 1)``: its
+    four splice pairs in cluster 0 route over two narrow FBFLY hops, so
+    the ring shortcut prices it with the per-link FIFO replay."""
+
+    GRID = (16, 4)
+    #: 256 B slices over 64 workers: one collective packet each.
+    ONE_PACKET = 16 * 1024
+
+    def test_splice_pairs_take_two_hops(self):
+        machine = reconfigure(*self.GRID, 1)
+        ring_order = machine.logical_rings[0]
+        hops = [len(machine.topology.route(a, b))
+                for a, b in zip(ring_order, ring_order[1:] + ring_order[:1])]
+        assert hops.count(2) == 4 and hops.count(1) == len(hops) - 4
+
+    def test_clean(self):
+        fast, events = _assert_identical_events(
+            _spliced_ring_build(*self.GRID, self.ONE_PACKET)
+        )
+        assert events == 0
+        assert fast["result"].completed and fast["packets_served"] > 0
+
+    def test_dead_splice_link(self):
+        """Killing the second hop of a splice pair strands its chains
+        after their first hop, whose bytes and arrival still count."""
+        hop = _splice_hop(reconfigure(*self.GRID, 1))
+        fast, events = _assert_identical_events(
+            _spliced_ring_build(*self.GRID, self.ONE_PACKET, deadline_s=1.0),
+            FaultPlan(link_faults=(LinkFault(src=hop.src, dst=hop.dst),)),
+        )
+        assert events == 0
+        assert not fast["result"].completed
+
+    def test_dead_worker_with_deadline(self):
+        ring_order = reconfigure(*self.GRID, 1).logical_rings[0]
+        plan = FaultPlan(
+            worker_faults=(WorkerFault(worker=ring_order[len(ring_order) // 2]),)
+        )
+        deadline = _watchdog(len(ring_order), self.ONE_PACKET, plan,
+                             DEFAULT_PARAMS)
+        fast, events = _assert_identical_events(
+            _spliced_ring_build(*self.GRID, self.ONE_PACKET, deadline_s=deadline),
+            plan,
+        )
+        assert events == 0
+        assert not fast["result"].completed
+
+    def test_multi_packet_slices_decline(self):
+        """1 KB slices are four packets on the two-hop splice pairs:
+        queued multi-packet flows interleave, so the engine runs."""
+        _fast, events = _assert_identical_events(
+            _spliced_ring_build(*self.GRID, 64 * 1024)
+        )
+        assert events > 0
+
+    def test_float_ties_decline(self):
+        """At a start time of 2**40 s every hop's duration is absorbed
+        by rounding, so successive users reach a link at the same float
+        time and the engine's order would rest on sequence numbers."""
+        _fast, events = _assert_identical_events(
+            _spliced_ring_build(*self.GRID, self.ONE_PACKET, start_time=2.0 ** 40)
+        )
+        assert events > 0
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        groups=st.sampled_from([4, 8, 16]),
+        clusters=st.sampled_from([2, 4]),
+        slice_bytes=st.integers(min_value=0, max_value=600),
+        remainder=st.integers(min_value=0, max_value=63),
+        fault=st.sampled_from(["clean", "dead-link", "dead-worker"]),
+        victim=st.integers(min_value=0, max_value=63),
+    )
+    def test_random_spliced_rings(self, groups, clusters, slice_bytes,
+                                  remainder, fault, victim):
+        machine = reconfigure(groups, clusters, 1)
+        ring_order = machine.logical_rings[0]
+        n = len(ring_order)
+        message_bytes = slice_bytes * n + remainder % n
+        if message_bytes == 0:
+            return
+        plan, deadline = None, None
+        if fault == "dead-link":
+            a = ring_order[victim % n]
+            b = ring_order[(victim + 1) % n]
+            hop = machine.topology.route(a, b)[-1]
+            plan = FaultPlan(link_faults=(LinkFault(src=hop.src, dst=hop.dst),))
+            deadline = 1.0
+        elif fault == "dead-worker":
+            plan = FaultPlan(
+                worker_faults=(WorkerFault(worker=ring_order[victim % n]),)
+            )
+            deadline = 1.0
+        _assert_identical_events(
+            _spliced_ring_build(groups, clusters, message_bytes, deadline), plan
+        )
+
+    @pytest.mark.slow
+    def test_paper_256_ring(self):
+        fast, events = _assert_identical_events(
+            _spliced_ring_build(16, 16, 64 * 1024)
+        )
+        assert events == 0 and fast["result"].completed
+
+    @pytest.mark.slow
+    def test_paper_256_ring_dead_worker_first_attempt(self):
+        ring_order = reconfigure(16, 16, 1).logical_rings[0]
+        plan = FaultPlan(
+            worker_faults=(WorkerFault(worker=ring_order[len(ring_order) // 2]),)
+        )
+        deadline = _watchdog(len(ring_order), 64 * 1024, plan, DEFAULT_PARAMS)
+        fast, events = _assert_identical_events(
+            _spliced_ring_build(16, 16, 64 * 1024, deadline_s=deadline), plan
+        )
+        assert events == 0 and not fast["result"].completed
+
+
+class TestRouteErrors:
+    """The shortcuts only swallow the errors ``Topology.route`` raises
+    for an unreachable pair; the reference path then raises the same."""
+
+    @staticmethod
+    def _two_components():
+        topo = Topology(num_nodes=4)
+        rate = DEFAULT_PARAMS.full_link_bytes_per_s
+        topo.add_bidirectional(0, 1, rate, 1e-9)
+        topo.add_bidirectional(2, 3, rate, 1e-9)
+        return topo
+
+    @pytest.mark.parametrize("collective", [ring_allreduce, all_to_all])
+    def test_disconnected_nodes_raise_the_same_error(self, collective):
+        errors = []
+        for fastpath in (True, False):
+            sim = NetworkSimulator(self._two_components(), fastpath=fastpath)
+            with pytest.raises(ValueError) as info:
+                collective(sim, [0, 1, 2, 3], 4096)
+            errors.append(str(info.value))
+        assert errors[0] == errors[1] and "no route" in errors[0]
 
 
 class TestFaultScenarioIdentity:

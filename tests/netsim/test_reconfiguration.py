@@ -45,6 +45,26 @@ class TestRingConnectivity:
             for a, b in zip(ring_order, ring_order[1:] + ring_order[:1]):
                 assert b in machine.topology.neighbors(a)
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason=(
+            "known deviation: hybrid_route answers same-cluster pairs with "
+            "dimension-order routing before the direct host bridge is "
+            "looked up, so ring positions 63, 127, 191 and 255 (48->64, "
+            "112->128, 176->192, 240->0) take two 10 GB/s cluster0-fbfly "
+            "hops although bridge_ring added a 30 GB/s bridge for each; "
+            "the 1Ng-256Nc fault-free baseline is 13.506 us instead of "
+            "8.568 us.  The fix changes pinned benchmark digests."
+        ),
+    )
+    def test_every_logical_ring_pair_routes_over_one_full_width_link(self):
+        machine = reconfigure(16, 16, 1)
+        ring_order = machine.logical_rings[0]
+        for a, b in zip(ring_order, ring_order[1:] + ring_order[:1]):
+            route = machine.topology.route(a, b)
+            assert len(route) == 1
+            assert route[0].bytes_per_s == DEFAULT_PARAMS.full_link_bytes_per_s
+
     def test_16_16_needs_no_bridges(self):
         machine = reconfigure(16, 16, 16)
         bridges = [l for l in machine.topology.links if l.name == "host-bridge"]
