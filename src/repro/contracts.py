@@ -17,12 +17,13 @@ automatically) and one entry per returned value:
 
 Contracts are **zero-cost by default**: the decorator only attaches the
 parsed contract as ``__shape_contract__`` and returns the function
-unchanged.  The contract is consumed *statically* by the
-``repro.statcheck.shapes`` abstract interpreter (rule family
-``SHAPE001``–``SHAPE006``).  Set ``REPRO_CHECK_SHAPES=1`` in the
-environment **before import** to additionally wrap every contracted
-function with a runtime checker that unifies actual shapes against the
-spec on each call and raises :class:`ShapeContractError` on mismatch.
+unchanged.  The contract is consumed *statically* by statcheck's
+abstract interpreter, ``repro.statcheck.interp`` (rule families
+``SHAPE001``–``SHAPE006`` and ``COST001``–``COST005``).  Set
+``REPRO_CHECK_SHAPES=1`` in the environment **before import** to
+additionally wrap every contracted function with a runtime checker that
+unifies actual shapes against the spec on each call and raises
+:class:`ShapeContractError` on mismatch.
 
 :func:`partitioned` declares that a function returns a partition — a
 sequence of ``parts`` index groups that are pairwise disjoint and

@@ -236,8 +236,9 @@ def _costs_report(paths: List[Path]) -> str:
     import ast
     import json
 
-    from .costs.interp import CostPass, cost_signature
+    from .costs.checks import cost_signature
     from .engine import iter_python_files
+    from .interp import ContractPass
 
     functions = []
     events = []
@@ -247,10 +248,10 @@ def _costs_report(paths: List[Path]) -> str:
             tree = ast.parse(path.read_text(encoding="utf-8"))
         except (OSError, SyntaxError):
             continue
-        cost_pass = CostPass(str(path), tree)
+        contracts = ContractPass(str(path), tree)
         shown = str(path)
         seen = set()
-        for info in cost_pass.defs:
+        for info in contracts.defs:
             if info.cost_decorator is None or info.qualname in seen:
                 continue
             seen.add(info.qualname)
@@ -280,7 +281,7 @@ def _costs_report(paths: List[Path]) -> str:
                 ]
             entry["declared"] = declared
             entry["signature"] = cost_signature(cc)
-            derived = cost_pass.derived.get(info.qualname)
+            derived = contracts.derived.get(info.qualname)
             if derived is not None:
                 wenv = cc.where_env()
                 entry["derived"] = {
@@ -295,7 +296,8 @@ def _costs_report(paths: List[Path]) -> str:
                 "line": getattr(node, "lineno", 0),
                 "message": message,
             }
-            for rule, node, message in cost_pass.events
+            for rule, node, message in contracts.events
+            if rule.startswith("COST")
         )
     return json.dumps(
         {"version": 1, "functions": functions, "events": events},

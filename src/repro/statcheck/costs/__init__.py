@@ -1,9 +1,8 @@
-"""Symbolic cost abstract interpreter (COST rule family).
+"""The COST rule family's checks and facts.
 
-See :mod:`.interp` for the analysis, :mod:`.facts` for the analytical
-model it checks against, and :mod:`.baseline` for the COST003
-complexity baseline.
+The FLOP/bytes-moved polynomials are derived by the abstract
+interpreter shared with the SHAPE family (:mod:`repro.statcheck.interp`).
+See :mod:`.checks` for COST001–COST005, :mod:`.facts` for the
+analytical model they check against, and :mod:`.baseline` for the
+COST003 complexity baseline.
 """
-
-from .interp import CostPass, cost_pass, cost_signature  # noqa: F401
-from .values import Arr, Fail, Geom, Lst, Obj, Tup, Xform  # noqa: F401

@@ -44,7 +44,7 @@ def compute_baseline(root: Path) -> Dict[str, dict]:
     the package rooted at ``root`` (keys are ``relpath::qualname``)."""
     from ..engine import EXCLUDED_DIRS
     from ..registry import _file_contracts
-    from .interp import cost_signature
+    from .checks import cost_signature
 
     functions: Dict[str, dict] = {}
     for path in sorted(root.rglob("*.py")):

@@ -1,4 +1,4 @@
-"""Abstract values flowing through the cost interpreter.
+"""Abstract values flowing through the shape and cost interpreter.
 
 The domain is deliberately small: everything the annotated kernels
 manipulate is either a symbolic scalar (:class:`~..symdims.SymDim`), an
@@ -24,6 +24,22 @@ ONE = SymDim.const(1)
 
 class Fail(Exception):
     """Cost derivation left the supported fragment (with a reason)."""
+
+
+def bare_sym(expr: Optional[SymDim]) -> Optional[str]:
+    """The symbol name when ``expr`` is exactly one bare symbol."""
+    if expr is None:
+        return None
+    terms = expr.terms
+    if len(terms) != 1:
+        return None
+    mono, coeff = terms[0]
+    if coeff != 1 or len(mono) != 1:
+        return None
+    atom, exp = mono[0]
+    if isinstance(atom, str) and exp == 1:
+        return atom
+    return None
 
 
 class Arr:
@@ -191,8 +207,9 @@ NP_SUBMODULES = frozenset({"lib", "stride_tricks", "linalg", "random", "fft"})
 
 def broadcast(a: Arr, b: Arr) -> Arr:
     """Elementwise result shape; trailing-aligned, constants-1 dropped,
-    unknowns resolved toward the known side (rank/shape validity is
-    SHAPE002's job, not ours)."""
+    unknowns resolved toward the known side.  Two known dims are
+    assumed equal: the operands' shapes come from contracts, which the
+    call-site and return checks hold to account."""
     da, db = list(a.dims), list(b.dims)
     if len(da) < len(db):
         da, db = db, da

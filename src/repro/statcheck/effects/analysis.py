@@ -1,8 +1,8 @@
 """Package-wide interprocedural effect inference.
 
 Builds a call graph over every definition of the enclosing package (the
-same no-imports, AST-only collection discipline as the shape registry in
-:mod:`repro.statcheck.shapes`), then solves a bottom-up fixpoint over
+same no-imports, AST-only collection discipline as the contract registry
+in :mod:`repro.statcheck.registry`), then solves a bottom-up fixpoint over
 its strongly connected components:
 
     transitive(f) = direct(f)  JOIN  translate(transitive(g), site)

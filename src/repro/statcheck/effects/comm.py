@@ -1,8 +1,9 @@
 """COMM001: collective send/recv step conservation, checked by execution.
 
-Static inspection cannot follow a callback chain like ``send_step ->
-on_complete -> send_step`` to its fixpoint, so — exactly like the
-SHAPE004/SHAPE005 exec-over-battery checks in
+Static inspection — the effect fixpoint, or the shape and cost
+interpreter of :mod:`repro.statcheck.interp` — cannot follow a callback
+chain like ``send_step -> on_complete -> send_step`` to its fixpoint, so
+— exactly like the SHAPE004/SHAPE005 exec-over-battery checks in
 :mod:`repro.statcheck.shapes` — this pass *runs* each collective against
 a deterministic fake simulator and checks flow conservation:
 

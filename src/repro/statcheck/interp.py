@@ -1,53 +1,60 @@
-"""Symbolic cost abstract interpreter (the COST rule family's engine).
+"""The symbolic abstract interpreter behind the SHAPE and COST families.
 
-For every ``@cost``-annotated kernel the pass walks the function body
-and *derives* its FLOP and bytes-moved polynomials over the same
-:class:`~..symdims.SymDim` algebra the shape checker uses, then compares
-them against the declaration:
+One walk per function, over the :class:`~.symdims.SymDim` algebra,
+derives both the *shapes* of the arrays a function manipulates and its
+*cost*:
 
-* ``for`` loops over ``range(...)`` or summarized lists are evaluated
-  symbolically — the body is interpreted once and its cost is summed in
-  closed form (affine in the loop variables, with exact triangular sums
-  for ``range`` index variables).
-* numpy intrinsics get costs from a per-call table (uniform fp32 model:
-  4 bytes/element; 2 flops/MAC; stores and array accumulation are
-  memory-only, matching :mod:`repro.winograd.costs` which counts only
-  transform flops and MACs).
-* calls to other annotated functions substitute the callee's *declared*
-  (where-closed) polynomials — interprocedural, one summary per callee.
-* list-returning helpers annotated ``ret_len=``/``ret_sum=`` are
-  verified by executing them (they must be pure) over a battery of
-  small inputs instead of derivation.
+* calls to ``@shaped`` functions are unified against the callee's
+  contract: the callee's symbols bind to what the caller passes (first
+  use wins), and a rank or fully bound dim that contradicts the
+  contract is SHAPE002.  Return values and tuple unpacking are checked
+  against the function's own contract (SHAPE002), and an
+  ``np.tensordot`` whose contracted axes differ in size is SHAPE003 —
+  a flipped Cook–Toom transpose in Equation 1 fails there;
+* FLOP and bytes-moved polynomials, which the COST rules compare
+  against ``@cost`` declarations (:mod:`.costs.checks`).  ``for`` loops
+  over ``range(...)`` or summarized lists are evaluated symbolically —
+  the body is interpreted once and its cost is summed in closed form
+  (affine in the loop variables, with exact triangular sums for
+  ``range`` index variables).  numpy intrinsics get costs from a
+  per-call table (uniform fp32 model: 4 bytes/element; 2 flops/MAC;
+  stores and array accumulation are memory-only, matching
+  :mod:`repro.winograd.costs` which counts only transform flops and
+  MACs).  Calls to annotated functions substitute the callee's
+  *declared* (where-closed) polynomials under the same bindings that
+  unified the call.
 
-Anything outside this fragment fails the derivation, and a failed
-derivation is itself a COST001 finding: the fragment is the set of
-constructs the repo's kernels actually use, and staying inside it is
-what keeps the analysis exact rather than approximate.
+A construct outside the cost fragment makes its value unknown: the
+walk records the first reason and keeps going, so every statement is
+still checked for shapes.  Code the cost model skips — ``if`` tests,
+guard branches ending in ``raise``/``continue``/``break``, dead code
+after a ``return``, the operands of unmodeled calls — is walked in a
+throwaway frame whose cost and failures are dropped.  For a ``@cost``
+function the recorded reason is the COST001 finding "could not derive
+cost: <reason>": the fragment is the set of constructs the repo's
+kernels actually use, and staying inside it is what keeps the cost
+analysis exact rather than approximate.
 
-Events are ``(rule_id, node, message)`` tuples consumed by the thin
-rule classes in ``rules/cost_rules.py`` — the same split as the SHAPE
-family.
+:class:`ContractPass` is the per-file pass: it builds the package-wide
+contract registry once, walks every function once (nested functions
+included) and adds the non-interpreter checks of :mod:`.shapes` and
+:mod:`.costs.checks`.  Events are ``(rule_id, node, message)`` tuples
+that the thin rule classes filter by id.
 """
 
 from __future__ import annotations
 
 import ast
 import itertools
-import json
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from ..registry import AMBIGUOUS, ContractDef, collect_contracts, registry_for
-from ..shapes import (
-    _exec_sandbox,
-    _function_impurity,
-    _strip_decorators,
-    dims_equivalent,
-)
-from ..symdims import SymDim, SymDimError, ceildiv, floordiv, sym
-from . import facts
-from .values import (
+from . import shapes
+from .costs import checks, facts
+from .costs.values import (
     NP_SUBMODULES,
     NPMOD,
     ONE,
@@ -60,29 +67,38 @@ from .values import (
     Obj,
     Tup,
     Xform,
+    bare_sym,
     broadcast,
 )
+from .registry import (
+    AMBIGUOUS,
+    ContractDef,
+    _positional_param_names,
+    collect_contracts,
+    registry_for,
+)
+from .shapes import dims_equivalent
+from .symdims import SymDim, SymDimError, ceildiv, floordiv, sym
 
 _UNSET = object()  # "has not returned yet" (None is a legal return value)
 
 _FOUR = SymDim.const(4)
 _HALF = Fraction(1, 2)
 
+#: What ends one evaluation (its value becomes unknown) but not the walk.
+_FAILURES = (Fail, SymDimError, ZeroDivisionError)
 
-def _bare_sym(expr: Optional[SymDim]) -> Optional[str]:
-    """The symbol name when ``expr`` is exactly one bare symbol."""
-    if expr is None:
-        return None
-    terms = expr.terms
-    if len(terms) != 1:
-        return None
-    mono, coeff = terms[0]
-    if coeff != 1 or len(mono) != 1:
-        return None
-    atom, exp = mono[0]
-    if isinstance(atom, str) and exp == 1:
-        return atom
-    return None
+#: Definitions inside a body: walked on their own, never inline.
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+#: Expressions with a scope of their own (bound names are unknown inside).
+_SCOPES = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp, ast.Lambda)
+
+#: Child nodes that nothing is ever checked on.
+_INERT = (
+    ast.expr_context, ast.boolop, ast.operator, ast.unaryop, ast.cmpop,
+    ast.Name, ast.Constant, ast.alias,
+)
 
 
 def _affine_split(
@@ -141,6 +157,13 @@ _FREE_CALLS = frozenset({
 })
 
 
+def _new_axis(index: ast.expr) -> bool:
+    """``None``/``np.newaxis`` in a subscript: a new axis of extent 1."""
+    if isinstance(index, ast.Constant):
+        return index.value is None
+    return isinstance(index, ast.Attribute) and index.attr == "newaxis"
+
+
 def _terminator(body: Sequence[ast.stmt]) -> str:
     if not body:
         return "absent"
@@ -153,13 +176,24 @@ def _terminator(body: Sequence[ast.stmt]) -> str:
 
 
 class _Shared:
-    """State shared across a derivation and all its child frames."""
+    """State shared by every frame of one function's walk."""
 
-    __slots__ = ("cp", "counter")
+    __slots__ = ("cp", "own", "qualname", "wenv", "counter", "seen")
 
-    def __init__(self, cp: "CostPass") -> None:
+    def __init__(
+        self, cp: "ContractPass", own: Optional[ContractDef], qualname: str
+    ) -> None:
         self.cp = cp
+        #: the function's own shape contract (return checks), if any
+        self.own = own
+        self.qualname = qualname
+        #: its ``@cost`` where-chain: the declared identities (``T=M+R-1``)
+        #: between contract symbols and the structured facts' geometry
+        cc = own.cost if own is not None and own.cost_error is None else None
+        self.wenv = cc.where_env() if cc is not None else {}
         self.counter = 0
+        #: every statement and expression node already walked
+        self.seen: set = set()
 
     def fresh(self) -> str:
         self.counter += 1
@@ -167,7 +201,7 @@ class _Shared:
 
 
 class FnDeriver:
-    """One interpretation frame (a function body or a loop body)."""
+    """One interpretation frame (a function body, a loop body or a branch)."""
 
     def __init__(self, shared: _Shared, env: Dict[str, object]) -> None:
         self.shared = shared
@@ -182,19 +216,128 @@ class FnDeriver:
         self.assigned: set = set()
         #: (flops, mem, ret) totals of early-``return`` fast paths
         self.alternatives: List[Tuple[SymDim, SymDim, object]] = []
+        #: why the cost walk left the fragment, first reason first
+        #: (shared with child frames; a throwaway frame keeps its own)
+        self.fails: List[str] = []
 
-    # ---- statements ------------------------------------------------------
+    def _child(self) -> "FnDeriver":
+        child = FnDeriver(self.shared, dict(self.env))
+        child.fails = self.fails
+        return child
+
+    def _aside(self) -> "FnDeriver":
+        """A throwaway frame: what it walks is checked for shapes, but its
+        cost, bindings and failures are dropped."""
+        return FnDeriver(self.shared, dict(self.env))
+
+    def _fail(self, reason: object) -> None:
+        self.fails.append(str(reason))
+
+    def _event(self, rule: str, node: ast.AST, message: str) -> None:
+        self.shared.cp.events.append((rule, node, message))
+
+    def _same(self, a: SymDim, b: SymDim) -> bool:
+        """Dim equality, up to the function's own where-chain."""
+        wenv = self.shared.wenv
+        return dims_equivalent(a.subs(wenv), b.subs(wenv))
+
+    # ---- walking ---------------------------------------------------------
 
     def run_body(self, body: Sequence[ast.stmt]) -> None:
-        for st in body:
+        for i, st in enumerate(body):
             if self.ret is not _UNSET or self.stopped:
-                break
+                aside = self._aside()  # dead code: shape checks only
+                for rest in body[i:]:
+                    aside.stmt(rest)
+                return
             self.stmt(st)
 
     def stmt(self, st: ast.stmt) -> None:
+        """Walk one statement; one that leaves the cost fragment records
+        the reason and is still walked to its end for shape checks."""
+        self.shared.seen.add(st)
+        try:
+            self._stmt(st)
+        except _FAILURES as exc:
+            self._fail(exc)
+            self._finish(st)
+        else:
+            if self._unwalked(st):
+                self._aside()._finish(st)
+
+    def eval(self, node: ast.expr) -> object:
+        """The abstract value of ``node``: unknown (``None``) when it
+        leaves the cost fragment, with the reason recorded."""
+        self.shared.seen.add(node)
+        try:
+            value = self._value(node)
+        except _FAILURES as exc:
+            self._fail(exc)
+            self._finish(node)
+            return None
+        if not isinstance(node, _INERT) and self._unwalked(node):
+            self._aside()._finish(node)
+        return value
+
+    def _unwalked(self, node: ast.AST) -> bool:
+        """Whether ``node`` holds a call or ``return`` not walked yet."""
+        seen = self.shared.seen
+        stack = list(ast.iter_child_nodes(node))
+        while stack:
+            child = stack.pop()
+            if child in seen or isinstance(child, _DEFS):
+                continue
+            if isinstance(child, (ast.Call, ast.Return)):
+                return True
+            stack.extend(ast.iter_child_nodes(child))
+        return False
+
+    def _finish(self, node: ast.AST) -> None:
+        """Walk the parts of ``node`` its evaluation did not reach, so
+        they are still checked for shapes."""
+        if isinstance(node, _DEFS):
+            self.env[node.name] = None  # walked on their own
+            return
+        frame = self
+        if isinstance(node, _SCOPES):
+            frame = self._child()
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.arg):
+                    frame.env[sub.arg] = None
+                elif isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store):
+                    frame.env[sub.id] = None
+        elif isinstance(node, (ast.For, ast.AsyncFor)):
+            self._forget(node.target)
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            self.env[node.name] = None
+        elif isinstance(node, ast.withitem) and node.optional_vars is not None:
+            self._forget(node.optional_vars)
+        seen = self.shared.seen
+        for child in ast.iter_child_nodes(node):
+            if child in seen or isinstance(child, _INERT):
+                continue
+            if isinstance(child, ast.stmt):
+                frame.stmt(child)
+            elif isinstance(child, ast.expr) and not any(
+                sub in seen for sub in ast.walk(child)
+            ):
+                frame.eval(child)
+            else:
+                frame._finish(child)
+
+    def _forget(self, target: ast.expr) -> None:
+        for sub in ast.walk(target):
+            if isinstance(sub, ast.Name):
+                self.env[sub.id] = None
+
+    # ---- statements ------------------------------------------------------
+
+    def _stmt(self, st: ast.stmt) -> None:
         if isinstance(st, ast.Assign):
             value = self.eval(st.value)
             for target in st.targets:
+                if isinstance(st.value, ast.Call):
+                    self._check_unpack(target, value, st)
                 self._assign(target, value)
         elif isinstance(st, ast.AnnAssign):
             if st.value is not None:
@@ -215,6 +358,8 @@ class FnDeriver:
             self.run_body(st.body)
         elif isinstance(st, ast.Return):
             self.ret = self.eval(st.value) if st.value is not None else None
+            if st.value is not None:
+                self._check_return(st, self.ret)
         elif isinstance(st, ast.Raise):
             self.stopped = True
         elif isinstance(st, (ast.Pass, ast.Assert, ast.Import, ast.ImportFrom)):
@@ -230,10 +375,10 @@ class FnDeriver:
             items: Sequence[object]
             if isinstance(value, Tup) and len(value.items) == len(target.elts):
                 items = value.items
-            elif isinstance(value, Arr) and value.lead is None and len(
-                value.dims
-            ) == len(target.elts):
-                items = [Arr((d,)) if d is not None else None for d in value.dims]
+            elif isinstance(value, Arr) and value.lead is None and value.dims:
+                # unpacking iterates axis 0: every target is one row
+                row = Arr(value.dims[1:]) if len(value.dims) > 1 else None
+                items = [row] * len(target.elts)
             else:
                 items = [None] * len(target.elts)
             for sub, item in zip(target.elts, items):
@@ -289,10 +434,67 @@ class FnDeriver:
             self.env[name] = None
             self.aug[name] = None
 
+    # ---- SHAPE002: unpacking and returns vs the contracts ----------------
+
+    def _check_unpack(self, target: ast.expr, value: object, st: ast.stmt) -> None:
+        if not (
+            isinstance(value, Tup)
+            and isinstance(target, (ast.Tuple, ast.List))
+            and len(target.elts) != len(value.items)
+            and not any(isinstance(e, ast.Starred) for e in target.elts)
+        ):
+            return
+        self._event(
+            "SHAPE002", st,
+            f"unpacking {len(target.elts)} values from a call whose "
+            f"contract returns {len(value.items)}",
+        )
+
+    def _check_return(self, st: ast.Return, value: object) -> None:
+        own = self.shared.own
+        if own is None:
+            return
+        returns = own.contract.returns
+        values: Sequence[object] = (value,)
+        if len(returns) > 1:
+            if not isinstance(value, Tup):
+                return
+            values = value.items
+            if len(values) != len(returns):
+                self._event(
+                    "SHAPE002", st,
+                    f"{own.qualname} returns {len(values)} values but its "
+                    f"contract declares {len(returns)}",
+                )
+        for entry, got in zip(returns, values):
+            if entry.kind != "array" or not isinstance(got, Arr):
+                continue
+            if got.lead is not None and not entry.ellipsis:
+                continue  # rank unknown
+            n = len(entry.dims)
+            split = len(got.dims) - n
+            if split < 0 or (split and not entry.ellipsis):
+                if not entry.ellipsis:
+                    self._event(
+                        "SHAPE002", st,
+                        f"{own.qualname} returns a rank-{len(got.dims)} value "
+                        f"where its contract declares rank {n} ({entry})",
+                    )
+                continue
+            for i, (want, dim) in enumerate(zip(entry.dims, got.dims[split:])):
+                if want is not None and dim is not None and not self._same(
+                    want, dim
+                ):
+                    self._event(
+                        "SHAPE002", st,
+                        f"{own.qualname} returns dim {i} = {dim} where its "
+                        f"contract declares {want}",
+                    )
+
     # ---- control flow ----------------------------------------------------
 
     def _fork(self, body: Sequence[ast.stmt]) -> "FnDeriver":
-        child = FnDeriver(self.shared, dict(self.env))
+        child = self._child()
         child.run_body(body)
         return child
 
@@ -303,7 +505,7 @@ class FnDeriver:
         ]
         live = [(b, t) for b, t in branches if t != "guard" and t != "absent"]
         if not live:
-            return  # pure guard (raise/continue/break) — skip
+            return  # pure guard (raise/continue/break): no cost
         if len(live) == 2 and live[0][1] == "plain" and live[1][1] == "plain":
             # both sides execute in the abstraction: upper bound on cost,
             # merge environments (unused by the repo's annotated kernels)
@@ -344,7 +546,7 @@ class FnDeriver:
         if st.orelse:
             raise Fail("for/else")
         trip, binds = self._loop_iter(st)
-        child = FnDeriver(self.shared, dict(self.env))
+        child = self._child()
         loop_names = []
         for var, fresh, _vsum in binds:
             child.env[var] = sym(fresh)
@@ -400,6 +602,7 @@ class FnDeriver:
                 raise Fail("unsupported range() form")
             if not isinstance(st.target, ast.Name):
                 raise Fail("range loop needs a plain index variable")
+            self.shared.seen.add(it)
             args = [self.eval(a) for a in it.args]
             if not all(isinstance(a, SymDim) for a in args):
                 raise Fail("range() bound is not statically known")
@@ -460,7 +663,7 @@ class FnDeriver:
 
     # ---- expressions -----------------------------------------------------
 
-    def eval(self, node: ast.expr) -> object:
+    def _value(self, node: ast.expr) -> object:
         if isinstance(node, ast.Constant):
             v = node.value
             if isinstance(v, bool) or v is None or isinstance(v, (str, bytes)):
@@ -469,7 +672,7 @@ class FnDeriver:
                 return None
             if isinstance(v, int):
                 return SymDim.const(v)
-            if isinstance(v, float):
+            if isinstance(v, float) and math.isfinite(v):
                 return SymDim.const(Fraction(v))
             return None
         if isinstance(node, ast.Name):
@@ -542,10 +745,12 @@ class FnDeriver:
             return a ** int(e)
         return None
 
-    def _elementwise(self, vals: Sequence[object]) -> Arr:
+    def _elementwise(self, vals: Sequence[object]) -> Optional[Arr]:
         arrs = [v for v in vals if isinstance(v, Arr)]
         if any(not isinstance(v, (Arr, SymDim)) for v in vals):
             raise Fail("elementwise operation with an unknown operand")
+        if not arrs:
+            return None  # scalar arithmetic
         out = arrs[0]
         for other in arrs[1:]:
             out = broadcast(out, other)
@@ -614,10 +819,13 @@ class FnDeriver:
         out: List[Optional[SymDim]] = []
         pos = 0
         for nth, idx in enumerate(indices):
+            if _new_axis(idx):
+                out.append(ONE)
+                continue
             if isinstance(idx, ast.Constant) and idx.value is Ellipsis:
                 # keep axes until the remaining indices line up with the
                 # trailing dims (at most one Ellipsis, numpy's own rule)
-                after = len(indices) - nth - 1
+                after = sum(not _new_axis(i) for i in indices[nth + 1:])
                 while len(dims) - pos > after:
                     out.append(dims[pos])
                     pos += 1
@@ -636,14 +844,12 @@ class FnDeriver:
     def _slice_extent(
         self, dim: Optional[SymDim], sl: ast.Slice
     ) -> Optional[SymDim]:
-        lo = self.eval(sl.lower) if sl.lower is not None else None
-        up = self.eval(sl.upper) if sl.upper is not None else None
+        lo = self.eval(sl.lower) if sl.lower is not None else ZERO
+        up = self.eval(sl.upper) if sl.upper is not None else dim
         step = self.eval(sl.step) if sl.step is not None else None
-        lo = lo if isinstance(lo, SymDim) else (None if sl.lower else ZERO)
-        up_known = isinstance(up, SymDim)
-        if sl.upper is not None and not up_known:
-            return None
-        if lo is None:
+        if not isinstance(lo, SymDim) or (
+            sl.upper is not None and not isinstance(up, SymDim)
+        ):
             return None
         if step is not None:
             if not isinstance(step, SymDim):
@@ -655,23 +861,21 @@ class FnDeriver:
                 if c <= 0:
                     raise Fail("unsupported negative slice step")
             # symbolic steps are assumed positive (dimension algebra)
-        if up_known:
-            uc = up.as_const()
-            if uc is not None and uc < 0:
-                if dim is None:
-                    return None
-                extent = dim + up
-            else:
-                extent = up - lo
-        elif dim is None:
+
+        def position(index: Optional[SymDim]) -> Optional[SymDim]:
+            """A slice bound; a negative constant counts from the end."""
+            if index is None:
+                return None
+            c = index.as_const()
+            if c is not None and c < 0:
+                return None if dim is None else dim + index
+            return index
+
+        start, stop = position(lo), position(up)
+        if start is None or stop is None:
             return None
-        else:
-            lc = lo.as_const()
-            if lc is not None and lc < 0:
-                extent = -lo
-            else:
-                extent = dim - lo
-        if step is not None and extent is not None:
+        extent = stop - start
+        if step is not None:
             c = step.as_const()
             if c is None or c > 1:
                 extent = ceildiv(extent, step)
@@ -698,7 +902,7 @@ class FnDeriver:
                 return None
             if name == "TileGrid":
                 return self._tile_grid_ctor(node)
-            info = self.shared.cp.resolve(name)
+            info = self.shared.cp.registry.get(name)
             if info is AMBIGUOUS:
                 raise Fail(f"ambiguous callee {name!r}")
             if info is not None:
@@ -730,7 +934,12 @@ class FnDeriver:
                 if attr in ("append", "extend", "sort"):
                     raise Fail("list mutation is outside the costed fragment")
                 return None
-            raise Fail(f"method call .{attr}() on an unknown receiver")
+            # an unknown receiver: resolve the method by its bare name
+            self._fail(f"method call .{attr}() on an unknown receiver")
+            info = self.shared.cp.registry.get(attr)
+            if isinstance(info, ContractDef):
+                return self._summary_call(node, info)
+            return None
         raise Fail("unsupported call form")
 
     def _builtin_len(self, node: ast.Call) -> Optional[SymDim]:
@@ -760,10 +969,10 @@ class FnDeriver:
     def _method_summary(
         self, node: ast.Call, cls: Optional[str], attr: str, prebind: Dict
     ) -> object:
-        cp = self.shared.cp
-        info = cp.resolve(f"{cls}.{attr}") if cls else None
+        registry = self.shared.cp.registry
+        info = registry.get(f"{cls}.{attr}") if cls else None
         if info is None or info is AMBIGUOUS:
-            info = cp.resolve(attr)
+            info = registry.get(attr)
         if info is AMBIGUOUS:
             raise Fail(f"ambiguous callee {attr!r}")
         if info is None:
@@ -779,112 +988,172 @@ class FnDeriver:
         info: ContractDef,
         prebind: Optional[Dict[str, SymDim]] = None,
     ) -> object:
-        cc = info.cost
-        if cc is None or info.cost_error is not None:
-            raise Fail(f"callee {info.qualname!r} lacks a usable @cost summary")
-        contract = info.contract
-        bindings: Dict[str, SymDim] = dict(prebind or {})
-        actuals: Dict[str, object] = {}
+        """A call to a contracted function: unify it with the contract,
+        charge the callee's ``@cost`` summary under the same bindings,
+        and return the contract's result."""
+        cc = info.cost if info.cost_error is None else None
+        if cc is None:
+            self._fail(f"callee {info.qualname!r} lacks a usable @cost summary")
         params = info.params
+        actuals: Dict[str, Tuple[ast.expr, object]] = {}
+        complete = True
         for i, arg in enumerate(node.args):
             if isinstance(arg, ast.Starred):
-                raise Fail("starred call argument")
+                self._fail("starred call argument")
+                complete = False
+                continue
             value = self.eval(arg)
             if i < len(params):
-                actuals[params[i]] = value
+                actuals[params[i]] = (arg, value)
         for kw in node.keywords:
             if kw.arg is None:
-                raise Fail("**kwargs call argument")
+                self._fail("**kwargs call argument")
+                complete = False
+                continue
             value = self.eval(kw.value)
             if kw.arg in params:
-                actuals[kw.arg] = value
-        lead_product: object = _UNSET  # first-ellipsis-arg leading product
+                actuals[kw.arg] = (kw.value, value)
+        if not complete:
+            return None  # arguments cannot be paired with the contract
+        bindings: Dict[str, SymDim] = dict(prebind or {})
+        lead_product: object = _UNSET
         lead_explicit: Optional[Tuple[Optional[SymDim], ...]] = None
-        if contract is not None:
-            for param, entry in zip(params, contract.args):
-                value = actuals.get(param)
-                if entry.kind == "scalar":
-                    bname = _bare_sym(entry.expr)
-                    if (
-                        bname
-                        and bname not in bindings
-                        and isinstance(value, SymDim)
-                    ):
-                        bindings[bname] = value
-                elif entry.kind == "array":
-                    if not isinstance(value, Arr):
-                        continue
-                    if entry.ellipsis:
-                        n = len(entry.dims)
-                        if len(value.dims) < n:
-                            continue
-                        split = len(value.dims) - n
-                        trailing = value.dims[split:]
-                        leading = value.dims[:split]
-                        if lead_product is _UNSET:
-                            prod: Optional[SymDim]
-                            prod = value.lead if value.lead is not None else ONE
-                            for d in leading:
-                                if d is None or prod is None:
-                                    prod = None
-                                    break
-                                prod = prod * d
-                            lead_product = prod
-                            if value.lead is None:
-                                lead_explicit = leading
-                        for dexpr, dval in zip(entry.dims, trailing):
-                            bname = _bare_sym(dexpr)
-                            if bname and bname not in bindings and dval is not None:
-                                bindings[bname] = dval
-                    else:
-                        if value.lead is not None or len(value.dims) != len(
-                            entry.dims
-                        ):
-                            continue  # rank conflicts are SHAPE002's domain
-                        for dexpr, dval in zip(entry.dims, value.dims):
-                            bname = _bare_sym(dexpr)
-                            if bname and bname not in bindings and dval is not None:
-                                bindings[bname] = dval
-                else:  # skip entry: structured facts still bind geometry
-                    if isinstance(value, Obj):
-                        # an attribute bag carrying a grid (e.g. the conv
-                        # cache) exposes that grid's geometry symbols
-                        for attr_value in value.attrs.values():
-                            if isinstance(attr_value, Geom):
-                                value = attr_value
-                                break
-                    if isinstance(value, Geom):
-                        for s, field in zip(Geom.BIND_SYMS, Geom.BINDINGS):
-                            fv = getattr(value, field)
-                            if s not in bindings and fv is not None:
-                                bindings[s] = fv
-                    elif isinstance(value, Xform):
-                        if "M" not in bindings and value.m is not None:
-                            bindings["M"] = value.m
-                        if "R" not in bindings and value.r is not None:
-                            bindings["R"] = value.r
-                        if (
-                            "T" not in bindings
-                            and value.m is not None
-                            and value.r is not None
-                        ):
-                            bindings["T"] = value.m + value.r - 1
+        if info.contract is not None:
+            self.shared.cp.stats.calls_resolved += 1
+            lead_product, lead_explicit = self._bind(node, info, actuals, bindings)
         if "ELL" not in bindings and lead_product is not _UNSET:
             if lead_product is None:
-                raise Fail(
-                    f"cannot bind leading extent for callee {info.qualname!r}"
-                )
-            bindings["ELL"] = lead_product
-        for quantity, attr in ((cc.flops, "flops"), (cc.mem, "mem")):
-            closed = cc.closed(quantity) if quantity is not None else ZERO
-            missing = closed.free_symbols() - set(bindings)
-            if missing:
-                raise Fail(
-                    f"unbound symbols {sorted(missing)} in {info.qualname!r} "
-                    f"{attr} summary"
-                )
-            setattr(self, attr, getattr(self, attr) + closed.subs(bindings))
+                self._fail(f"cannot bind leading extent for callee {info.qualname!r}")
+            else:
+                bindings["ELL"] = lead_product
+        if cc is not None:
+            wenv = cc.where_env()
+            for quantity, attr in ((cc.flops, "flops"), (cc.mem, "mem")):
+                closed = quantity.subs(wenv) if quantity is not None else ZERO
+                missing = closed.free_symbols() - set(bindings)
+                if missing:
+                    self._fail(
+                        f"unbound symbols {sorted(missing)} in {info.qualname!r} "
+                        f"{attr} summary"
+                    )
+                else:
+                    setattr(self, attr, getattr(self, attr) + closed.subs(bindings))
         return self._summary_return(info, cc, bindings, lead_explicit)
+
+    def _bind(
+        self,
+        node: ast.Call,
+        info: ContractDef,
+        actuals: Dict[str, Tuple[ast.expr, object]],
+        bindings: Dict[str, SymDim],
+    ) -> Tuple[object, Optional[Tuple[Optional[SymDim], ...]]]:
+        """Unify the call's arguments with the callee's contract entries.
+
+        Each callee symbol binds to what the caller passes (first use
+        wins); a rank, or a dim whose symbols are all bound, that
+        contradicts the contract is SHAPE002.  Only argument dims are
+        unified: the receiver's and skip entries' structured facts
+        (``TileGrid``, ``WinogradTransform``) feed ``bindings`` for the
+        cost summary but are never checked.  Returns the leading-axes
+        product of the first ellipsis argument and, when the argument
+        enumerates them, its explicit leading dims.
+        """
+        unified: Dict[str, SymDim] = {}
+        lead_product: object = _UNSET
+        lead_explicit: Optional[Tuple[Optional[SymDim], ...]] = None
+        for param, entry in zip(info.params, info.contract.args):
+            if param not in actuals:
+                continue
+            arg, value = actuals[param]
+            where = f"call to {info.qualname}: argument {ast.unparse(arg)}"
+            if entry.kind == "scalar":
+                if isinstance(value, SymDim) and entry.expr is not None:
+                    self._unify(entry.expr, value, unified, bindings, node, where)
+            elif entry.kind == "array":
+                if not isinstance(value, Arr) or (
+                    value.lead is not None and not entry.ellipsis
+                ):
+                    continue
+                n = len(entry.dims)
+                split = len(value.dims) - n
+                if split < 0 or (split and not entry.ellipsis):
+                    if value.lead is None:
+                        least = "at least " if entry.ellipsis else ""
+                        self._event(
+                            "SHAPE002", node,
+                            f"{where} has rank {len(value.dims)} where the "
+                            f"contract declares {least}rank {n} ({entry})",
+                        )
+                    continue
+                if entry.ellipsis and lead_product is _UNSET:
+                    prod: Optional[SymDim]
+                    prod = value.lead if value.lead is not None else ONE
+                    for d in value.dims[:split]:
+                        if d is None or prod is None:
+                            prod = None
+                            break
+                        prod = prod * d
+                    lead_product = prod
+                    if value.lead is None:
+                        lead_explicit = value.dims[:split]
+                for j, (dexpr, dval) in enumerate(zip(entry.dims, value.dims[split:])):
+                    if dexpr is not None and dval is not None:
+                        self._unify(
+                            dexpr, dval, unified, bindings, node,
+                            f"{where} dim {j - n}",
+                        )
+            else:  # skip entry: structured facts still bind geometry
+                if isinstance(value, Obj):
+                    # an attribute bag carrying a grid (e.g. the conv
+                    # cache) exposes that grid's geometry symbols
+                    for attr_value in value.attrs.values():
+                        if isinstance(attr_value, Geom):
+                            value = attr_value
+                            break
+                if isinstance(value, Geom):
+                    for s, field in zip(Geom.BIND_SYMS, Geom.BINDINGS):
+                        fv = getattr(value, field)
+                        if s not in bindings and fv is not None:
+                            bindings[s] = fv
+                elif isinstance(value, Xform):
+                    if "M" not in bindings and value.m is not None:
+                        bindings["M"] = value.m
+                    if "R" not in bindings and value.r is not None:
+                        bindings["R"] = value.r
+                    if (
+                        "T" not in bindings
+                        and value.m is not None
+                        and value.r is not None
+                    ):
+                        bindings["T"] = value.m + value.r - 1
+        return lead_product, lead_explicit
+
+    def _unify(
+        self,
+        dexpr: SymDim,
+        dval: SymDim,
+        unified: Dict[str, SymDim],
+        bindings: Dict[str, SymDim],
+        node: ast.AST,
+        where: str,
+    ) -> None:
+        stats = self.shared.cp.stats
+        name = bare_sym(dexpr)
+        if name is not None and name not in unified:
+            unified[name] = dval
+            bindings.setdefault(name, dval)
+            stats.dims_unified += 1
+        elif dexpr.free_symbols() <= unified.keys():
+            want = dexpr.subs(unified)
+            if self._same(want, dval):
+                stats.dims_unified += 1
+            else:
+                self._event(
+                    "SHAPE002", node,
+                    f"{where}: caller passes {dval} where the contract "
+                    f"requires {want}",
+                )
+        # composite dims with unbound symbols stay unconstrained
 
     def _summary_return(
         self,
@@ -893,8 +1162,9 @@ class FnDeriver:
         bindings: Dict[str, SymDim],
         lead_explicit: Optional[Tuple[Optional[SymDim], ...]],
     ) -> object:
-        if cc.ret is not None:
-            closed = cc.closed(cc.ret)
+        wenv = cc.where_env() if cc is not None else {}
+        if cc is not None and cc.ret is not None:
+            closed = cc.ret.subs(wenv)
             missing = closed.free_symbols() - set(bindings)
             if missing:
                 raise Fail(
@@ -902,8 +1172,8 @@ class FnDeriver:
                     f"ret summary"
                 )
             return closed.subs(bindings)
-        if cc.exec_only():
-            length = cc.closed(cc.ret_len) if cc.ret_len is not None else None
+        if cc is not None and cc.exec_only():
+            length = cc.ret_len.subs(wenv) if cc.ret_len is not None else None
             if length is not None:
                 if length.free_symbols() - set(bindings):
                     raise Fail(
@@ -915,7 +1185,7 @@ class FnDeriver:
                 if s is None:
                     sums.append(None)
                 else:
-                    closed = cc.closed(s)
+                    closed = s.subs(wenv)
                     if closed.free_symbols() - set(bindings):
                         sums.append(None)
                     else:
@@ -924,36 +1194,29 @@ class FnDeriver:
         contract = info.contract
         if contract is None:
             return None
+
+        def bound(expr: Optional[SymDim]) -> Optional[SymDim]:
+            if expr is None:
+                return None
+            closed = expr.subs(wenv)
+            if closed.free_symbols() - set(bindings):
+                return None
+            return closed.subs(bindings)
+
         outs: List[object] = []
         for entry in contract.returns:
             if entry.kind == "scalar":
-                closed = cc.closed(entry.expr) if entry.expr is not None else None
-                if closed is not None and not (
-                    closed.free_symbols() - set(bindings)
-                ):
-                    outs.append(closed.subs(bindings))
+                outs.append(bound(entry.expr))
+            elif entry.kind == "array":
+                dims = tuple(bound(dexpr) for dexpr in entry.dims)
+                if not entry.ellipsis:
+                    outs.append(Arr(dims))
+                elif lead_explicit is not None:
+                    outs.append(Arr(tuple(lead_explicit) + dims))
+                elif "ELL" in bindings:
+                    outs.append(Arr(dims, lead=bindings["ELL"]))
                 else:
                     outs.append(None)
-            elif entry.kind == "array":
-                dims: List[Optional[SymDim]] = []
-                for dexpr in entry.dims:
-                    if dexpr is None:
-                        dims.append(None)
-                        continue
-                    closed = cc.closed(dexpr)
-                    if closed.free_symbols() - set(bindings):
-                        dims.append(None)
-                    else:
-                        dims.append(closed.subs(bindings))
-                if entry.ellipsis:
-                    if lead_explicit is not None:
-                        outs.append(Arr(tuple(lead_explicit) + tuple(dims)))
-                    elif "ELL" in bindings:
-                        outs.append(Arr(tuple(dims), lead=bindings["ELL"]))
-                    else:
-                        outs.append(None)
-                else:
-                    outs.append(Arr(tuple(dims)))
             else:
                 outs.append(None)
         if len(outs) == 1:
@@ -1077,8 +1340,17 @@ def _i_tensordot(dr: FnDeriver, node: ast.Call) -> Arr:
             raise Fail("tensordot axis reaches into ellipsis lead")
     else:
         ax_a = [ax % len(a.dims) for ax in raw_a]
-    ax_b = [ax % len(b.dims) for ax in _axes_list(axes_node.elts[1], dr)]
+    raw_b = _axes_list(axes_node.elts[1], dr)
+    ax_b = [ax % len(b.dims) for ax in raw_b]
     contracted = [a.dims[ax] for ax in ax_a]
+    for ra, rb, x, y in zip(raw_a, raw_b, contracted, [b.dims[ax] for ax in ax_b]):
+        if x is not None and y is not None and not dr._same(x, y):
+            dr._event(
+                "SHAPE003", node,
+                f"{dr.shared.qualname}: tensordot contracts axis {ra} of "
+                f"{ast.unparse(node.args[0])} (size {x}) against axis {rb} "
+                f"of {ast.unparse(node.args[1])} (size {y})",
+            )
     out_dims = tuple(
         d for i, d in enumerate(a.dims) if i not in ax_a
     ) + tuple(d for i, d in enumerate(b.dims) if i not in ax_b)
@@ -1372,159 +1644,86 @@ _ARR_METHODS = {
 }
 
 
+
+
 # ---------------------------------------------------------------------------
 # the per-file pass
 # ---------------------------------------------------------------------------
 
 
-class DerivedCost:
-    """One derivation result (main path plus recorded fast paths)."""
+@dataclass
+class ShapeStats:
+    """What the pass consumed in one file (used by the propagation test)."""
 
-    __slots__ = ("flops", "mem", "ret", "alternatives")
-
-    def __init__(self, deriver: FnDeriver) -> None:
-        self.flops = deriver.flops
-        self.mem = deriver.mem
-        self.ret = deriver.ret if deriver.ret is not _UNSET else None
-        self.alternatives = list(deriver.alternatives)
+    contracts_defined: int = 0
+    partitions_defined: int = 0
+    calls_resolved: int = 0
+    dims_unified: int = 0
 
 
-def _side_by_side(label: str, derived: SymDim, declared: SymDim) -> str:
-    return (
-        f"\n    derived {label}:  {derived}"
-        f"\n    declared {label}: {declared}"
-    )
-
-
-class CostPass:
-    """COST-family analysis of one file (cached per :class:`Context`)."""
+class ContractPass:
+    """The SHAPE and COST analysis of one file; the rules filter events."""
 
     def __init__(self, path: str, tree: ast.Module) -> None:
         self.path = path
         self.tree = tree
         self.events: List[Tuple[str, ast.AST, str]] = []
         self.defs = collect_contracts(tree)
-        self.registry = registry_for(path, tree)
+        self.registry = registry_for(path, self.defs)
         self.base_env = _module_int_env(tree)
-        self.derived: Dict[str, DerivedCost] = {}
-        self._run()
-
-    def resolve(self, name: str):
-        return self.registry.get(name)
-
-    # ---- orchestration ---------------------------------------------------
-
-    def _run(self) -> None:
-        seen = set()
-        costed: List[ContractDef] = []
-        for info in self.defs:
-            if info.cost_decorator is None:
-                continue
-            if info.qualname in seen:
-                continue
-            seen.add(info.qualname)
-            costed.append(info)
-        for info in costed:
-            self._check_one(info)
-        self._check_traffic(costed)
-        self._check_wire(costed)
-        self._check_baseline(costed)
-        self._check_memo_keys(costed)
-
-    def _event(self, rule: str, node: ast.AST, message: str) -> None:
-        self.events.append((rule, node, message))
-
-    # ---- COST001 ---------------------------------------------------------
-
-    def _check_one(self, info: ContractDef) -> None:
-        node = info.cost_decorator or info.node
-        if info.cost_error is not None:
-            self._event("COST001", node, f"{info.qualname}: {info.cost_error}")
-            return
-        cc = info.cost
-        if cc is None or cc.assume:
-            return
-        if cc.exec_only():
-            self._verify_exec(info)
-            return
-        if info.contract is None:
-            self._event(
-                "COST001", node,
-                f"{info.qualname}: @cost needs a @shaped contract to bind "
-                f"its symbols",
-            )
-            return
-        try:
-            derived = self._derive(info)
-        except Fail as exc:
-            self._event(
-                "COST001", node,
-                f"{info.qualname}: could not derive cost: {exc}",
-            )
-            return
-        except (SymDimError, ZeroDivisionError, RecursionError) as exc:
-            self._event(
-                "COST001", node,
-                f"{info.qualname}: could not derive cost: {exc}",
-            )
-            return
-        self.derived[info.qualname] = derived
-        wenv = cc.where_env()
-        decl_flops = cc.closed(cc.flops) if cc.flops is not None else ZERO
-        decl_mem = cc.closed(cc.mem) if cc.mem is not None else ZERO
-        paths = [("", derived.flops, derived.mem, derived.ret)]
-        for i, (af, am, ar) in enumerate(derived.alternatives, start=1):
-            paths.append((f" (fast path {i})", af, am, ar))
-        for suffix, flops, mem, ret in paths:
-            got_flops = flops.subs(wenv)
-            got_mem = mem.subs(wenv)
-            if not dims_equivalent(got_flops, decl_flops):
-                self._event(
-                    "COST001", node,
-                    f"{info.qualname}{suffix}: derived flop count disagrees "
-                    f"with the @cost declaration"
-                    + _side_by_side("flops", got_flops, decl_flops),
-                )
-            if not dims_equivalent(got_mem, decl_mem):
-                self._event(
-                    "COST001", node,
-                    f"{info.qualname}{suffix}: derived bytes-moved disagrees "
-                    f"with the @cost declaration"
-                    + _side_by_side("mem", got_mem, decl_mem),
-                )
-            if cc.ret is not None:
-                decl_ret = cc.closed(cc.ret)
-                if not isinstance(ret, SymDim):
-                    self._event(
-                        "COST001", node,
-                        f"{info.qualname}{suffix}: @cost declares ret= but "
-                        f"the derived return value is not a scalar "
-                        f"polynomial",
-                    )
-                elif not dims_equivalent(ret.subs(wenv), decl_ret):
-                    self._event(
-                        "COST001", node,
-                        f"{info.qualname}{suffix}: derived return value "
-                        f"disagrees with the @cost declaration"
-                        + _side_by_side("ret", ret.subs(wenv), decl_ret),
-                    )
-
-    def _derive(self, info: ContractDef) -> DerivedCost:
-        fn = info.node
-        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            raise Fail("definition node unavailable")
-        env: Dict[str, object] = dict(self.base_env)
-        class_name = (
-            info.qualname.rsplit(".", 1)[0] if "." in info.qualname else None
+        self.stats = ShapeStats(
+            contracts_defined=sum(d.contract is not None for d in self.defs),
+            partitions_defined=sum(d.partition is not None for d in self.defs),
         )
+        #: the top frame of every function's walk, by definition node
+        self.walks: Dict[ast.AST, FnDeriver] = {}
+        #: successful derivations of ``@cost`` functions, by qualname
+        self.derived: Dict[str, FnDeriver] = {}
+        self._walk_all()
+        shapes.run_checks(self)
+        checks.run_checks(self)
+
+    def _walk_all(self) -> None:
+        own = {d.node: d for d in self.defs if d.contract is not None}
+
+        def visit(node: ast.AST, cls: Optional[str]) -> None:
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    self.walks[child] = self._walk(child, cls, own.get(child))
+                    visit(child, None)
+                elif isinstance(child, ast.ClassDef):
+                    visit(child, child.name)
+                else:
+                    visit(child, cls)
+
+        visit(self.tree, None)
+
+    def _walk(
+        self, fn: ast.FunctionDef, cls: Optional[str], own: Optional[ContractDef]
+    ) -> FnDeriver:
+        qualname = f"{cls}.{fn.name}" if cls else fn.name
+        deriver = FnDeriver(_Shared(self, own, qualname), self._entry_env(fn, cls, own))
+        try:
+            deriver.run_body(fn.body)
+        except RecursionError as exc:
+            deriver.fails.append(str(exc))
+        if deriver.ret is _UNSET:
+            deriver.ret = None
+        return deriver
+
+    def _entry_env(
+        self, fn: ast.FunctionDef, cls: Optional[str], own: Optional[ContractDef]
+    ) -> Dict[str, object]:
+        env: Dict[str, object] = dict(self.base_env)
         all_params = [a.arg for a in fn.args.posonlyargs + fn.args.args]
         if all_params and all_params[0] in ("self", "cls"):
-            self_name = all_params[0]
-            fact = facts.CLASS_SELF_FACTS.get(class_name or "")
-            env[self_name] = fact() if fact is not None else None
-        contract = info.contract
-        entries = contract.args if contract is not None else ()
-        for param, entry in itertools.zip_longest(info.params, entries):
+            fact = facts.CLASS_SELF_FACTS.get(cls or "")
+            env[all_params[0]] = fact() if fact is not None else None
+        if own is None:
+            for param in _positional_param_names(fn)[0]:
+                env[param] = None
+            return env
+        for param, entry in itertools.zip_longest(own.params, own.contract.args):
             if param is None:
                 break
             if entry is None:
@@ -1537,342 +1736,31 @@ class CostPass:
             else:
                 fact = facts.PARAM_FACTS.get(param)
                 env[param] = fact() if fact is not None else None
-        shared = _Shared(self)
-        deriver = FnDeriver(shared, env)
-        deriver.run_body(fn.body)
-        return DerivedCost(deriver)
-
-    # ---- exec-verified list summaries ------------------------------------
-
-    _BATTERY = (1, 2, 3, 4, 5, 8)
-
-    def _verify_exec(self, info: ContractDef) -> None:
-        node = info.cost_decorator or info.node
-        cc = info.cost
-        fn = info.node
-        if not isinstance(fn, ast.FunctionDef):
-            self._event(
-                "COST001", node,
-                f"{info.qualname}: exec-only summary on an unsupported "
-                f"definition",
-            )
-            return
-        impure = _function_impurity(fn)
-        if impure is not None:
-            self._event(
-                "COST001", node,
-                f"{info.qualname}: exec-only summary cannot be verified: "
-                f"impure free name {impure!r}",
-            )
-            return
-        syms: List[str] = []
-        entries = info.contract.args if info.contract is not None else ()
-        if len(entries) != len(info.params):
-            self._event(
-                "COST001", node,
-                f"{info.qualname}: exec-only summary needs a full scalar "
-                f"@shaped contract",
-            )
-            return
-        for entry in entries:
-            name = _bare_sym(entry.expr) if entry.kind == "scalar" else None
-            if name is None:
-                self._event(
-                    "COST001", node,
-                    f"{info.qualname}: exec-only summary needs scalar "
-                    f"bare-symbol arguments",
-                )
-                return
-            syms.append(name)
-        module = ast.Module(body=[_strip_decorators(fn)], type_ignores=[])
-        ast.fix_missing_locations(module)
-        namespace = _exec_sandbox()
-        try:
-            exec(compile(module, "<statcheck-cost>", "exec"), namespace)
-        except Exception as exc:  # pragma: no cover - defensive
-            self._event(
-                "COST001", node,
-                f"{info.qualname}: exec-only summary failed to compile: {exc}",
-            )
-            return
-        impl = namespace[fn.name]
-        values = self._BATTERY if len(syms) <= 2 else self._BATTERY[:4]
-        successes = 0
-        for combo in itertools.product(values, repeat=len(syms)):
-            env = dict(zip(syms, combo))
-            try:
-                result = impl(*combo)
-            except Exception:
-                continue
-            if not isinstance(result, (list, tuple)):
-                self._event(
-                    "COST001", node,
-                    f"{info.qualname}: exec-only summary did not return a "
-                    f"list for arguments {env}",
-                )
-                return
-            if cc.ret_len is not None:
-                want = cc.closed(cc.ret_len).evaluate(env)
-                if len(result) != want:
-                    self._event(
-                        "COST001", node,
-                        f"{info.qualname}: length {len(result)} != declared "
-                        f"ret_len {cc.ret_len} = {want} for {env}",
-                    )
-                    return
-            for i, decl in enumerate(cc.ret_sum or ()):
-                if decl is None:
-                    continue
-                if result and isinstance(result[0], (list, tuple)):
-                    got = sum(item[i] for item in result)
-                else:
-                    if i != 0 or (cc.ret_sum and len(cc.ret_sum) != 1):
-                        self._event(
-                            "COST001", node,
-                            f"{info.qualname}: ret_sum declares "
-                            f"{len(cc.ret_sum)} components but elements "
-                            f"are scalars",
-                        )
-                        return
-                    got = sum(result)
-                want = cc.closed(decl).evaluate(env)
-                if got != want:
-                    self._event(
-                        "COST001", node,
-                        f"{info.qualname}: component {i} sums to {got} != "
-                        f"declared {decl} = {want} for {env}",
-                    )
-                    return
-            successes += 1
-        if successes == 0:
-            self._event(
-                "COST001", node,
-                f"{info.qualname}: exec-only summary could not be executed "
-                f"on any battery input",
-            )
-
-    # ---- COST002 ---------------------------------------------------------
-
-    def _check_traffic(self, costed: List[ContractDef]) -> None:
-        for info in costed:
-            fact = facts.TRAFFIC_FACTS.get(info.name)
-            if fact is None:
-                continue
-            cc = info.cost
-            node = info.cost_decorator or info.node
-            if cc is None or cc.ret is None:
-                self._event(
-                    "COST002", node,
-                    f"{info.qualname}: traffic helper lacks a @cost ret= "
-                    f"declaration to check against the analytical model",
-                )
-                continue
-            declared = cc.closed(cc.ret)
-            if not dims_equivalent(declared, fact):
-                self._event(
-                    "COST002", node,
-                    f"{info.qualname}: declared traffic polynomial disagrees "
-                    f"with the comm_model analytical factor"
-                    + _side_by_side("bytes", declared, fact),
-                )
-        for cls in ast.walk(self.tree):
-            if not (
-                isinstance(cls, ast.ClassDef)
-                and cls.name == facts.TRAFFIC_MACHINE_CLASS
-            ):
-                continue
-            called = set()
-            for sub in ast.walk(cls):
-                if isinstance(sub, ast.Call):
-                    fn = sub.func
-                    if isinstance(fn, ast.Name):
-                        called.add(fn.id)
-                    elif isinstance(fn, ast.Attribute):
-                        called.add(fn.attr)
-            missing = sorted(set(facts.TRAFFIC_FACTS) - called)
-            if missing:
-                self._event(
-                    "COST002", cls,
-                    f"{cls.name}: traffic counters must route through the "
-                    f"checked helpers; missing calls to {missing}",
-                )
-
-    # ---- COST004 ---------------------------------------------------------
-
-    def _check_wire(self, costed: List[ContractDef]) -> None:
-        for info in costed:
-            fact = facts.WIRE_FACTS.get(info.name)
-            if fact is None:
-                continue
-            cc = info.cost
-            node = info.cost_decorator or info.node
-            if cc is None or cc.ret is None:
-                self._event(
-                    "COST004", node,
-                    f"{info.qualname}: collective wire-byte helper lacks a "
-                    f"@cost ret= declaration",
-                )
-                continue
-            declared = cc.closed(cc.ret)
-            if not dims_equivalent(declared, fact):
-                self._event(
-                    "COST004", node,
-                    f"{info.qualname}: declared wire bytes disagree with the "
-                    f"collective's closed form"
-                    + _side_by_side("bytes", declared, fact),
-                )
-        defined = {
-            st.name
-            for st in ast.walk(self.tree)
-            if isinstance(st, (ast.FunctionDef, ast.AsyncFunctionDef))
-        }
-        for anchor, required in facts.WIRE_PRESENCE.items():
-            if anchor not in defined:
-                continue
-            missing = sorted(set(required) - defined)
-            if missing:
-                anchor_node = next(
-                    st for st in ast.walk(self.tree)
-                    if isinstance(st, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    and st.name == anchor
-                )
-                self._event(
-                    "COST004", anchor_node,
-                    f"{anchor}: module must define the checked wire-byte "
-                    f"helpers {missing}",
-                )
-
-    # ---- COST003 ---------------------------------------------------------
-
-    def _check_baseline(self, costed: List[ContractDef]) -> None:
-        baseline, keyer = self._load_baseline()
-        if baseline is None:
-            return
-        for info in costed:
-            cc = info.cost
-            if cc is None:
-                continue
-            key = keyer(info)
-            entry = baseline.get(key)
-            if entry is None:
-                continue  # new function: recorded at the next baseline regen
-            node = info.cost_decorator or info.node
-            current = cost_signature(cc)
-            for quantity, sig in current.items():
-                old = entry.get(quantity, {})
-                for name, degree in sig.items():
-                    prior = old.get(name, 0)
-                    if degree > prior:
-                        self._event(
-                            "COST003", node,
-                            f"{info.qualname}: declared {quantity} grew from "
-                            f"degree {prior} to {degree} in {name} vs the "
-                            f"checked-in complexity baseline "
-                            f"(statcheck/costs/baseline.json); regenerate it "
-                            f"deliberately if the increase is intended",
-                        )
-
-    def _load_baseline(self):
-        candidate = Path(self.path)
-        override = (
-            candidate.parent / "statcheck-cost-baseline.json"
-            if self.path != "<string>"
-            else Path("statcheck-cost-baseline.json")
-        )
-        if override.is_file():
-            try:
-                data = json.loads(override.read_text(encoding="utf-8"))
-            except (OSError, ValueError):
-                return None, None
-            functions = data.get("functions", {})
-            fname = candidate.name
-            return functions, lambda info: f"{fname}::{info.qualname}"
-        if not candidate.is_file():
-            return None, None
-        from ..registry import _package_root
-
-        root = _package_root(candidate)
-        if root is None:
-            return None, None
-        from .baseline import load_packaged_baseline
-
-        functions = load_packaged_baseline()
-        if functions is None:
-            return None, None
-        rel = candidate.resolve().relative_to(root).as_posix()
-        return functions, lambda info: f"{rel}::{info.qualname}"
-
-    # ---- COST005 ---------------------------------------------------------
-
-    def _check_memo_keys(self, costed: List[ContractDef]) -> None:
-        for info in costed:
-            if "memoize_sweep" not in info.decorators:
-                continue
-            cc = info.cost
-            if cc is None:
-                continue
-            node = info.cost_decorator or info.node
-            bindable = {"ELL"} if any(
-                e.kind == "array" and e.ellipsis
-                for e in (info.contract.args if info.contract else ())
-            ) else set()
-            entries = info.contract.args if info.contract is not None else ()
-            for param, entry in itertools.zip_longest(info.params, entries):
-                if entry is None or param is None:
-                    continue
-                if entry.kind == "scalar":
-                    name = _bare_sym(entry.expr)
-                    if name:
-                        bindable.add(name)
-                elif entry.kind == "array":
-                    for d in entry.dims:
-                        name = _bare_sym(d)
-                        if name:
-                            bindable.add(name)
-                else:
-                    fact = facts.PARAM_FACTS.get(param)
-                    made = fact() if fact is not None else None
-                    if isinstance(made, Geom):
-                        bindable |= set(Geom.BIND_SYMS)
-                    elif isinstance(made, Xform):
-                        bindable |= {"M", "R", "T"}
-            for quantity, expr in (
-                ("flops", cc.flops), ("mem", cc.mem), ("ret", cc.ret),
-            ):
-                if expr is None:
-                    continue
-                free = cc.closed(expr).free_symbols()
-                leaked = sorted(free - bindable)
-                if leaked:
-                    self._event(
-                        "COST005", node,
-                        f"{info.qualname}: memoized sweep cost depends on "
-                        f"{leaked} which the memo key (the function "
-                        f"arguments) cannot determine — cached results will "
-                        f"be reused across different {leaked} values",
-                    )
+        return env
 
 
-def cost_signature(cc) -> Dict[str, Dict[str, int]]:
-    """Per-quantity ``{symbol: degree}`` asymptotic signature."""
-    out: Dict[str, Dict[str, int]] = {}
-    for quantity, expr in (
-        ("flops", cc.flops), ("mem", cc.mem), ("ret", cc.ret),
-    ):
-        if expr is None:
-            continue
-        closed = cc.closed(expr)
-        sig = {
-            name: closed.degree_in(name)
-            for name in sorted(closed.free_symbols())
-        }
-        out[quantity] = {k: v for k, v in sig.items() if v > 0}
-    return out
-
-
-def cost_pass(ctx) -> CostPass:
-    """The per-file pass, computed once and shared by all COST rules."""
-    cached = ctx.cache.get("cost_pass")
+def contract_pass(ctx) -> ContractPass:
+    """The per-file pass, computed once and shared by every SHAPE and
+    COST rule."""
+    cached = ctx.cache.get("contract_pass")
     if cached is None:
-        cached = ctx.cache["cost_pass"] = CostPass(ctx.path, ctx.tree)
+        cached = ctx.cache["contract_pass"] = ContractPass(ctx.path, ctx.tree)
     return cached
+
+
+def collect_stats(paths: Sequence[Union[str, Path]]) -> Dict[str, ShapeStats]:
+    """Run the pass standalone over files/trees; per-file statistics.
+
+    Used by the test asserting that the static pass actually consumes
+    contracts in every annotated subsystem.
+    """
+    from .engine import iter_python_files
+
+    stats: Dict[str, ShapeStats] = {}
+    for file in iter_python_files([Path(p) for p in paths]):
+        try:
+            tree = ast.parse(file.read_text(encoding="utf-8"))
+        except (OSError, SyntaxError):
+            continue
+        stats[str(file)] = ContractPass(str(file), tree).stats
+    return stats

@@ -1,14 +1,12 @@
-"""Shared contract registry for the SHAPE and COST analyses.
+"""The contract registry behind the SHAPE and COST analyses.
 
-Both the symbolic shape interpreter (``shapes.py``, SHAPE002) and the
-symbolic cost interpreter (``costs/``, COST001–COST005) resolve call
-sites against the contracts declared across the *whole* enclosing
-package.  This module is the single builder they share: every file is
-parsed and scanned exactly once per statcheck run (mtime/size-keyed
-cache) and one :class:`ContractDef` per decorator carries the parsed
-``@shaped``/``@partitioned`` contract *and* the function's ``@cost``
-annotation, so the two analyses are guaranteed to see identical
-registries (there is a regression test asserting exactly that).
+The shared abstract interpreter (:mod:`.interp`) resolves call sites
+against the contracts declared across the *whole* enclosing package.
+Every package file is parsed and scanned once per statcheck run
+(mtime/size-keyed cache), and one :class:`ContractDef` per decorator
+carries the parsed ``@shaped``/``@partitioned`` contract *and* the
+function's ``@cost`` annotation.  The per-file pass builds the
+resolution table once per analysed file, for both families.
 
 Nothing here imports analyzed code — collection is pure AST.
 """
@@ -267,14 +265,14 @@ def _same_contract(a: ContractDef, b: ContractDef) -> bool:
     return spec_a == spec_b and a.partition == b.partition and a.cost == b.cost
 
 
-def registry_for(path: str, tree: ast.Module) -> Dict[str, object]:
-    """The name-resolution table for one analyzed file.
+def registry_for(path: str, own: List[ContractDef]) -> Dict[str, object]:
+    """The name-resolution table for one analyzed file, whose own
+    definitions are ``own`` (:func:`collect_contracts` of its tree).
 
     Real files inside a package see every contract of the whole package
     (collected by walking the package root); loose files and inline
     ``<string>`` sources see only their own definitions.
     """
-    own = collect_contracts(tree)
     candidate = Path(path)
     if not candidate.is_file():
         return build_resolution(own)
@@ -283,6 +281,7 @@ def registry_for(path: str, tree: ast.Module) -> Dict[str, object]:
         return build_resolution(own)
     from .engine import EXCLUDED_DIRS
 
+    analysed = candidate.resolve()
     defs: List[ContractDef] = []
     for file in sorted(root.rglob("*.py")):
         if any(
@@ -290,7 +289,7 @@ def registry_for(path: str, tree: ast.Module) -> Dict[str, object]:
             for part in file.parts
         ):
             continue
-        if file.resolve() == candidate.resolve():
+        if file.resolve() == analysed:
             defs.extend(own)
         else:
             defs.extend(_file_contracts(file))

@@ -1,25 +1,26 @@
 """Symbolic cost rule family (``COST001``–``COST005``).
 
-Thin filters over the shared per-file
-:class:`repro.statcheck.costs.CostPass` (cached in ``Context.cache``),
-which derives FLOP/bytes-moved polynomials for every ``@cost``-annotated
-kernel and checks them against the declarations and the paper's
-analytical model — see :mod:`repro.statcheck.costs.interp`.
+Thin filters over the per-file
+:class:`repro.statcheck.interp.ContractPass` (cached in
+``Context.cache`` and shared with the SHAPE rules), whose single walk
+per function derives FLOP/bytes-moved polynomials for every
+``@cost``-annotated kernel; :mod:`repro.statcheck.costs.checks` checks
+them against the declarations and the paper's analytical model.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
 
-from ..costs import cost_pass
 from ..engine import Context, Rule, register
+from ..interp import contract_pass
 
 
 class _CostRule(Rule):
     """Base: yield the pass events carrying this rule's id."""
 
     def check(self, ctx: Context) -> Iterator:
-        for rule_id, node, message in cost_pass(ctx).events:
+        for rule_id, node, message in contract_pass(ctx).events:
             if rule_id == self.id:
                 yield ctx.finding(self, node, message)
 

@@ -39,7 +39,7 @@ from ..effects import describe, effect_pass
 from ..effects.comm import check_collectives
 from ..effects.guards import check_guards
 from ..engine import Context, Rule, register
-from ..shapes import collect_contracts
+from ..registry import collect_contracts
 
 
 def _decorator_name(dec: ast.expr) -> Optional[str]:

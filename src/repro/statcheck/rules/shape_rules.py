@@ -1,11 +1,13 @@
 """Shape-contract rule family (``SHAPE001``–``SHAPE006``).
 
-All six rules are thin filters over the shared per-file
-:class:`repro.statcheck.shapes.ShapePass` (cached in ``Context.cache``),
-which collects contracts from the whole enclosing package and abstractly
-interprets every function — see :mod:`repro.statcheck.shapes` for the
-analysis itself and :mod:`repro.contracts` for the ``@shaped`` /
-``@partitioned`` decorators the pass consumes.
+All six rules are thin filters over the per-file
+:class:`repro.statcheck.interp.ContractPass` (cached in
+``Context.cache`` and shared with the COST rules), which collects
+contracts from the whole enclosing package and abstractly interprets
+every function once — see :mod:`repro.statcheck.interp` for the
+interpreter, :mod:`repro.statcheck.shapes` for the other checks and
+:mod:`repro.contracts` for the ``@shaped``/``@partitioned`` decorators
+the pass consumes.
 """
 
 from __future__ import annotations
@@ -13,14 +15,14 @@ from __future__ import annotations
 from typing import Iterator
 
 from ..engine import Context, Rule, register
-from ..shapes import shape_pass
+from ..interp import contract_pass
 
 
 class _ShapeRule(Rule):
     """Base: yield the pass events carrying this rule's id."""
 
     def check(self, ctx: Context) -> Iterator:
-        for rule_id, node, message in shape_pass(ctx).events:
+        for rule_id, node, message in contract_pass(ctx).events:
             if rule_id == self.id:
                 yield ctx.finding(self, node, message)
 
@@ -54,10 +56,10 @@ class TransformConformance(_ShapeRule):
     id = "SHAPE003"
     name = "winograd-transform-conformance"
     description = (
-        "Cook-Toom transform chain whose tensordot contracts the wrong "
-        "axis of B (T x T), G (T x r) or A (T x m), or whose result "
-        "dims contradict the method's contract — a flipped transpose "
-        "in Equation 1 fails here."
+        "np.tensordot whose contracted axes differ in size — e.g. a "
+        "Cook-Toom chain contracting the wrong axis of B (T x T), "
+        "G (T x r) or A (T x m): a flipped transpose in Equation 1 "
+        "fails here."
     )
 
 

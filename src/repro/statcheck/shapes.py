@@ -1,27 +1,17 @@
-"""Symbolic shape & partition abstract interpretation (``SHAPE`` rules).
+"""The non-interpreter checks of the shape & partition family (``SHAPE``).
 
-This module is the analysis backend of the ``SHAPE001``–``SHAPE006``
-rule family.  It consumes the ``@shaped``/``@partitioned`` contracts of
+The family consumes the ``@shaped``/``@partitioned`` contracts of
 :mod:`repro.contracts` *statically*: contracts are collected from every
-file of the enclosing package (no imports are performed — pure AST), and
-a per-function abstract interpreter propagates symbolic shapes through
-assignments and call sites, unifying what a caller passes against what
-the callee's contract declares.
-
-Sub-analyses, in the order they run per file:
+file of the enclosing package (:mod:`.registry`, pure AST, no imports).
+SHAPE002 and SHAPE003 are checks on the shapes that the abstract
+interpreter shared with the COST family derives (:mod:`.interp`: call
+sites, returns and unpacking against the contracts, and every
+``np.tensordot``'s contracted axes).  This module holds the rest, run by
+the same per-file pass:
 
 ``SHAPE001``
     Contract well-formedness: the spec parses and its entry count
     matches the function's positional signature.
-``SHAPE002``
-    Interprocedural propagation: rank/dimension conflicts at call
-    sites to contracted functions, return shapes vs the function's own
-    contract, and tuple-unpack arity against multi-value contracts.
-``SHAPE003``
-    Winograd transform conformance: ``np.tensordot`` chains against the
-    ``B``/``G``/``A`` coefficient matrices must contract matching axes
-    (``B: (T, T)``, ``G: (T, R)``, ``A: (T, M)``) and produce the
-    declared output dims — a flipped transpose fails here.
 ``SHAPE004``
     Tile-geometry arithmetic: classes with ``m``/``r`` fields and the
     standard geometry properties are *executed* over a battery of small
@@ -37,13 +27,10 @@ Sub-analyses, in the order they run per file:
     splits silently drop the remainder unless the function computes
     ragged bounds; flagged wherever no remainder handling is visible.
 
-Symbol semantics: a caller's own contract symbols are *rigid* (they
-stand for arbitrary sizes); a callee's symbols are instantiated *fresh*
-per call site and bind to whatever the caller passes.  A conflict is
-reported only when two rigid expressions are forced equal that are not
-identically equal — equality is decided by evaluating both sides over a
-deterministic battery of integer assignments, so semantically equal
-``ceildiv``/``floordiv`` spellings never false-positive.
+Dims are compared by :func:`dims_equivalent`: structurally, or by
+evaluating both sides over a deterministic battery of integer
+assignments, so semantically equal ``ceildiv``/``floordiv`` spellings
+never false-positive.
 """
 
 from __future__ import annotations
@@ -51,28 +38,11 @@ from __future__ import annotations
 import ast
 import math
 import re
-from dataclasses import dataclass
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, Optional
 
-from ..contracts import (
-    ArgSpec,
-    PartitionContractError,
-    ShapeContract,
-    validate_partition,
-)
-from .symdims import SymDim, const
-
-#: One abstract shape: ``None`` = unknown; otherwise a tuple of per-axis
-#: dims, each a :class:`SymDim` or ``None`` (unknown axis).
-Shape = Optional[Tuple[Optional[SymDim], ...]]
-
-_Event = Tuple[str, ast.AST, str]
-
-
-# ---------------------------------------------------------------------------
-# semantic equality of symbolic dims (polynomial-identity-testing style)
-# ---------------------------------------------------------------------------
+from ..contracts import PartitionContractError, validate_partition
+from .registry import _decorator_name
+from .symdims import SymDim
 
 _SAMPLE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 
@@ -102,824 +72,232 @@ def dims_equivalent(a: SymDim, b: SymDim) -> bool:
     return True
 
 
-# ---------------------------------------------------------------------------
-# contract collection & cross-file registry
-# ---------------------------------------------------------------------------
-#
-# Collection and the package-wide resolution table are shared with the
-# cost interpreter (``repro.statcheck.costs``) and live in
-# ``repro.statcheck.registry`` — one cached builder, one AST parse per
-# file per run.  The names are re-exported here because this module is
-# the historical home of the machinery (and rules import them from it).
+def run_checks(cp) -> None:
+    """Append the SHAPE001/004/005/006 events of the pass ``cp`` (a
+    ``ContractPass``)."""
+    _check_specs(cp)
+    _check_tile_geometry(cp)
+    _check_partitions(cp)
+    _check_slice_conservation(cp)
 
-from .registry import (  # noqa: F401  (re-exports)
-    AMBIGUOUS,
-    ContractDef,
-    _decorator_name,
-    _package_root,
-    build_resolution,
-    collect_contracts,
-    registry_for,
+
+# ---- SHAPE001: contract well-formedness ------------------------------------
+def _check_specs(cp) -> None:
+    for info in cp.defs:
+        if info.error is not None:
+            cp.events.append(
+                ("SHAPE001", info.decorator,
+                 f"bad contract on {info.qualname}: {info.error}")
+            )
+            continue
+        if info.contract is not None and not info.has_varargs:
+            declared = len(info.contract.args)
+            actual = len(info.params)
+            if declared != actual:
+                cp.events.append(
+                    ("SHAPE001", info.decorator,
+                     f"contract on {info.qualname} declares {declared} "
+                     f"parameter entries but the signature has {actual} "
+                     f"positional parameters")
+                )
+        if info.partition is not None:
+            for param in (info.partition.domain, info.partition.parts):
+                if param not in info.params:
+                    cp.events.append(
+                        ("SHAPE001", info.decorator,
+                         f"@partitioned on {info.qualname} names unknown "
+                         f"parameter {param!r}")
+                    )
+
+
+# ---- SHAPE004: tile-geometry arithmetic ----------------------------------
+#: Geometry property names whose values the checker re-derives.
+_GEOM_PROPS = (
+    "tile", "out_height", "out_width", "tiles_high", "tiles_wide",
+    "tiles_per_image", "padded_height", "padded_width",
 )
 
 
-# ---------------------------------------------------------------------------
-# the per-file pass
-# ---------------------------------------------------------------------------
+def _check_tile_geometry(cp) -> None:
+    for node in ast.walk(cp.tree):
+        if isinstance(node, ast.ClassDef):
+            _check_geometry_class(cp, node)
 
 
-@dataclass
-class ShapeStats:
-    """What the pass consumed in one file (used by the propagation test)."""
-
-    contracts_defined: int = 0
-    partitions_defined: int = 0
-    calls_resolved: int = 0
-    dims_unified: int = 0
-
-
-class ShapePass:
-    """Runs every SHAPE sub-analysis over one file; rules filter events."""
-
-    def __init__(self, path: str, tree: ast.Module) -> None:
-        self.path = path
-        self.tree = tree
-        self.events: List[_Event] = []
-        self.stats = ShapeStats()
-        self._fresh_counter = 0
-        self.own_defs = collect_contracts(tree)
-        self.registry = registry_for(path, tree)
-        self.stats.contracts_defined = sum(
-            1 for d in self.own_defs if d.contract is not None
+def _check_geometry_class(cp, cls: ast.ClassDef) -> None:
+    fields = {
+        n.target.id
+        for n in cls.body
+        if isinstance(n, ast.AnnAssign) and isinstance(n.target, ast.Name)
+    }
+    if not {"m", "r"} <= fields:
+        return
+    props = {
+        n.name: n
+        for n in cls.body
+        if isinstance(n, ast.FunctionDef) and n.name in _GEOM_PROPS
+        and any(_decorator_name(d) == "property" for d in n.decorator_list)
+    }
+    if not props:
+        return
+    if not _class_is_pure(cls):
+        return
+    namespace = _exec_sandbox()
+    try:
+        exec(  # noqa: S102 — purity-gated geometry class, sandboxed ns
+            compile(ast.Module(body=[cls], type_ignores=[]), cp.path,
+                    "exec"),
+            namespace,
         )
-        self.stats.partitions_defined = sum(
-            1 for d in self.own_defs if d.partition is not None
-        )
-        self._check_specs()
-        self._interpret_all()
-        self._check_transform_conformance()
-        self._check_tile_geometry()
-        self._check_partitions()
-        self._check_slice_conservation()
-
-    # -- SHAPE001 ----------------------------------------------------------
-    def _check_specs(self) -> None:
-        for info in self.own_defs:
-            if info.error is not None:
-                self.events.append(
-                    ("SHAPE001", info.decorator,
-                     f"bad contract on {info.qualname}: {info.error}")
-                )
-                continue
-            if info.contract is not None and not info.has_varargs:
-                declared = len(info.contract.args)
-                actual = len(info.params)
-                if declared != actual:
-                    self.events.append(
-                        ("SHAPE001", info.decorator,
-                         f"contract on {info.qualname} declares {declared} "
-                         f"parameter entries but the signature has {actual} "
-                         f"positional parameters")
+        built = namespace[cls.name]
+    except Exception:
+        return
+    failures: Dict[str, str] = {}
+    for height in (4, 5, 6, 7, 12, 14, 31, 32):
+        for pad in (0, 1, 2):
+            for m in (1, 2, 4):
+                for r in (1, 3, 5):
+                    kwargs = {"m": m, "r": r}
+                    if "height" in fields:
+                        kwargs["height"] = height
+                    if "width" in fields:
+                        kwargs["width"] = height + 1
+                    if "pad" in fields:
+                        kwargs["pad"] = pad
+                    elif pad:
+                        continue
+                    try:
+                        inst = built(**kwargs)
+                    except Exception:
+                        continue
+                    expected = _expected_geometry(
+                        height, height + 1,
+                        pad if "pad" in fields else 0, m, r,
                     )
-            if info.partition is not None:
-                for param in (info.partition.domain, info.partition.parts):
-                    if param not in info.params:
-                        self.events.append(
-                            ("SHAPE001", info.decorator,
-                             f"@partitioned on {info.qualname} names unknown "
-                             f"parameter {param!r}")
-                        )
-
-    # -- SHAPE002: the abstract interpreter --------------------------------
-    def _interpret_all(self) -> None:
-        contract_by_node = {
-            d.node: d for d in self.own_defs if d.contract is not None
-        }
-
-        def visit(node: ast.AST) -> None:
-            for child in ast.iter_child_nodes(node):
-                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    self._interpret_function(
-                        child, contract_by_node.get(child)
-                    )
-                visit(child)
-
-        visit(self.tree)
-
-    def _fresh_prefix(self) -> str:
-        self._fresh_counter += 1
-        return f"__c{self._fresh_counter}_"
-
-    def _interpret_function(
-        self, fn: ast.FunctionDef, own: Optional[ContractDef]
-    ) -> None:
-        env: Dict[str, Shape] = {}
-        scalars: Dict[str, SymDim] = {}
-        if own is not None and own.contract is not None:
-            for entry, name in zip(own.contract.args, own.params):
-                if entry.kind == "array" and not entry.ellipsis:
-                    env[name] = tuple(entry.dims)
-                elif entry.kind == "scalar" and entry.expr is not None:
-                    scalars[name] = entry.expr
-        state = _FnState(env=env, scalars=scalars, own=own, pass_=self, fn=fn)
-        state.exec_body(fn.body)
-
-    # -- SHAPE003: transform-matrix conformance ----------------------------
-
-    #: Shapes of the Winograd coefficient matrices (cook_toom.py):
-    #: ``B`` is ``(T, T)``, ``G`` is ``(T, r)``, ``A`` is ``(T, m)``.
-    _MATRIX_DIMS = {"B": ("T", "T"), "G": ("T", "R"), "A": ("T", "M")}
-
-    def _check_transform_conformance(self) -> None:
-        for info in self.own_defs:
-            if info.contract is None:
-                continue
-            trailing = _trailing_symbols(info.contract.args, info.params)
-            if trailing is None:
-                continue
-            param, dims = trailing
-            if not any(
-                isinstance(n, ast.Call) and self._tensordot_matrix(n)
-                for n in ast.walk(info.node)
-            ):
-                continue
-            self._trace_tensordots(info, param, dims)
-
-    def _tensordot_matrix(self, call: ast.Call) -> Optional[str]:
-        """The B/G/A matrix name if ``call`` is ``np.tensordot(x, *.B, ...)``."""
-        func = call.func
-        if not (isinstance(func, ast.Attribute) and func.attr == "tensordot"):
-            return None
-        if len(call.args) < 2:
-            return None
-        matrix = call.args[1]
-        if isinstance(matrix, ast.Attribute) and matrix.attr in self._MATRIX_DIMS:
-            return matrix.attr
-        return None
-
-    @staticmethod
-    def _tensordot_axes(call: ast.Call) -> Optional[Tuple[int, int]]:
-        axes = None
-        if len(call.args) >= 3:
-            axes = call.args[2]
-        for kw in call.keywords:
-            if kw.arg == "axes":
-                axes = kw.value
-        if not isinstance(axes, (ast.Tuple, ast.List)) or len(axes.elts) != 2:
-            return None
-        out = []
-        for elt in axes.elts:
-            if not isinstance(elt, (ast.Tuple, ast.List)) or len(elt.elts) != 1:
-                return None
-            value = elt.elts[0]
-            if isinstance(value, ast.UnaryOp) and isinstance(value.op, ast.USub):
-                value = value.operand
-                sign = -1
-            else:
-                sign = 1
-            if not isinstance(value, ast.Constant) or not isinstance(
-                value.value, int
-            ):
-                return None
-            out.append(sign * value.value)
-        return out[0], out[1]
-
-    def _trace_tensordots(
-        self, info: ContractDef, param: str, in_dims: Tuple[str, ...]
-    ) -> None:
-        trail: Dict[str, Optional[List[str]]] = {param: list(in_dims)}
-
-        def eval_chain(expr: ast.expr) -> Optional[List[str]]:
-            if isinstance(expr, ast.Name):
-                return trail.get(expr.id)
-            if isinstance(expr, ast.Call):
-                matrix = self._tensordot_matrix(expr)
-                if matrix is None:
-                    return None
-                current = eval_chain(expr.args[0])
-                if current is None:
-                    return None
-                axes = self._tensordot_axes(expr)
-                if axes is None:
-                    return None
-                a_axis, m_axis = axes
-                if a_axis not in (-1, -2) or m_axis not in (0, 1):
-                    return None
-                if len(current) < -a_axis:
-                    return None
-                contracted = current[a_axis]
-                m_dims = self._MATRIX_DIMS[matrix]
-                if contracted != m_dims[m_axis]:
-                    self.events.append(
-                        ("SHAPE003", expr,
-                         f"{info.qualname}: tensordot contracts the "
-                         f"{contracted}-axis of the operand against axis "
-                         f"{m_axis} of {matrix}, which has size "
-                         f"{m_dims[m_axis]} ({matrix} is "
-                         f"{m_dims[0]} x {m_dims[1]})")
-                    )
-                    return None
-                result = [d for k, d in enumerate(current)
-                          if k != len(current) + a_axis]
-                result.append(m_dims[1 - m_axis])
-                return result
-            return None
-
-        for stmt in ast.walk(info.node):
-            if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1 and \
-                    isinstance(stmt.targets[0], ast.Name):
-                value = eval_chain(stmt.value)
-                trail[stmt.targets[0].id] = value
-            elif isinstance(stmt, ast.Return) and stmt.value is not None:
-                final = eval_chain(stmt.value)
-                if final is None:
-                    continue
-                out = _output_trailing_symbols(info.contract)
-                if out is None:
-                    continue
-                if list(out) != final:
-                    self.events.append(
-                        ("SHAPE003", stmt,
-                         f"{info.qualname}: transform chain produces "
-                         f"trailing dims ({', '.join(final)}) but the "
-                         f"contract declares ({', '.join(out)})")
-                    )
-
-    # -- SHAPE004: tile-geometry arithmetic --------------------------------
-
-    #: Geometry property names whose values the checker re-derives.
-    _GEOM_PROPS = (
-        "tile", "out_height", "out_width", "tiles_high", "tiles_wide",
-        "tiles_per_image", "padded_height", "padded_width",
-    )
-
-    def _check_tile_geometry(self) -> None:
-        for node in ast.walk(self.tree):
-            if isinstance(node, ast.ClassDef):
-                self._check_geometry_class(node)
-
-    def _check_geometry_class(self, cls: ast.ClassDef) -> None:
-        fields = {
-            n.target.id
-            for n in cls.body
-            if isinstance(n, ast.AnnAssign) and isinstance(n.target, ast.Name)
-        }
-        if not {"m", "r"} <= fields:
-            return
-        props = {
-            n.name: n
-            for n in cls.body
-            if isinstance(n, ast.FunctionDef) and n.name in self._GEOM_PROPS
-            and any(_decorator_name(d) == "property" for d in n.decorator_list)
-        }
-        if not props:
-            return
-        if not _class_is_pure(cls):
-            return
-        namespace = _exec_sandbox()
-        try:
-            exec(  # noqa: S102 — purity-gated geometry class, sandboxed ns
-                compile(ast.Module(body=[cls], type_ignores=[]), self.path,
-                        "exec"),
-                namespace,
-            )
-            built = namespace[cls.name]
-        except Exception:
-            return
-        failures: Dict[str, str] = {}
-        for height in (4, 5, 6, 7, 12, 14, 31, 32):
-            for pad in (0, 1, 2):
-                for m in (1, 2, 4):
-                    for r in (1, 3, 5):
-                        kwargs = {"m": m, "r": r}
-                        if "height" in fields:
-                            kwargs["height"] = height
-                        if "width" in fields:
-                            kwargs["width"] = height + 1
-                        if "pad" in fields:
-                            kwargs["pad"] = pad
-                        elif pad:
+                    for prop in props:
+                        if prop in failures:
                             continue
                         try:
-                            inst = built(**kwargs)
+                            actual = getattr(inst, prop)
                         except Exception:
                             continue
-                        expected = _expected_geometry(
-                            height, height + 1,
-                            pad if "pad" in fields else 0, m, r,
-                        )
-                        for prop in props:
-                            if prop in failures:
-                                continue
-                            try:
-                                actual = getattr(inst, prop)
-                            except Exception:
-                                continue
-                            if actual != expected[prop]:
-                                failures[prop] = (
-                                    f"{cls.name}.{prop} = {actual} at "
-                                    f"{kwargs}, but the paper's formula "
-                                    f"gives {expected[prop]}"
-                                )
-        for prop, message in failures.items():
-            self.events.append(("SHAPE004", props[prop], message))
-
-    # -- SHAPE005: partition disjointness + coverage -----------------------
-
-    _PARTITION_BATTERY = (
-        (16, 1), (16, 4), (16, 16), (36, 16), (17, 4), (25, 4), (5, 8),
-        (1, 1), (12, 5),
-    )
-
-    def _check_partitions(self) -> None:
-        for info in self.own_defs:
-            if info.partition is None or info.error is not None:
-                continue
-            if info.partition.domain not in info.params or \
-                    info.partition.parts not in info.params:
-                continue  # SHAPE001 already reported
-            fn = info.node
-            impure = _function_impurity(fn)
-            if impure is not None:
-                self.events.append(
-                    ("SHAPE005", fn,
-                     f"cannot statically verify @partitioned "
-                     f"{info.qualname}: non-whitelisted name {impure!r}; "
-                     f"verify by hand and add a pragma with justification")
-                )
-                continue
-            clean = _strip_decorators(fn)
-            namespace = _exec_sandbox()
-            try:
-                exec(  # noqa: S102 — purity-gated partition fn, sandboxed ns
-                    compile(
-                        ast.fix_missing_locations(
-                            ast.Module(body=[clean], type_ignores=[])
-                        ),
-                        self.path, "exec",
-                    ),
-                    namespace,
-                )
-                runner = namespace[fn.name]
-            except Exception:
-                continue
-            for domain, parts in self._PARTITION_BATTERY:
-                kwargs = {
-                    info.partition.domain: domain,
-                    info.partition.parts: parts,
-                }
-                try:
-                    result = runner(**kwargs)
-                except Exception:
-                    continue  # e.g. the fn validates parts <= domain
-                try:
-                    validate_partition(
-                        result, domain, parts, info.qualname
-                    )
-                except PartitionContractError as exc:
-                    self.events.append(
-                        ("SHAPE005", fn,
-                         f"partition contract violated for "
-                         f"({info.partition.domain}={domain}, "
-                         f"{info.partition.parts}={parts}): {exc}")
-                    )
-                    break
-
-    # -- SHAPE006: collective slice conservation ---------------------------
-
-    _SLICE_TARGET = re.compile(r"slice|chunk|shard|part")
-    _SIZE_TARGET = re.compile(r"bytes|elems|elements|size|count")
-
-    def _check_slice_conservation(self) -> None:
-        for fn in ast.walk(self.tree):
-            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            if _has_remainder_handling(fn):
-                continue
-            for stmt in ast.walk(fn):
-                if not isinstance(stmt, ast.Assign):
-                    continue
-                target = stmt.targets[0] if len(stmt.targets) == 1 else None
-                name = target.id if isinstance(target, ast.Name) else None
-                if name is None or not (
-                    self._SLICE_TARGET.search(name)
-                    and self._SIZE_TARGET.search(name)
-                ):
-                    continue
-                floordiv = _find_floordiv_split(stmt.value)
-                if floordiv is None:
-                    continue
-                self.events.append(
-                    ("SHAPE006", stmt,
-                     f"{name} = {ast.unparse(stmt.value)} drops the "
-                     f"division remainder: the slices only sum back to the "
-                     f"total when the count divides it exactly; use ragged "
-                     f"bounds (round(i * total / n)) or account for the "
-                     f"remainder explicitly")
-                )
-
-
-@dataclass
-class _FnState:
-    """Abstract-interpretation state while walking one function body."""
-
-    env: Dict[str, Shape]
-    scalars: Dict[str, SymDim]
-    own: Optional[ContractDef]
-    pass_: ShapePass
-    fn: ast.FunctionDef
-
-    def exec_body(self, body: Sequence[ast.stmt]) -> None:
-        for stmt in body:
-            self._stmt(stmt)
-
-    # -- statements --------------------------------------------------------
-    def _stmt(self, stmt: ast.stmt) -> None:
-        if isinstance(stmt, ast.Assign):
-            self._assign(stmt.targets, stmt.value, stmt)
-        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-            if isinstance(stmt.target, ast.Name):
-                self._assign([stmt.target], stmt.value, stmt)
-        elif isinstance(stmt, ast.AugAssign):
-            if isinstance(stmt.target, ast.Name):
-                self.env[stmt.target.id] = None
-            self._value(stmt.value)
-        elif isinstance(stmt, ast.Return):
-            self._return(stmt)
-        elif isinstance(stmt, ast.Expr):
-            self._value(stmt.value)
-        elif isinstance(stmt, (ast.If, ast.For, ast.While, ast.With)):
-            if isinstance(stmt, ast.For) and isinstance(stmt.target, ast.Name):
-                self.env[stmt.target.id] = None
-            if isinstance(stmt, (ast.If, ast.While)):
-                self._value(stmt.test)
-            self.exec_body(stmt.body)
-            self.exec_body(stmt.orelse if hasattr(stmt, "orelse") else [])
-        elif isinstance(stmt, ast.Try):
-            self.exec_body(stmt.body)
-            for handler in stmt.handlers:
-                self.exec_body(handler.body)
-            self.exec_body(stmt.orelse)
-            self.exec_body(stmt.finalbody)
-        # nested function/class defs are visited by the outer walker
-
-    def _assign(
-        self, targets: List[ast.expr], value: ast.expr, stmt: ast.stmt
-    ) -> None:
-        result = self._value(value)
-        for target in targets:
-            if isinstance(target, ast.Name):
-                self.env[target.id] = result[1] if result[0] == "one" else None
-            elif isinstance(target, (ast.Tuple, ast.List)):
-                names = target.elts
-                if result[0] == "many":
-                    shapes = result[1]
-                    if len(names) != len(shapes):
-                        self.pass_.events.append(
-                            ("SHAPE002", stmt,
-                             f"unpacking {len(names)} values from a call "
-                             f"whose contract returns {len(shapes)}")
-                        )
-                    for i, elt in enumerate(names):
-                        if isinstance(elt, ast.Name):
-                            self.env[elt.id] = (
-                                shapes[i] if i < len(shapes) else None
+                        if actual != expected[prop]:
+                            failures[prop] = (
+                                f"{cls.name}.{prop} = {actual} at "
+                                f"{kwargs}, but the paper's formula "
+                                f"gives {expected[prop]}"
                             )
-                else:
-                    for elt in names:
-                        if isinstance(elt, ast.Name):
-                            self.env[elt.id] = None
-
-    def _return(self, stmt: ast.Return) -> None:
-        own = self.own
-        if own is None or own.contract is None or stmt.value is None:
-            if stmt.value is not None:
-                self._value(stmt.value)
-            return
-        returns = own.contract.returns
-        value = stmt.value
-        if len(returns) > 1 and isinstance(value, (ast.Tuple, ast.List)):
-            if len(value.elts) != len(returns):
-                self.pass_.events.append(
-                    ("SHAPE002", stmt,
-                     f"{own.qualname} returns {len(value.elts)} values but "
-                     f"its contract declares {len(returns)}")
-                )
-            for entry, elt in zip(returns, value.elts):
-                kind, shape = self._value(elt)
-                if kind == "one":
-                    self._check_return_entry(entry, shape, stmt)
-            return
-        kind, result = self._value(value)
-        if kind == "many":
-            if len(result) != len(returns):
-                self.pass_.events.append(
-                    ("SHAPE002", stmt,
-                     f"{own.qualname} forwards {len(result)} values from a "
-                     f"call but its contract declares {len(returns)}")
-                )
-            for entry, shape in zip(returns, result):
-                self._check_return_entry(entry, shape, stmt)
-        elif len(returns) == 1:
-            self._check_return_entry(returns[0], result, stmt)
-
-    def _check_return_entry(
-        self, entry: ArgSpec, shape: Shape, node: ast.AST
-    ) -> None:
-        if entry.kind != "array" or shape is None:
-            return
-        own = self.own.qualname if self.own else "?"
-        if entry.ellipsis and len(shape) < len(entry.dims):
-            return
-        if not entry.ellipsis and len(entry.dims) != len(shape):
-            self.pass_.events.append(
-                ("SHAPE002", node,
-                 f"{own} returns a rank-{len(shape)} value where its "
-                 f"contract declares rank {len(entry.dims)} ({entry})")
-            )
-            return
-        dims = entry.dims
-        actual = shape[len(shape) - len(dims):] if entry.ellipsis else shape
-        for i, (want, got) in enumerate(zip(dims, actual)):
-            if want is None or got is None:
-                continue
-            if not dims_equivalent(want, got):
-                self.pass_.events.append(
-                    ("SHAPE002", node,
-                     f"{own} returns dim {i} = {got} where its contract "
-                     f"declares {want}")
-                )
-
-    # -- expressions -------------------------------------------------------
-    def _value(self, expr: ast.expr) -> Tuple[str, object]:
-        """Abstract value: ``("one", Shape)`` or ``("many", [Shape, ...])``."""
-        if isinstance(expr, ast.Name):
-            return ("one", self.env.get(expr.id))
-        if isinstance(expr, ast.Call):
-            return self._call(expr)
-        if isinstance(expr, (ast.BinOp, ast.UnaryOp, ast.Compare, ast.BoolOp,
-                             ast.Subscript, ast.Attribute, ast.IfExp)):
-            for child in ast.iter_child_nodes(expr):
-                if isinstance(child, ast.expr):
-                    self._value(child)
-        return ("one", None)
-
-    def _callee_name(self, func: ast.expr) -> Optional[str]:
-        if isinstance(func, ast.Name):
-            return func.id
-        if isinstance(func, ast.Attribute):
-            return func.attr
-        return None
-
-    def _scalar_of(self, expr: ast.expr) -> Optional[SymDim]:
-        if isinstance(expr, ast.Constant) and isinstance(expr.value, int) \
-                and not isinstance(expr.value, bool):
-            return const(expr.value)
-        if isinstance(expr, ast.Name):
-            return self.scalars.get(expr.id)
-        return None
-
-    def _call(self, call: ast.Call) -> Tuple[str, object]:
-        # Evaluate every sub-expression exactly once (nested calls to
-        # contracted functions must be resolved and counted only here).
-        arg_values: List[Tuple[ast.expr, Tuple[str, object]]] = []
-        starred = False
-        for arg in call.args:
-            if isinstance(arg, ast.Starred):
-                self._value(arg.value)
-                starred = True
-            else:
-                arg_values.append((arg, self._value(arg)))
-        kw_values: Dict[str, Tuple[ast.expr, Tuple[str, object]]] = {}
-        double_star = False
-        for kw in call.keywords:
-            self._value(kw.value)
-            if kw.arg is None:
-                double_star = True
-            else:
-                kw_values[kw.arg] = (kw.value, self._value_cached(kw.value))
-        if isinstance(call.func, ast.Attribute):
-            self._value(call.func.value)
-        name = self._callee_name(call.func)
-        info = self.pass_.registry.get(name) if name else None
-        if info is None or info is AMBIGUOUS:
-            return ("one", None)
-        assert isinstance(info, ContractDef)
-        if info.contract is None or starred or double_star:
-            return ("one", None)
-        self.pass_.stats.calls_resolved += 1
-        return self._unify_call(call, info, arg_values, kw_values)
-
-    def _value_cached(self, expr: ast.expr) -> Tuple[str, object]:
-        """Re-read an already-evaluated expression without side effects."""
-        if isinstance(expr, ast.Name):
-            return ("one", self.env.get(expr.id))
-        return ("one", None)
-
-    def _unify_call(
-        self,
-        call: ast.Call,
-        info: ContractDef,
-        arg_values: List[Tuple[ast.expr, Tuple[str, object]]],
-        kw_values: Dict[str, Tuple[ast.expr, Tuple[str, object]]],
-    ) -> Tuple[str, object]:
-        contract = info.contract
-        prefix = self.pass_._fresh_prefix()
-        rename = {
-            s: f"{prefix}{s}"
-            for entry in (*contract.args, *contract.returns)
-            for s in _entry_symbols(entry)
-        }
-        bindings: Dict[str, SymDim] = {}
-        leading: Shape = None
-
-        # pair call-site arguments with contract entries
-        pairs: List[Tuple[ArgSpec, ast.expr, Tuple[str, object]]] = []
-        for i, (arg, value) in enumerate(arg_values):
-            if i < len(contract.args):
-                pairs.append((contract.args[i], arg, value))
-        for kw_name, (arg, value) in kw_values.items():
-            if kw_name in info.params:
-                idx = info.params.index(kw_name)
-                if idx < len(contract.args):
-                    pairs.append((contract.args[idx], arg, value))
-
-        for entry, arg, value in pairs:
-            if entry.kind == "skip":
-                continue
-            if entry.kind == "scalar":
-                caller = self._scalar_of(arg)
-                if caller is not None and entry.expr is not None:
-                    self._unify_dim(
-                        entry.expr, caller, rename, bindings, call,
-                        f"call to {info.qualname}: argument "
-                        f"{ast.unparse(arg)}",
-                    )
-                continue
-            kind, shape = value
-            if kind != "one" or shape is None:
-                continue
-            if entry.ellipsis:
-                if len(shape) < len(entry.dims):
-                    self.pass_.events.append(
-                        ("SHAPE002", call,
-                         f"call to {info.qualname}: argument "
-                         f"{ast.unparse(arg)} has rank {len(shape)}, "
-                         f"contract needs at least {len(entry.dims)} "
-                         f"trailing dims ({entry})")
-                    )
-                    continue
-                if leading is None:
-                    leading = shape[: len(shape) - len(entry.dims)]
-                trailing = shape[len(shape) - len(entry.dims):]
-            else:
-                if len(shape) != len(entry.dims):
-                    self.pass_.events.append(
-                        ("SHAPE002", call,
-                         f"call to {info.qualname}: argument "
-                         f"{ast.unparse(arg)} has rank {len(shape)} but the "
-                         f"contract declares rank {len(entry.dims)} "
-                         f"({entry})")
-                    )
-                    continue
-                trailing = shape
-            for j, (dim, caller_dim) in enumerate(zip(entry.dims, trailing)):
-                if dim is None or caller_dim is None:
-                    continue
-                self._unify_dim(
-                    dim, caller_dim, rename, bindings, call,
-                    f"call to {info.qualname}: argument "
-                    f"{ast.unparse(arg)} dim {j - len(entry.dims)}",
-                )
-
-        shapes = [
-            self._result_shape(entry, rename, bindings, leading)
-            for entry in contract.returns
-        ]
-        if len(shapes) == 1:
-            return ("one", shapes[0])
-        return ("many", shapes)
-
-    def _unify_dim(
-        self,
-        callee_dim: SymDim,
-        caller_dim: SymDim,
-        rename: Dict[str, str],
-        bindings: Dict[str, SymDim],
-        node: ast.AST,
-        where: str,
-    ) -> None:
-        fresh = callee_dim.subs(
-            {orig: SymDim.sym(new) for orig, new in rename.items()}
-        ).subs(bindings)
-        free = [s for s in fresh.free_symbols() if s.startswith("__c")]
-        if not free:
-            if not dims_equivalent(fresh, caller_dim):
-                original = _unrename(fresh, rename)
-                self.pass_.events.append(
-                    ("SHAPE002", node,
-                     f"{where}: caller passes {caller_dim} where the "
-                     f"contract requires {original}")
-                )
-            else:
-                self.pass_.stats.dims_unified += 1
-            return
-        if len(free) == 1 and fresh == SymDim.sym(free[0]):
-            bindings[free[0]] = caller_dim
-            self.pass_.stats.dims_unified += 1
-        # composite dims with unbound symbols stay unconstrained
-
-    def _result_shape(
-        self,
-        entry: ArgSpec,
-        rename: Dict[str, str],
-        bindings: Dict[str, SymDim],
-        leading: Shape,
-    ) -> Shape:
-        if entry.kind != "array":
-            return None
-        dims: List[Optional[SymDim]] = []
-        for dim in entry.dims:
-            if dim is None:
-                dims.append(None)
-                continue
-            fresh = dim.subs(
-                {orig: SymDim.sym(new) for orig, new in rename.items()}
-            ).subs(bindings)
-            if any(s.startswith("__c") for s in fresh.free_symbols()):
-                dims.append(None)
-            else:
-                dims.append(fresh)
-        if entry.ellipsis:
-            if leading is None:
-                return None
-            return tuple(leading) + tuple(dims)
-        return tuple(dims)
+    for prop, message in failures.items():
+        cp.events.append(("SHAPE004", props[prop], message))
 
 
-def _entry_symbols(entry: ArgSpec) -> set:
-    symbols = set()
-    if entry.kind == "scalar" and entry.expr is not None:
-        symbols |= entry.expr.free_symbols()
-    elif entry.kind == "array":
-        for dim in entry.dims:
-            if dim is not None:
-                symbols |= dim.free_symbols()
-    return symbols
+# ---- SHAPE005: partition disjointness + coverage -------------------------
+_PARTITION_BATTERY = (
+    (16, 1), (16, 4), (16, 16), (36, 16), (17, 4), (25, 4), (5, 8),
+    (1, 1), (12, 5),
+)
 
 
-def _unrename(dim: SymDim, rename: Dict[str, str]) -> SymDim:
-    back = {new: SymDim.sym(orig) for orig, new in rename.items()}
-    return dim.subs(back)
-
-
-# ---------------------------------------------------------------------------
-# helpers for the SHAPE003-006 sub-analyses
-# ---------------------------------------------------------------------------
-
-
-def _bare_symbol(dim: Optional[SymDim]) -> Optional[str]:
-    if dim is None:
-        return None
-    free = dim.free_symbols()
-    if len(free) == 1:
-        (name,) = free
-        if dim == SymDim.sym(name):
-            return name
-    return None
-
-
-def _trailing_symbols(
-    entries: Tuple[ArgSpec, ...], params: Tuple[str, ...]
-) -> Optional[Tuple[str, Tuple[str, ...]]]:
-    """The (param name, trailing dim symbols) of the single data operand
-    of a transform method: one ellipsis array entry whose trailing dims
-    are all bare ``T``/``R``/``M`` symbols."""
-    found = None
-    for entry, name in zip(entries, params):
-        if entry.kind != "array" or not entry.ellipsis:
+def _check_partitions(cp) -> None:
+    for info in cp.defs:
+        if info.partition is None or info.error is not None:
             continue
-        symbols = tuple(_bare_symbol(d) for d in entry.dims)
-        if any(s not in ("T", "R", "M") for s in symbols):
-            return None
-        if found is not None:
-            return None  # more than one candidate operand: ambiguous
-        found = (name, symbols)
-    return found
+        if info.partition.domain not in info.params or \
+                info.partition.parts not in info.params:
+            continue  # SHAPE001 already reported
+        fn = info.node
+        impure = _function_impurity(fn)
+        if impure is not None:
+            cp.events.append(
+                ("SHAPE005", fn,
+                 f"cannot statically verify @partitioned "
+                 f"{info.qualname}: non-whitelisted name {impure!r}; "
+                 f"verify by hand and add a pragma with justification")
+            )
+            continue
+        clean = _strip_decorators(fn)
+        namespace = _exec_sandbox()
+        try:
+            exec(  # noqa: S102 — purity-gated partition fn, sandboxed ns
+                compile(
+                    ast.fix_missing_locations(
+                        ast.Module(body=[clean], type_ignores=[])
+                    ),
+                    cp.path, "exec",
+                ),
+                namespace,
+            )
+            runner = namespace[fn.name]
+        except Exception:
+            continue
+        for domain, parts in _PARTITION_BATTERY:
+            kwargs = {
+                info.partition.domain: domain,
+                info.partition.parts: parts,
+            }
+            try:
+                result = runner(**kwargs)
+            except Exception:
+                continue  # e.g. the fn validates parts <= domain
+            try:
+                validate_partition(
+                    result, domain, parts, info.qualname
+                )
+            except PartitionContractError as exc:
+                cp.events.append(
+                    ("SHAPE005", fn,
+                     f"partition contract violated for "
+                     f"({info.partition.domain}={domain}, "
+                     f"{info.partition.parts}={parts}): {exc}")
+                )
+                break
 
 
-def _output_trailing_symbols(
-    contract: ShapeContract,
-) -> Optional[Tuple[str, ...]]:
-    if len(contract.returns) != 1:
-        return None
-    entry = contract.returns[0]
-    if entry.kind != "array" or not entry.ellipsis:
-        return None
-    symbols = tuple(_bare_symbol(d) for d in entry.dims)
-    if any(s not in ("T", "R", "M") for s in symbols):
-        return None
-    return symbols
+# ---- SHAPE006: collective slice conservation -----------------------------
+_SLICE_TARGET = re.compile(r"slice|chunk|shard|part")
+_SIZE_TARGET = re.compile(r"bytes|elems|elements|size|count")
+
+
+def _check_slice_conservation(cp) -> None:
+    # Each assignment is judged once, in its innermost function, against
+    # that function's own remainder handling.
+    for fn in ast.walk(cp.tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        own = list(_own_nodes(fn))
+        if _has_remainder_handling(own):
+            continue
+        for stmt in own:
+            if not isinstance(stmt, ast.Assign):
+                continue
+            target = stmt.targets[0] if len(stmt.targets) == 1 else None
+            name = target.id if isinstance(target, ast.Name) else None
+            if name is None or not (
+                _SLICE_TARGET.search(name)
+                and _SIZE_TARGET.search(name)
+            ):
+                continue
+            floordiv = _find_floordiv_split(stmt.value)
+            if floordiv is None:
+                continue
+            cp.events.append(
+                ("SHAPE006", stmt,
+                 f"{name} = {ast.unparse(stmt.value)} drops the "
+                 f"division remainder: the slices only sum back to the "
+                 f"total when the count divides it exactly; use ragged "
+                 f"bounds (round(i * total / n)) or account for the "
+                 f"remainder explicitly")
+            )
+
+
+def _own_nodes(fn: ast.AST) -> Iterator[ast.AST]:
+    """The nodes of ``fn``'s body, nested function definitions excluded."""
+    stack = list(ast.iter_child_nodes(fn))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            stack.extend(reversed(list(ast.iter_child_nodes(node))))
 
 
 def _expected_geometry(
@@ -1017,16 +395,16 @@ def _exec_sandbox() -> Dict[str, object]:
     return namespace
 
 
-def _has_remainder_handling(fn: ast.AST) -> bool:
-    """Whether a function visibly accounts for a division remainder by
-    computing ragged ``round(...)`` bounds.  (A bare ``%`` does not
-    count — ring-position arithmetic like ``(pos + 1) % n`` says nothing
-    about slice-size conservation.)"""
-    for node in ast.walk(fn):
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
-                and node.func.id == "round":
-            return True
-    return False
+def _has_remainder_handling(nodes: Iterable[ast.AST]) -> bool:
+    """Whether a function's nodes visibly account for a division
+    remainder by computing ragged ``round(...)`` bounds.  (A bare ``%``
+    does not count — ring-position arithmetic like ``(pos + 1) % n``
+    says nothing about slice-size conservation.)"""
+    return any(
+        isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "round"
+        for node in nodes
+    )
 
 
 def _find_floordiv_split(expr: ast.expr) -> Optional[ast.BinOp]:
@@ -1045,34 +423,3 @@ def _find_floordiv_split(expr: ast.expr) -> Optional[ast.BinOp]:
         if re.search(r"bytes|elems|elements|size|total|message", numerator):
             return expr
     return None
-
-
-# ---------------------------------------------------------------------------
-# entry points for the rule classes and the propagation-stats test
-# ---------------------------------------------------------------------------
-
-
-def shape_pass(ctx) -> ShapePass:
-    """The per-file pass, computed once and shared by all SHAPE rules."""
-    cached = ctx.cache.get("shape_pass")
-    if cached is None:
-        cached = ctx.cache["shape_pass"] = ShapePass(ctx.path, ctx.tree)
-    return cached
-
-
-def collect_stats(paths: Sequence[Union[str, Path]]) -> Dict[str, ShapeStats]:
-    """Run the pass standalone over files/trees; per-file statistics.
-
-    Used by the test asserting that the static pass actually consumes
-    contracts in every annotated subsystem.
-    """
-    from .engine import iter_python_files
-
-    stats: Dict[str, ShapeStats] = {}
-    for file in iter_python_files([Path(p) for p in paths]):
-        try:
-            tree = ast.parse(file.read_text(encoding="utf-8"))
-        except (OSError, SyntaxError):
-            continue
-        stats[str(file)] = ShapePass(str(file), tree).stats
-    return stats

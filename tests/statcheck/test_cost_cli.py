@@ -67,6 +67,16 @@ class TestCostsReport:
         report = json.loads(capsys.readouterr().out)
         assert [e["rule"] for e in report["events"]] == ["COST001"]
 
+    def test_report_carries_cost_events_only(self, tmp_path, capsys):
+        # The pass shared with SHAPE also finds the (K,B) return-shape
+        # conflict; the cost report leaves it to the SHAPE rules.
+        source = BAD_COST.replace('-> (B,K)")', '-> (K,B)")')
+        assert main(["--select", "SHAPE002", write(tmp_path, "bad.py", source)]) == 1
+        capsys.readouterr()
+        assert main(["--costs", str(tmp_path / "bad.py")]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert [e["rule"] for e in report["events"]] == ["COST001"]
+
 
 class TestBaselineRegen:
     def test_flag_writes_via_write_baseline(self, tmp_path, capsys, monkeypatch):

@@ -12,7 +12,7 @@ import ast
 import textwrap
 
 from repro.statcheck import check_source
-from repro.statcheck.costs.interp import CostPass
+from repro.statcheck.interp import ContractPass
 from repro.statcheck.symdims import parse_dim
 from repro.statcheck.shapes import dims_equivalent
 
@@ -21,9 +21,9 @@ COST_FAMILY = ["COST001", "COST002", "COST003", "COST004", "COST005"]
 HEADER = "import numpy as np\nfrom repro.contracts import cost, shaped\n"
 
 
-def run(body: str) -> CostPass:
+def run(body: str) -> ContractPass:
     source = HEADER + textwrap.dedent(body)
-    return CostPass("<string>", ast.parse(source))
+    return ContractPass("<string>", ast.parse(source))
 
 
 def derived(body: str, qualname: str):
@@ -73,6 +73,20 @@ class TestIntrinsics:
             @cost(flops="N*K", mem="4*N*K")
             def f(x):
                 return (x + x).transpose(1, 0)
+            '''
+        ) == []
+
+    def test_scalar_operands_and_infinite_literals_are_values(self):
+        # Every function is walked now: a ufunc over scalars and an
+        # infinite float literal are unknown values, not crashes.
+        assert check(
+            '''
+            @shaped("(N), S -> (N)")
+            @cost(flops="N", mem="4*N")
+            def f(x, s):
+                cap = np.maximum(s, 1)
+                big = 1e999
+                return x + 0
             '''
         ) == []
 
@@ -184,3 +198,58 @@ class TestEquivalence:
                 return x * 2.0
             '''
         ) == []
+
+
+class TestShapeSemantics:
+    """The interpreter is SHAPE002's only shape source: numpy's own
+    shape rules, checked through the derived costs."""
+
+    def test_array_unpacking_yields_rows(self):
+        # `a, b = x` iterates axis 0: both targets are (K,) rows.
+        assert check(
+            '''
+            @shaped("(N,K) -> (K)")
+            @cost(flops="K", mem="4*K")
+            def f(x):
+                a, b = x
+                return a + b
+            '''
+        ) == []
+
+    def test_negative_stop_slice_counts_from_both_ends(self):
+        # x[1:-1] on (N) has N - 2 elements, not N - 1.
+        assert check(
+            '''
+            @shaped("(N) -> (N-2)")
+            @cost(flops="N-2", mem="4*(N-2)")
+            def f(x):
+                return x[1:-1] + 0
+            '''
+        ) == []
+
+    def test_none_index_adds_an_axis(self):
+        # x[None] on (N, K) is (1, N, K): the None index drops nothing.
+        assert check(
+            '''
+            @shaped("(N,K) -> (1,N,K)")
+            @cost(flops="N*K", mem="4*N*K")
+            def f(x):
+                return x[None] + 0
+            '''
+        ) == []
+
+    def test_nested_slice_split_reported_once(self):
+        # Judged once, in the innermost function that makes the split.
+        findings = check_source(
+            textwrap.dedent(
+                '''
+                def outer(message_bytes, n):
+                    def inner():
+                        slice_bytes = message_bytes // n
+                        return slice_bytes
+                    return inner()
+                '''
+            ),
+            select=["SHAPE006"],
+        )
+        assert [(f.rule, f.line) for f in findings] == [("SHAPE006", 4)]

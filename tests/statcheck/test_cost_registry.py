@@ -1,8 +1,10 @@
-"""Regression: SHAPE and COST analyses see identical contract registries.
+"""Regression: the SHAPE and COST families share one contract registry.
 
-Both passes resolve call sites through :mod:`repro.statcheck.registry`
-(the shared cached builder); this pins that guarantee so neither pass
-can silently regrow its own divergent collection logic.
+Both families' rules read the one per-file
+:class:`~repro.statcheck.interp.ContractPass`, which resolves call sites
+through :mod:`repro.statcheck.registry` (the shared, cached contract table);
+this pins that the table is built once per analysed file, so neither
+family can silently regrow its own collection logic.
 """
 
 from __future__ import annotations
@@ -10,9 +12,9 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
-from repro.statcheck.costs.interp import CostPass
-from repro.statcheck.registry import AMBIGUOUS, _file_contracts, _same_contract
-from repro.statcheck.shapes import ShapePass
+from repro.statcheck import check_source, interp
+from repro.statcheck.interp import ContractPass
+from repro.statcheck.registry import AMBIGUOUS, _file_contracts
 
 REPO = Path(__file__).resolve().parents[2]
 FILES = [
@@ -22,29 +24,35 @@ FILES = [
 ]
 
 
-def _passes(path: Path):
+def _pass(path: Path) -> ContractPass:
     tree = ast.parse(path.read_text(encoding="utf-8"))
-    return ShapePass(str(path), tree), CostPass(str(path), tree)
+    return ContractPass(str(path), tree)
 
 
-def test_shape_and_cost_registries_identical():
-    for path in FILES:
-        shape_pass, cost_pass = _passes(path)
-        assert set(shape_pass.registry) == set(cost_pass.registry), path.name
-        for key, a in shape_pass.registry.items():
-            b = cost_pass.registry[key]
-            if a is AMBIGUOUS or b is AMBIGUOUS:
-                assert a is b, (path.name, key)
-                continue
-            assert a.qualname == b.qualname, (path.name, key)
-            assert _same_contract(a, b), (path.name, key)
+def test_both_families_build_the_registry_once(monkeypatch):
+    calls = []
+    real = interp.registry_for
+
+    def counting(path, own):
+        calls.append(path)
+        return real(path, own)
+
+    monkeypatch.setattr(interp, "registry_for", counting)
+    path = FILES[1]
+    findings = check_source(
+        path.read_text(encoding="utf-8"),
+        path=str(path),
+        select=["SHAPE001", "SHAPE002", "SHAPE003", "COST001", "COST002"],
+    )
+    assert findings == []
+    assert calls == [str(path)]
 
 
 def test_registry_carries_cost_contracts():
-    # The cost interpreter resolves callee summaries through the same
-    # table SHAPE002 uses — the entries must carry the @cost payloads.
-    _, cost_pass = _passes(FILES[0])  # winograd/conv.py
-    entry = cost_pass.registry["extract_tiles"]
+    # The interpreter resolves callee summaries through the same table
+    # SHAPE002 unifies against — the entries must carry the @cost payloads.
+    contracts = _pass(FILES[0])  # winograd/conv.py
+    entry = contracts.registry["extract_tiles"]
     assert entry is not AMBIGUOUS
     assert entry.cost is not None and entry.cost.mem is not None
 

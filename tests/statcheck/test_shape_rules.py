@@ -129,6 +129,49 @@ def use(x):
         findings = check_source(source, select=["SHAPE002"])
         assert "SHAPE002" in rules_of(findings)
 
+    SWAPPED_CALLEE = """
+from repro.contracts import shaped
+
+@shaped("(B,I,H,W), (J,I,R,R) -> (B,J,H,W)")
+def conv(x, w):
+    return x
+"""
+
+    def test_swapped_arguments_in_while_body_flagged(self):
+        source = self.SWAPPED_CALLEE + """
+@shaped("(B,I,H,W), (J,I,R,R), S -> (B,I,H,W)")
+def model(x, w, steps):
+    while steps:
+        conv(w, x)
+        steps -= 1
+    return x
+"""
+        findings = check_source(source, select=["SHAPE002"])
+        assert "SHAPE002" in rules_of(findings)
+
+    def test_swapped_arguments_after_comprehension_flagged(self):
+        source = self.SWAPPED_CALLEE + """
+@shaped("(B,I,H,W), (J,I,R,R) -> (B,I,H,W)")
+def model(x, w):
+    sizes = [n for n in range(3)]
+    conv(w, x)
+    return x
+"""
+        findings = check_source(source, select=["SHAPE002"])
+        assert "SHAPE002" in rules_of(findings)
+
+    def test_flipped_weight_transform_return_dims_flagged(self):
+        # The flipped-G chain ends in (..., R, T) where the contract
+        # declares (..., T, T): an ellipsis operand's trailing dims.
+        mutated = mutate(
+            COOK_TOOM,
+            "out = np.tensordot(w, self.G, axes=([-2], [1]))",
+            "out = np.tensordot(w, self.G, axes=([-2], [0]))",
+        )
+        findings = check_source(mutated, select=["SHAPE002"])
+        assert rules_of(findings) == ["SHAPE002"]
+        assert "returns dim 0 = R" in findings[0].message
+
     def test_real_tree_is_clean(self):
         for path in (COOK_TOOM, TILING, PARTITION, COLLECTIVES):
             findings = check_source(
@@ -155,6 +198,21 @@ class TestShape003TransformConformance:
         findings = check_source(mutated, select=["SHAPE003"])
         assert "SHAPE003" in rules_of(findings)
         assert any("G" in f.message for f in findings)
+
+    def test_any_tensordot_with_mismatched_axes_flagged(self):
+        # Not a Cook-Toom matrix: the contracted sizes K and M differ.
+        source = """
+import numpy as np
+from repro.contracts import shaped
+
+@shaped("(N,K), (M,J) -> (N,J)")
+def project(a, b):
+    return np.tensordot(a, b, axes=([1], [0]))
+"""
+        findings = check_source(source, select=["SHAPE003"])
+        assert rules_of(findings) == ["SHAPE003"]
+        assert "(size K)" in findings[0].message
+        assert "(size M)" in findings[0].message
 
     def test_flipped_inverse_transform_flagged(self):
         mutated = mutate(
@@ -287,7 +345,7 @@ class TestPropagationStats:
     every annotated subsystem, not just defines them."""
 
     def test_contract_counts(self):
-        from repro.statcheck.shapes import collect_stats
+        from repro.statcheck.interp import collect_stats
 
         stats = collect_stats([str(REPO / "src" / "repro")])
         by_subsystem = {}
