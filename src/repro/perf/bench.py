@@ -396,7 +396,7 @@ def _points_planner_battery() -> List:
                 sweep_point(
                     _plan_network_cached,
                     net.name, layers, 256, config, 256, DEFAULT_KNOBS,
-                    preset(preset_name), "time", "dp", 4,
+                    preset(preset_name), "time", "dp",
                     DEFAULT_PARAMS, DEFAULT_FACTORS,
                 )
             )

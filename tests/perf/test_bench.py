@@ -143,7 +143,7 @@ class TestParallelBench:
         from repro.perf.parallel import run_points
 
         caches = _sweep_caches()
-        for name in ("fig15", "fig16"):
+        for name in POINT_ENUMERATORS:
             for cache in caches:
                 cache.clear()
             run_points(POINT_ENUMERATORS[name]())
