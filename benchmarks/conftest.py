@@ -10,7 +10,6 @@ blob, so saved benchmark JSON ties every perf number to the lint state
 of the tree that produced it.
 """
 
-import os
 from pathlib import Path
 from typing import Dict, Iterable, List
 
@@ -20,9 +19,6 @@ from repro.analysis import format_table
 from repro.statcheck import check_paths
 
 _REPO = Path(__file__).resolve().parents[1]
-
-#: Per-test call durations collected this session (test id -> seconds).
-_DURATIONS: Dict[str, float] = {}
 
 
 def statcheck_summary() -> Dict[str, int]:
@@ -37,35 +33,6 @@ def statcheck_summary() -> Dict[str, int]:
 def pytest_benchmark_update_machine_info(config, machine_info):
     """pytest-benchmark hook: stamp lint state into saved benchmark JSON."""
     machine_info.update(statcheck_summary())
-
-
-def pytest_runtest_logreport(report):
-    """Collect each benchmark's call-phase wall time."""
-    if report.when == "call" and report.passed:
-        _DURATIONS[report.nodeid] = report.duration
-
-
-@pytest.fixture(scope="session", autouse=True)
-def aggregate_bench_json():
-    """Funnel the session's per-benchmark wall times into the same
-    schema-2 JSON that ``python -m repro bench`` writes (one on-disk
-    format for the perf trajectory).  Opt in by pointing the
-    ``REPRO_BENCH_JSON`` environment variable at the output path::
-
-        REPRO_BENCH_JSON=bench_figs.json pytest benchmarks/
-    """
-    yield
-    out = os.environ.get("REPRO_BENCH_JSON")
-    if not out or not _DURATIONS:
-        return
-    from repro.perf import write_bench_json
-
-    entries = {
-        nodeid: {"wall_s": seconds, "rounds_s": [seconds]}
-        for nodeid, seconds in sorted(_DURATIONS.items())
-    }
-    path = write_bench_json({"benchmarks": entries}, Path(out))
-    print(f"\nwrote {path} ({len(entries)} benchmark timings)")
 
 
 @pytest.fixture(scope="session", autouse=True)

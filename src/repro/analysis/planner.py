@@ -1,11 +1,11 @@
 """Planner analysis: greedy-vs-DP comparison and the Pareto frontier.
 
-``planner_rows`` is the ``planner_battery`` benchmark body and the
-``repro figure planner`` generator: for each paper workload and
-transition preset it prices the greedy per-layer baseline and the DP
-chain under the same fold and reports the savings.  ``planner_pareto_
-rows`` sweeps objectives and presets, places every resulting plan in
-(time, energy) space and marks the non-dominated frontier.
+``planner_rows`` is the ``repro figure planner`` generator: for each
+paper workload and transition preset it prices the greedy per-layer
+baseline and the DP chain under the same fold and reports the savings.
+``planner_pareto_rows`` sweeps objectives and presets, places every
+resulting plan in (time, energy) space and marks the non-dominated
+frontier.
 """
 
 from __future__ import annotations

@@ -155,36 +155,6 @@ def cmd_statcheck(args: argparse.Namespace) -> None:
     sys.exit(statcheck_main(argv))
 
 
-def cmd_bench(args: argparse.Namespace) -> None:
-    """Run the perf-regression benchmarks and write BENCH json."""
-    from pathlib import Path
-
-    from .perf import BENCHMARKS, run_benchmarks, write_bench_json
-    from .perf.bench import format_results
-
-    if args.list:
-        for name, fn in sorted(BENCHMARKS.items()):
-            doc = (fn.__doc__ or "").strip().splitlines()
-            print(f"{name:<20} {doc[0] if doc else ''}")
-        return
-    subset = None
-    if args.subset:
-        subset = [name.strip() for name in args.subset.split(",") if name.strip()]
-    try:
-        cache_dir = Path(args.cache_dir) if args.cache_dir else None
-        document = run_benchmarks(
-            subset=subset,
-            rounds=args.rounds,
-            workers=args.workers,
-            cache_dir=cache_dir,
-        )
-    except ValueError as exc:
-        sys.exit(str(exc))
-    print(format_results(document))
-    path = write_bench_json(document, Path(args.out))
-    print(f"\nwrote {path}")
-
-
 def cmd_faults(args: argparse.Namespace) -> None:
     """Run a named fault scenario and write its JSON report."""
     from .faults import report_json, run_scenario, scenario_names
@@ -265,7 +235,6 @@ def cmd_plan(args: argparse.Namespace) -> None:
             modes=tuple(args.modes.split(",")),
             knobs=knobs,
             validate=args.validate,
-            sweep_workers=args.workers,
         )
     except PlannerError as exc:
         sys.exit(str(exc))
@@ -343,28 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="regenerate the COST003 complexity baseline")
     p_chk.set_defaults(func=cmd_statcheck)
 
-    p_bench = sub.add_parser(
-        "bench", help="run the perf-regression benchmarks, write BENCH json"
-    )
-    p_bench.add_argument(
-        "--subset",
-        help="comma-separated benchmark names (default: the whole registry)",
-    )
-    p_bench.add_argument("--rounds", type=int, default=3,
-                         help="rounds per benchmark; best wall time is kept")
-    p_bench.add_argument("--workers", type=int, default=1,
-                         help="also run each parallelisable sweep cold across "
-                              "N worker processes (deterministic merge; "
-                              "output is byte-identical to --workers 1)")
-    p_bench.add_argument("--cache-dir",
-                         help="shared sweep-cache directory for the parallel "
-                              "runs (default: a private temporary directory)")
-    p_bench.add_argument("-o", "--out", default="BENCH_PR9.json",
-                         help="output JSON path (schema 2)")
-    p_bench.add_argument("--list", action="store_true",
-                         help="list registered benchmarks and exit")
-    p_bench.set_defaults(func=cmd_bench)
-
     p_flt = sub.add_parser(
         "faults", help="run a fault scenario, write its JSON report"
     )
@@ -409,9 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="fraction of the DRAM stack a strategy may use")
     p_plan.add_argument("--validate", action="store_true",
                         help="replay costed transitions on the event simulator")
-    p_plan.add_argument("--workers", type=int, default=1,
-                        help="sweep worker processes for the strategy-space "
-                             "pre-warm (output is byte-identical at any count)")
     p_plan.add_argument("-o", "--out", default="PLAN.json",
                         help="output JSON path ('-' for stdout)")
     p_plan.add_argument("--list", action="store_true",

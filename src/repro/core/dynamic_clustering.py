@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
 from ..params import DEFAULT_PARAMS, HardwareParams
-from ..perf import memoize_sweep, phase
+from ..perf import memoize_sweep
 from ..winograd.cook_toom import WinogradTransform
 from ..workloads.layers import ConvLayerSpec
 from .comm_model import DEFAULT_FACTORS, TrafficFactors, transform_for
@@ -88,28 +88,27 @@ def _choose_clustering_cached(
     # already keys on (layer, batch, config, workers, params, factors),
     # so routing per-grid evaluations through ``evaluate_layer_cached``
     # would only rebuild content keys that can never hit here.
-    with phase("model"):
-        if not config.dynamic_clustering:
-            multi_group = transform_for(
-                config, GridConfig(4, max(1, workers // 4)), layer.kernel
-            )
-            grid = default_grid(config, workers, multi_group.tile**2)
-            perf = model._evaluate_layer_impl(layer, batch, config, grid, None)
-            return ClusteringChoice(
-                layer=layer, chosen=grid, evaluations={grid: perf}
-            )
+    if not config.dynamic_clustering:
+        multi_group = transform_for(
+            config, GridConfig(4, max(1, workers // 4)), layer.kernel
+        )
+        grid = default_grid(config, workers, multi_group.tile**2)
+        perf = model._evaluate_layer_impl(layer, batch, config, grid, None)
+        return ClusteringChoice(
+            layer=layer, chosen=grid, evaluations={grid: perf}
+        )
 
-        evaluations: Dict[GridConfig, LayerPerf] = {}
-        best: Optional[GridConfig] = None
-        best_time = float("inf")
-        for grid in candidate_grids(layer, config, workers):
-            perf = model._evaluate_layer_impl(layer, batch, config, grid, None)
-            evaluations[grid] = perf
-            if perf.total_s < best_time:
-                best_time = perf.total_s
-                best = grid
-        assert best is not None
-        return ClusteringChoice(layer=layer, chosen=best, evaluations=evaluations)
+    evaluations: Dict[GridConfig, LayerPerf] = {}
+    best: Optional[GridConfig] = None
+    best_time = float("inf")
+    for grid in candidate_grids(layer, config, workers):
+        perf = model._evaluate_layer_impl(layer, batch, config, grid, None)
+        evaluations[grid] = perf
+        if perf.total_s < best_time:
+            best_time = perf.total_s
+            best = grid
+    assert best is not None
+    return ClusteringChoice(layer=layer, chosen=best, evaluations=evaluations)
 
 
 def replan_for_survivors(

@@ -21,7 +21,7 @@ from typing import Dict, Optional
 
 from ..ndp.energy import EnergyBreakdown, EnergyModel
 from ..ndp.systolic import batched_gemm_cycles
-from ..perf import memoize_sweep, phase, register_canonical
+from ..perf import memoize_sweep, register_canonical
 from ..netsim.collectives import (
     all_to_all_time,
     fbfly_injection_rate,
@@ -442,13 +442,11 @@ def evaluate_layer_cached(
     """Content-keyed, process-wide cache in front of the perf model.
 
     :meth:`PerfModel.evaluate_layer` routes every evaluation through
-    here; the wrapper's ``cache`` attribute is what the benchmark runner
-    clears and reports (see ``repro.perf.bench``).  The body only runs
-    on a cache miss, so the ``model`` phase attributes pure model time.
+    here; the wrapper's ``cache`` attribute counts hits and misses, and
+    the body only runs on a miss.
     """
-    with phase("model"):
-        model = PerfModel(params=params, factors=factors)
-        return model._evaluate_layer_impl(layer, batch, config, grid, transform)
+    model = PerfModel(params=params, factors=factors)
+    return model._evaluate_layer_impl(layer, batch, config, grid, transform)
 
 
 def powered_links(config: SystemConfig, grid: GridConfig) -> tuple[int, int]:

@@ -188,8 +188,8 @@ def _scenario_grid_row_cached(
     message_bytes: int,
     params: HardwareParams,
 ) -> dict:
-    """The scenario-battery kernel: statically pure (EFF001), so the
-    parallel sweep executor may dispatch it to worker processes.
+    """The scenario-battery kernel: statically pure (EFF001), so safe to
+    memoize.
 
     The machine is built per nested kernel — once for the fault-free
     baseline and once for the fault run — because recovery may splice

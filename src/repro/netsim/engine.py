@@ -34,7 +34,7 @@ from functools import partial
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from ..params import DEFAULT_PARAMS, HardwareParams
-from ..perf import counter_add, phase
+from ..perf import counter_add
 from .fastpath import fastpath_enabled, packet_split, store_and_forward_times
 from .topology import Link, Topology
 
@@ -304,26 +304,25 @@ class NetworkSimulator:
 
     def run(self, until: Optional[float] = None) -> float:
         """Drain the event queue; returns the final simulated time."""
-        with phase("netsim"):
-            self._run_until = until
-            processed = 0
-            try:
-                heap = self._heap
-                pop = heapq.heappop
-                while heap:
-                    event = pop(heap)
-                    time = event[0]
-                    if until is not None and time > until:
-                        heapq.heappush(heap, event)
-                        self.now = until
-                        return self.now
-                    self.now = time
-                    processed += 1
-                    event[2]()
-            finally:
-                self.events_processed += processed
-                self._flush_counters()
-                self._run_until = None
+        self._run_until = until
+        processed = 0
+        try:
+            heap = self._heap
+            pop = heapq.heappop
+            while heap:
+                event = pop(heap)
+                time = event[0]
+                if until is not None and time > until:
+                    heapq.heappush(heap, event)
+                    self.now = until
+                    return self.now
+                self.now = time
+                processed += 1
+                event[2]()
+        finally:
+            self.events_processed += processed
+            self._flush_counters()
+            self._run_until = None
         return self.now
 
     def _flush_counters(self) -> None:

@@ -56,7 +56,6 @@ from dataclasses import dataclass
 from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple
 
 from ..perf import counter_add, effect_free
-from ..perf.profiler import phase
 
 #: Tolerance the engine's ``schedule`` applies to "in the past" checks;
 #: start times earlier than ``now`` by more than this are engine errors
@@ -179,8 +178,7 @@ def ring_allreduce_shortcut(
         return None
     if start_time < sim.now - _PAST_SLACK:
         return None  # reference path raises the "past" error
-    with phase("netsim"):
-        return _ring_shortcut_locked(sim, nodes, slice_sizes, start_time, deadline_s)
+    return _ring_shortcut_locked(sim, nodes, slice_sizes, start_time, deadline_s)
 
 
 @dataclass(frozen=True)
@@ -368,49 +366,48 @@ def all_to_all_shortcut(
         return None
     if start_time < sim.now - _PAST_SLACK:
         return None
-    with phase("netsim"):
-        try:
-            links = []
-            for src in nodes:
-                for dst in nodes:
-                    if src == dst:
-                        continue
-                    route = sim.topology.route(src, dst)
-                    if len(route) != 1:
-                        return None
-                    links.append(route[0])
-        except (KeyError, ValueError, RuntimeError):
-            return None  # unreachable pair: the reference path raises it
-        if len(set(link.bytes_per_s for link in links)) != 1:
-            return None
-        if len(set(link.latency_s for link in links)) != 1:
-            return None
-        rate = links[0].bytes_per_s
-        lat = links[0].latency_s
-        sizes = packet_split(
-            pair_bytes, sim.packet_bytes, sim.params.packet_header_bytes
-        )
-        finish = _serialise_step(start_time, sizes, rate) + lat
-        if deadline_s is not None and finish > deadline_s:
-            return None
-        faults = sim.faults
-        if faults is not None:
-            for link in links:
-                if _hooks_link_state(faults, link, start_time, finish) != "clean":
+    try:
+        links = []
+        for src in nodes:
+            for dst in nodes:
+                if src == dst:
+                    continue
+                route = sim.topology.route(src, dst)
+                if len(route) != 1:
                     return None
-        wire = sum(sizes)
+                links.append(route[0])
+    except (KeyError, ValueError, RuntimeError):
+        return None  # unreachable pair: the reference path raises it
+    if len(set(link.bytes_per_s for link in links)) != 1:
+        return None
+    if len(set(link.latency_s for link in links)) != 1:
+        return None
+    rate = links[0].bytes_per_s
+    lat = links[0].latency_s
+    sizes = packet_split(
+        pair_bytes, sim.packet_bytes, sim.params.packet_header_bytes
+    )
+    finish = _serialise_step(start_time, sizes, rate) + lat
+    if deadline_s is not None and finish > deadline_s:
+        return None
+    faults = sim.faults
+    if faults is not None:
         for link in links:
-            link.bytes_carried += wire
-        count = n * (n - 1)
-        if finish > sim.now:
-            sim.now = finish
-        sim.messages_delivered += count
-        sim.bytes_delivered += count * pair_bytes
-        counter_add("netsim.packets_served", count * len(sizes))
-        counter_add("netsim.collectives_coalesced", 1)
-        return {
-            "finish": finish,
-            "messages": count,
-            "bytes": float(count * pair_bytes),
-            "completed": True,
-        }
+            if _hooks_link_state(faults, link, start_time, finish) != "clean":
+                return None
+    wire = sum(sizes)
+    for link in links:
+        link.bytes_carried += wire
+    count = n * (n - 1)
+    if finish > sim.now:
+        sim.now = finish
+    sim.messages_delivered += count
+    sim.bytes_delivered += count * pair_bytes
+    counter_add("netsim.packets_served", count * len(sizes))
+    counter_add("netsim.collectives_coalesced", 1)
+    return {
+        "finish": finish,
+        "messages": count,
+        "bytes": float(count * pair_bytes),
+        "completed": True,
+    }

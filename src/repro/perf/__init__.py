@@ -1,56 +1,31 @@
-"""Cross-cutting performance layer: sweep memoization, wall-time
-attribution and the perf-regression benchmark runner.
-
-Three pieces, used together by the figure/ablation sweeps:
+"""Cross-cutting performance layer: sweep memoization and event counters.
 
 * :mod:`repro.perf.memoize` — a content-hash keyed cache for pure
   evaluations over (frozen) config dataclasses, so repeated
   ``(layer, grid, batch)`` points in a sweep are computed once per
-  process (and optionally persisted to disk).
-* :mod:`repro.perf.profiler` — a zero-dependency ``Timer`` plus a
-  global phase/counter registry that benchmarks use to attribute wall
-  time to kernel / netsim / model phases.
-* :mod:`repro.perf.bench` — ``python -m repro bench``: runs the
-  benchmark suite (or a named subset), records wall clock plus the
-  profiling breakdown, and writes the ``BENCH_PR<k>.json`` perf
-  trajectory file future PRs regress against.
-* :mod:`repro.perf.parallel` — the process-parallel sweep executor:
-  shards registered pure-kernel evaluations across worker processes
-  through a crash-safe shared disk cache and merges deterministically,
-  so ``repro bench --workers N`` is byte-identical to ``--workers 1``.
+  process.
+* :mod:`repro.perf.profiler` — a global counter registry (packets
+  served, flows coalesced, ...) that is a no-op until enabled.
+* :mod:`repro.perf.parallel` — imports every module that registers a
+  sweep kernel and lists their caches.
+
+Host time is measured from outside the package by the repo benchmark
+(``bench/``, see ``bench/README.md``).
 """
 
-from .bench import (
-    BENCHMARKS,
-    POINT_ENUMERATORS,
-    collect_machine_info,
-    run_benchmarks,
-    write_bench_json,
-)
 from .memoize import (
     MEMOIZED_SWEEPS,
     SweepCache,
     build_key,
     canonicalize,
     effect_free,
-    key_digest,
     memoize_sweep,
     register_canonical,
     sweep_key,
 )
-from .parallel import (
-    SWEEP_MODULES,
-    SweepPoint,
-    import_sweep_modules,
-    registered_caches,
-    run_points,
-    sweep_point,
-)
+from .parallel import SWEEP_MODULES, import_sweep_modules, registered_caches
 from .profiler import (
-    Timer,
     counter_add,
-    merge_profile,
-    phase,
     profiling_disabled,
     profiling_enabled,
     reset_profile,
@@ -58,32 +33,20 @@ from .profiler import (
 )
 
 __all__ = [
-    "BENCHMARKS",
     "MEMOIZED_SWEEPS",
-    "POINT_ENUMERATORS",
     "SWEEP_MODULES",
     "SweepCache",
-    "SweepPoint",
-    "Timer",
     "build_key",
     "canonicalize",
-    "collect_machine_info",
     "counter_add",
     "effect_free",
     "import_sweep_modules",
-    "key_digest",
     "memoize_sweep",
-    "merge_profile",
-    "phase",
     "profiling_disabled",
     "profiling_enabled",
     "register_canonical",
     "registered_caches",
     "reset_profile",
-    "run_benchmarks",
-    "run_points",
     "snapshot_profile",
     "sweep_key",
-    "sweep_point",
-    "write_bench_json",
 ]

@@ -22,14 +22,10 @@ a cheaper canonical form with :func:`register_canonical`.
 from __future__ import annotations
 
 import functools
-import hashlib
 import inspect
-import os
-import pickle
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
-from pathlib import Path
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Tuple
 
 _CANONICAL_HOOKS: Dict[type, Callable[[Any], Any]] = {}
 
@@ -47,10 +43,10 @@ def effect_free(fn: Callable) -> Callable:
     The analysis treats a vouched function's summary as pure without
     reading its body.  Reserve this for observability-only helpers
     whose effects are *designed* to be invisible to cached results —
-    the profiler's ``phase``/``counter_add`` counters are the canonical
-    case.  A function whose effects feed back into return values must
-    never be vouched; the seeded-mutation tests exist to keep that
-    temptation expensive.
+    the profiler's ``counter_add`` counters are the canonical case.  A
+    function whose effects feed back into return values must never be
+    vouched; the seeded-mutation tests exist to keep that temptation
+    expensive.
     """
     fn.__statcheck_effect_free__ = True
     return fn
@@ -213,8 +209,8 @@ def sweep_key(*objs: Any) -> Tuple[Any, ...]:
 def build_key(args: Tuple[Any, ...], kwargs: Dict[str, Any]) -> Tuple[Any, Any]:
     """The exact cache key a :func:`memoize_sweep` wrapper builds for a
     call ``fn(*args, **kwargs)`` — a fixed ``(positional, keyword)``
-    2-tuple of canonical forms.  Exposed so out-of-line executors (the
-    parallel sweep runner) can key points without invoking the kernel.
+    2-tuple of canonical forms.  The wrapper calls it by module-level
+    name, so a tracer that rebinds it sees every key build.
     """
     if kwargs:
         kw_key: Any = tuple(
@@ -226,58 +222,19 @@ def build_key(args: Tuple[Any, ...], kwargs: Dict[str, Any]) -> Tuple[Any, Any]:
     return (tuple(map(canonicalize, args)), kw_key)
 
 
-def key_digest(key: Any) -> str:
-    """Stable hex digest of a canonical key (used for disk-cache file
-    names; the in-memory cache keeps the exact tuple, so digest
-    collisions can at worst cause a disk re-read, never a wrong hit)."""
-    return hashlib.sha256(repr(key).encode("utf-8")).hexdigest()
-
-
 _MISSING = object()
 
 
 class SweepCache:
-    """In-memory (optionally disk-backed) store keyed by content keys.
+    """In-memory store keyed by content keys, with hit/miss counters."""
 
-    Disk persistence pickles each value under its key digest inside
-    ``disk_dir``; a digest file is only trusted after an exact key match
-    against the tuple pickled next to the value.
-
-    The disk layer is safe to share between concurrent processes: every
-    write lands in a private temp file first and is published with an
-    atomic ``os.replace``, so a reader never observes a torn entry and
-    the last concurrent writer of one digest wins with a complete file
-    (both writers hold the same content, so either outcome is correct).
-    A crash mid-write leaves at most a stale ``*.tmp`` file, never a
-    corrupt published entry — and a corrupt file (e.g. from a pre-atomic
-    writer) reads as a miss, not an exception.
-    """
-
-    def __init__(self, disk_dir: Optional[Path] = None) -> None:
+    def __init__(self) -> None:
         self._memory: Dict[Any, Any] = {}
-        self.disk_dir: Optional[Path] = None
-        if disk_dir is not None:
-            self.attach_disk(disk_dir)
         self.hits = 0
         self.misses = 0
 
-    def attach_disk(self, disk_dir: Path) -> None:
-        """Point this cache at a (possibly shared) persistence directory;
-        subsequent stores publish there and lookups read through misses."""
-        self.disk_dir = Path(disk_dir)
-        self.disk_dir.mkdir(parents=True, exist_ok=True)
-
-    def detach_disk(self) -> None:
-        """Stop persisting; the in-memory contents are untouched."""
-        self.disk_dir = None
-
     def __len__(self) -> int:
         return len(self._memory)
-
-    def _disk_path(self, key: Any) -> Optional[Path]:
-        if self.disk_dir is None:
-            return None
-        return self.disk_dir / f"{key_digest(key)}.pkl"
 
     def lookup(self, key: Any) -> Tuple[bool, Any]:
         """``(found, value)`` — counts a hit/miss."""
@@ -287,35 +244,10 @@ class SweepCache:
         if value is not _MISSING:
             self.hits += 1
             return True, value
-        path = self._disk_path(key)
-        if path is not None and path.exists():
-            try:
-                stored_key, value = pickle.loads(path.read_bytes())
-            except Exception:
-                stored_key, value = object(), None  # corrupt entry: miss
-            if stored_key == key:
-                self._memory[key] = value
-                self.hits += 1
-                return True, value
         self.misses += 1
         return False, None
 
     def store(self, key: Any, value: Any) -> None:
-        self._memory[key] = value
-        path = self._disk_path(key)
-        if path is not None:
-            # Write-temp-then-replace: the published path transitions
-            # atomically from absent/old-complete to new-complete.  The
-            # pid suffix keeps concurrent writers' temp files distinct.
-            tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-            tmp.write_bytes(pickle.dumps((key, value)))
-            os.replace(tmp, path)
-
-    def seed(self, key: Any, value: Any) -> None:
-        """Insert into the in-memory map only — no disk write, no
-        hit/miss accounting.  The parallel merge path uses this to
-        replay worker-computed values into the parent's cache in
-        deterministic key order."""
         self._memory[key] = value
 
     def clear(self) -> None:
@@ -327,9 +259,7 @@ class SweepCache:
         return {"hits": self.hits, "misses": self.misses, "size": len(self._memory)}
 
 
-def memoize_sweep(
-    fn: Optional[Callable] = None, *, disk_dir: Optional[Path] = None
-) -> Callable:
+def memoize_sweep(func: Callable) -> Callable:
     """Decorator: memoize a pure function behind a content-hash key.
 
     Unlike ``functools.lru_cache`` the key is built from argument
@@ -338,39 +268,33 @@ def memoize_sweep(
     wrapper exposes ``cache`` (the :class:`SweepCache`), ``cache_info()``
     and ``cache_clear()``.
     """
+    # Refuse **kwargs up front: a catch-all keyword dict invites passing
+    # arbitrary objects that bypass per-type canonical hooks, silently
+    # degrading key fidelity.  Raising at registration (import time)
+    # turns a latent cache-aliasing bug into an immediate, attributable
+    # failure.
+    for param in inspect.signature(func).parameters.values():
+        if param.kind is inspect.Parameter.VAR_KEYWORD:
+            raise TypeError(
+                f"memoize_sweep refuses {func.__qualname__!r}: "
+                f"**{param.name} makes the content key unfaithful "
+                "(arbitrary keywords bypass canonical hooks); "
+                "spell the cacheable keywords out explicitly"
+            )
+    cache = SweepCache()
 
-    def decorate(func: Callable) -> Callable:
-        # Refuse **kwargs up front: a catch-all keyword dict invites
-        # passing arbitrary objects that bypass per-type canonical
-        # hooks, silently degrading key fidelity.  Raising at
-        # registration (import time) turns a latent cache-aliasing bug
-        # into an immediate, attributable failure.
-        for param in inspect.signature(func).parameters.values():
-            if param.kind is inspect.Parameter.VAR_KEYWORD:
-                raise TypeError(
-                    f"memoize_sweep refuses {func.__qualname__!r}: "
-                    f"**{param.name} makes the content key unfaithful "
-                    "(arbitrary keywords bypass canonical hooks); "
-                    "spell the cacheable keywords out explicitly"
-                )
-        cache = SweepCache(disk_dir=disk_dir)
-
-        @functools.wraps(func)
-        def wrapper(*args: Any, **kwargs: Any) -> Any:
-            key = build_key(args, kwargs)
-            found, value = cache.lookup(key)
-            if found:
-                return value
-            value = func(*args, **kwargs)
-            cache.store(key, value)
+    @functools.wraps(func)
+    def wrapper(*args: Any, **kwargs: Any) -> Any:
+        key = build_key(args, kwargs)
+        found, value = cache.lookup(key)
+        if found:
             return value
+        value = func(*args, **kwargs)
+        cache.store(key, value)
+        return value
 
-        wrapper.cache = cache
-        wrapper.cache_info = cache.info
-        wrapper.cache_clear = cache.clear
-        MEMOIZED_SWEEPS[func.__qualname__] = wrapper
-        return wrapper
-
-    if fn is not None:
-        return decorate(fn)
-    return decorate
+    wrapper.cache = cache
+    wrapper.cache_info = cache.info
+    wrapper.cache_clear = cache.clear
+    MEMOIZED_SWEEPS[func.__qualname__] = wrapper
+    return wrapper

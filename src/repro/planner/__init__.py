@@ -18,7 +18,6 @@ from .report import (
     network_by_name,
     network_names,
     plan_report,
-    prewarm_layer_spaces,
     report_json,
 )
 from .solver import (
@@ -79,7 +78,6 @@ __all__ = [
     "plan_report",
     "preset",
     "preset_names",
-    "prewarm_layer_spaces",
     "report_json",
     "rerouted_bytes",
     "transition_cost",

@@ -3,15 +3,8 @@
 ``plan_report`` solves one (network, config, transition-preset) instance
 in the requested modes and renders it as pure data: no timestamps, no
 machine stamps, sorted-key canonical serialisation — two runs of the
-same request (at *any* sweep worker count) diff clean, which the CLI
-smoke test and the checked-in golden rely on.
-
-``sweep_workers > 1`` pre-warms the per-layer strategy-space kernel
-through :func:`repro.perf.parallel.run_points` (the layer spaces are the
-expensive part: every grid × transform × split candidate is a full
-performance-model evaluation); the chain solve itself then replays
-serially against the warm cache, so parallelism changes when candidates
-are computed, never what the plan says.
+same request diff clean, which the CLI smoke test and the checked-in
+golden rely on.
 """
 
 from __future__ import annotations
@@ -30,16 +23,9 @@ from ..core.config import (
 )
 from ..core.perf_model import PerfModel
 from ..params import DEFAULT_PARAMS, HardwareParams
-from ..perf.parallel import run_points, sweep_point
 from ..workloads import CnnSpec, resnet34, vgg16, wide_resnet_40_10
 from .solver import MODES, NetworkPlan, PlannedLayer, _plan_network_cached, greedy_plan
-from .strategy import (
-    DEFAULT_KNOBS,
-    OBJECTIVES,
-    PlannerError,
-    StrategyKnobs,
-    _layer_candidates_cached,
-)
+from .strategy import DEFAULT_KNOBS, OBJECTIVES, PlannerError, StrategyKnobs
 from .transition import TransitionCostModel, preset
 from .validate import validate_plan_transitions
 
@@ -138,31 +124,6 @@ def _plan_dict(plan: NetworkPlan, greedy: Optional[NetworkPlan]) -> Dict[str, ob
     return out
 
 
-def prewarm_layer_spaces(
-    net: CnnSpec,
-    config: SystemConfig,
-    workers: int,
-    batch: int,
-    knobs: StrategyKnobs,
-    sweep_workers: int,
-    params: HardwareParams,
-    factors: TrafficFactors,
-) -> Dict[str, object]:
-    """Evaluate every layer's strategy space across processes.
-
-    Seeds the :func:`_layer_candidates_cached` in-memory cache so the
-    subsequent serial chain solve hits on every layer.
-    """
-    points = [
-        sweep_point(
-            _layer_candidates_cached,
-            layer, batch, config, workers, knobs, params, factors,
-        )
-        for layer in net.conv_layers
-    ]
-    return run_points(points, workers=sweep_workers)
-
-
 def plan_report(
     network: str = "vgg16",
     config: str = "w_mp++",
@@ -174,7 +135,6 @@ def plan_report(
     knobs: StrategyKnobs = DEFAULT_KNOBS,
     include_greedy: bool = True,
     validate: bool = False,
-    sweep_workers: int = 1,
     params: HardwareParams = DEFAULT_PARAMS,
     factors: TrafficFactors = DEFAULT_FACTORS,
 ) -> Dict[str, object]:
@@ -195,10 +155,6 @@ def plan_report(
     net = network_by_name(network)
     system = config_by_name(config)
     transition_model: TransitionCostModel = preset(transition)
-    if sweep_workers > 1:
-        prewarm_layer_spaces(
-            net, system, workers, batch, knobs, sweep_workers, params, factors
-        )
     model = PerfModel(params=params, factors=factors)
     greedy = (
         greedy_plan(
@@ -243,6 +199,6 @@ def plan_report(
 
 
 def report_json(report: Dict[str, object]) -> str:
-    """Canonical serialisation: sorted keys, trailing newline — reports
-    from any process count diff clean."""
+    """Canonical serialisation: sorted keys, trailing newline — two
+    reports of the same request diff clean."""
     return json.dumps(report, indent=2, sort_keys=True) + "\n"

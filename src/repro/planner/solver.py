@@ -27,7 +27,7 @@ from ..core.config import SystemConfig
 from ..core.dynamic_clustering import _choose_clustering_cached
 from ..core.perf_model import PerfModel
 from ..params import DEFAULT_PARAMS, HardwareParams
-from ..perf import memoize_sweep, phase
+from ..perf import memoize_sweep
 from ..workloads.layers import ConvLayerSpec
 from ..workloads.networks import CnnSpec
 from .strategy import (
@@ -131,10 +131,9 @@ def plan_network(
 ) -> NetworkPlan:
     """Solve the global strategy chain for a whole network.
 
-    Memoized process-wide on the contents of every argument, so plans
-    participate in ``repro.perf.parallel`` sweeps like any other kernel;
-    the returned plan is shared across equal calls and must be treated
-    as read-only.
+    Memoized process-wide on the contents of every argument; the
+    returned plan is shared across equal calls and must be treated as
+    read-only.
     """
     if objective not in OBJECTIVES:
         raise PlannerError(
@@ -163,35 +162,34 @@ def _plan_network_cached(
     params: HardwareParams = DEFAULT_PARAMS,
     factors: TrafficFactors = DEFAULT_FACTORS,
 ) -> NetworkPlan:
-    """The plan kernel: statically pure (EFF001), parallel-dispatchable."""
-    with phase("planner"):
-        per_layer: List[Tuple[StrategyCandidate, ...]] = []
-        for layer in layers:
-            candidates = _layer_candidates_cached(
-                layer, batch, config, workers, knobs, params, factors
-            )
-            usable = tuple(c for c in candidates if c.feasible)
-            if not usable:
-                raise PlannerError(
-                    f"no strategy for layer {layer.name!r} fits "
-                    f"{knobs.capacity_frac:.0%} of the per-worker DRAM stack "
-                    f"({params.dram_capacity_bytes / 2**30:.1f} GiB)"
-                )
-            per_layer.append(usable)
-        if not layers:
-            indices: Tuple[int, ...] = ()
-        elif mode == "dp":
-            indices = _solve_dp(
-                per_layer, layers, batch, transition, objective, params
-            )
-        else:
-            indices = _solve_oracle(
-                per_layer, layers, batch, transition, objective, params
-            )
-        return _assemble(
-            network, mode, objective, transition, layers, per_layer, indices,
-            batch, params,
+    """The plan kernel: statically pure (EFF001), so safe to memoize."""
+    per_layer: List[Tuple[StrategyCandidate, ...]] = []
+    for layer in layers:
+        candidates = _layer_candidates_cached(
+            layer, batch, config, workers, knobs, params, factors
         )
+        usable = tuple(c for c in candidates if c.feasible)
+        if not usable:
+            raise PlannerError(
+                f"no strategy for layer {layer.name!r} fits "
+                f"{knobs.capacity_frac:.0%} of the per-worker DRAM stack "
+                f"({params.dram_capacity_bytes / 2**30:.1f} GiB)"
+            )
+        per_layer.append(usable)
+    if not layers:
+        indices: Tuple[int, ...] = ()
+    elif mode == "dp":
+        indices = _solve_dp(
+            per_layer, layers, batch, transition, objective, params
+        )
+    else:
+        indices = _solve_oracle(
+            per_layer, layers, batch, transition, objective, params
+        )
+    return _assemble(
+        network, mode, objective, transition, layers, per_layer, indices,
+        batch, params,
+    )
 
 
 def _edge(

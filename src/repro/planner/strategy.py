@@ -31,7 +31,7 @@ from ..core.dynamic_clustering import candidate_grids
 from ..core.perf_model import LayerPerf, PerfModel
 from ..ndp.dram import stack_fits
 from ..params import DEFAULT_PARAMS, HardwareParams
-from ..perf import memoize_sweep, phase
+from ..perf import memoize_sweep
 from ..winograd.cook_toom import WinogradTransform, make_transform
 from ..workloads.layers import ConvLayerSpec
 
@@ -245,63 +245,62 @@ def _layer_candidates_cached(
     params: HardwareParams = DEFAULT_PARAMS,
     factors: TrafficFactors = DEFAULT_FACTORS,
 ) -> Tuple[StrategyCandidate, ...]:
-    """The strategy-space kernel: statically pure (EFF001), so plans can
-    be pre-warmed by the parallel sweep executor."""
+    """The strategy-space kernel: statically pure (EFF001), so every
+    plan over the same layer shares one evaluation of its space."""
     model = PerfModel(params=params, factors=factors)
-    with phase("planner"):
-        if not config.dynamic_clustering:
-            multi_group = transform_for(
-                config, GridConfig(4, max(1, workers // 4)), layer.kernel
-            )
-            grids: Sequence[GridConfig] = (
-                default_grid(config, workers, multi_group.tile**2),
+    if not config.dynamic_clustering:
+        multi_group = transform_for(
+            config, GridConfig(4, max(1, workers // 4)), layer.kernel
+        )
+        grids: Sequence[GridConfig] = (
+            default_grid(config, workers, multi_group.tile**2),
+        )
+    else:
+        grids = candidate_grids(layer, config, workers)
+
+    candidates = []
+    for grid in grids:
+        if config.conv == "direct":
+            options: Tuple[Tuple[Optional[WinogradTransform], bool], ...] = (
+                (None, True),
             )
         else:
-            grids = candidate_grids(layer, config, workers)
-
-        candidates = []
-        for grid in grids:
-            if config.conv == "direct":
-                options: Tuple[Tuple[Optional[WinogradTransform], bool], ...] = (
-                    (None, True),
-                )
-            else:
-                default_tr = transform_for(config, grid, layer.kernel)
-                extra = []
-                if knobs.search_transforms and layer.kernel == 3:
-                    for m in (2, 4):
-                        tr = make_transform(m, 3)
-                        if (tr.m, tr.r) == (default_tr.m, default_tr.r):
-                            continue
-                        if grid.num_groups <= tr.tile**2:
-                            extra.append((tr, False))
-                options = ((default_tr, True),) + tuple(extra)
-            for transform, is_default in options:
-                for split in knobs.batch_splits:
-                    if batch % split:
+            default_tr = transform_for(config, grid, layer.kernel)
+            extra = []
+            if knobs.search_transforms and layer.kernel == 3:
+                for m in (2, 4):
+                    tr = make_transform(m, 3)
+                    if (tr.m, tr.r) == (default_tr.m, default_tr.r):
                         continue
-                    # The default option passes transform=None through to
-                    # the model, exactly as the greedy optimiser does.
-                    model_tr = None if is_default else transform
-                    time_s, energy_j, perf = _score(
-                        model, layer, batch, config, grid, model_tr, split
+                    if grid.num_groups <= tr.tile**2:
+                        extra.append((tr, False))
+            options = ((default_tr, True),) + tuple(extra)
+        for transform, is_default in options:
+            for split in knobs.batch_splits:
+                if batch % split:
+                    continue
+                # The default option passes transform=None through to
+                # the model, exactly as the greedy optimiser does.
+                model_tr = None if is_default else transform
+                time_s, energy_j, perf = _score(
+                    model, layer, batch, config, grid, model_tr, split
+                )
+                footprint = _layer_footprint(
+                    layer, batch // split, grid, transform
+                )
+                candidates.append(
+                    StrategyCandidate(
+                        grid=grid,
+                        transform=transform,
+                        transform_is_default=is_default,
+                        batch_split=split,
+                        time_s=time_s,
+                        energy_j=energy_j,
+                        footprint_bytes=footprint,
+                        feasible=stack_fits(
+                            footprint, params, knobs.capacity_frac
+                        ),
+                        perf=perf,
                     )
-                    footprint = _layer_footprint(
-                        layer, batch // split, grid, transform
-                    )
-                    candidates.append(
-                        StrategyCandidate(
-                            grid=grid,
-                            transform=transform,
-                            transform_is_default=is_default,
-                            batch_split=split,
-                            time_s=time_s,
-                            energy_j=energy_j,
-                            footprint_bytes=footprint,
-                            feasible=stack_fits(
-                                footprint, params, knobs.capacity_frac
-                            ),
-                            perf=perf,
-                        )
-                    )
-        return tuple(candidates)
+                )
+    return tuple(candidates)

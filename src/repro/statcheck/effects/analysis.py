@@ -33,7 +33,7 @@ Call-site resolution order, per site:
 Functions decorated ``@effect_free`` (:func:`repro.perf.effect_free`)
 are vouched: their summary is forced to bottom and their body is not
 consulted — the explicit purity registration surface for
-observability-only helpers like the profiler's ``phase``.
+observability-only helpers like the profiler's ``counter_add``.
 """
 
 from __future__ import annotations

@@ -8,7 +8,6 @@ from . import (  # noqa: F401
     cost_rules,
     determinism,
     effect_rules,
-    parallel_rules,
     perf_rules,
     shape_rules,
     units,
@@ -19,7 +18,6 @@ __all__ = [
     "cost_rules",
     "determinism",
     "effect_rules",
-    "parallel_rules",
     "perf_rules",
     "shape_rules",
     "units",

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..contracts import TILE_GEOMETRY, cost, shaped
-from ..perf import phase
 from .cook_toom import WinogradTransform, make_transform
 from .tiling import (
     TileGrid,
@@ -137,12 +136,11 @@ def winograd_forward(
     grid = TileGrid(
         height=x.shape[2], width=x.shape[3], pad=pad, m=transform.m, r=transform.r
     )
-    with phase("kernel"):
-        spatial_tiles = extract_tiles(x, grid)
-        input_tiles = transform.transform_input(spatial_tiles)
-        out_tiles_wd = elementwise_matmul(input_tiles, weights_wd)
-        out_tiles = transform.inverse_transform(out_tiles_wd)
-        y = assemble_output(out_tiles, grid)
+    spatial_tiles = extract_tiles(x, grid)
+    input_tiles = transform.transform_input(spatial_tiles)
+    out_tiles_wd = elementwise_matmul(input_tiles, weights_wd)
+    out_tiles = transform.inverse_transform(out_tiles_wd)
+    y = assemble_output(out_tiles, grid)
     return y, WinogradConvCache(input_tiles=input_tiles, grid=grid)
 
 
@@ -168,13 +166,12 @@ def winograd_backward(
     each worker group.
     """
     grid = cache.grid
-    with phase("kernel"):
-        dy_tiles = assemble_output_adjoint(dy, grid)
-        dy_tiles_wd = transform.inverse_transform_transposed(dy_tiles)
-        dw_wd = elementwise_weight_grad(cache.input_tiles, dy_tiles_wd)
-        dx_tiles_wd = elementwise_matmul_transposed(dy_tiles_wd, weights_wd)
-        dx_tiles = transform.transform_input_transposed(dx_tiles_wd)
-        dx = extract_tiles_adjoint(dx_tiles, grid)
+    dy_tiles = assemble_output_adjoint(dy, grid)
+    dy_tiles_wd = transform.inverse_transform_transposed(dy_tiles)
+    dw_wd = elementwise_weight_grad(cache.input_tiles, dy_tiles_wd)
+    dx_tiles_wd = elementwise_matmul_transposed(dy_tiles_wd, weights_wd)
+    dx_tiles = transform.transform_input_transposed(dx_tiles_wd)
+    dx = extract_tiles_adjoint(dx_tiles, grid)
     return dx, dw_wd
 
 

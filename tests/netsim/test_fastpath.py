@@ -50,6 +50,11 @@ from repro.perf import (
 PAPER_GRIDS = [(16, 16), (4, 64)]
 PAPER_GRIDS_SLOW = [(1, 256)]
 
+#: (all-reduce bytes per worker, all-to-all bytes per pair) run on each
+#: paper grid: a small case, and 64 KiB / 10 kB, where every ring slice
+#: and every pair message spans several packets.
+GRID_MESSAGE_BYTES = [(8192, 512), (64 * 1024, 10_000)]
+
 
 def _topo_snapshot(topology):
     return sorted(
@@ -200,16 +205,15 @@ class TestAllToAllIdentity:
 
 class TestPaperGridIdentity:
     @staticmethod
-    def _build_grid(num_groups, num_clusters, message_bytes):
+    def _build_grid(num_groups, num_clusters, ar_bytes, a2a_bytes):
         def build(fastpath, injector):
             topo, layout = hybrid(num_groups, num_clusters)
             sim = NetworkSimulator(topo, faults=injector, fastpath=fastpath)
-            ar = ring_allreduce(sim, layout.group_members(0), message_bytes)
+            ar = ring_allreduce(sim, layout.group_members(0), ar_bytes)
             observation = {"ar": ar, "now_ar": sim.now}
             if num_groups >= 2:
                 sim2 = NetworkSimulator(topo, fastpath=fastpath)
-                a2a = all_to_all(sim2, layout.cluster_members(0),
-                                 message_bytes // 16)
+                a2a = all_to_all(sim2, layout.cluster_members(0), a2a_bytes)
                 observation["a2a"] = a2a
                 observation["now_a2a"] = sim2.now
             observation["links"] = _topo_snapshot(topo)
@@ -219,12 +223,15 @@ class TestPaperGridIdentity:
 
     @pytest.mark.parametrize("num_groups,num_clusters", PAPER_GRIDS)
     def test_grid_collectives(self, num_groups, num_clusters):
-        _assert_identical(self._build_grid(num_groups, num_clusters, 8192))
+        for ar_bytes, a2a_bytes in GRID_MESSAGE_BYTES:
+            _assert_identical(
+                self._build_grid(num_groups, num_clusters, ar_bytes, a2a_bytes)
+            )
 
     @pytest.mark.slow
     @pytest.mark.parametrize("num_groups,num_clusters", PAPER_GRIDS_SLOW)
     def test_grid_collectives_slow(self, num_groups, num_clusters):
-        _assert_identical(self._build_grid(num_groups, num_clusters, 8192))
+        _assert_identical(self._build_grid(num_groups, num_clusters, 8192, 512))
 
 
 def _spliced_ring_build(groups, clusters, message_bytes, deadline_s=None,
@@ -507,26 +514,38 @@ class TestRawMessageIdentity:
         _assert_identical(build)
 
     def test_staggered_flows(self):
-        def build(fastpath, injector):
-            topo = ring(6)
-            sim = NetworkSimulator(topo, fastpath=fastpath)
-            times = []
-            for i, (src, dst, size, start) in enumerate([
-                (0, 1, 9_000, 0.0),
-                (1, 2, 5_000, 1e-6),
-                (0, 1, 2_000, 2e-6),
-                (3, 4, 64_000, 0.0),
-            ]):
-                sim.send(
-                    Message(src=src, dst=dst, size_bytes=size,
-                            on_complete=lambda m, t, i=i: times.append((i, t))),
-                    start_time=start,
-                )
-            sim.run()
-            return {"times": sorted(times), "now": sim.now,
-                    "links": _topo_snapshot(topo)}
+        def build_flows(n, flows):
+            def build(fastpath, injector):
+                topo = ring(n)
+                sim = NetworkSimulator(topo, fastpath=fastpath)
+                times = []
+                for i, (src, dst, size, start) in enumerate(flows):
+                    sim.send(
+                        Message(src=src, dst=dst, size_bytes=size,
+                                on_complete=lambda m, t, i=i: times.append((i, t))),
+                        start_time=start,
+                    )
+                sim.run()
+                return {"times": sorted(times), "now": sim.now,
+                        "links": _topo_snapshot(topo)}
 
-        _assert_identical(build)
+            return build
+
+        _assert_identical(build_flows(6, [
+            (0, 1, 9_000, 0.0),
+            (1, 2, 5_000, 1e-6),
+            (0, 1, 2_000, 2e-6),
+            (3, 4, 64_000, 0.0),
+        ]))
+        # A five-hop 200 kB flow, a disjoint four-hop flow and a late
+        # one-hop flow onto the five-hop path.  No flow starts alone in
+        # the simulator, so none is coalesced: the fast engine must
+        # still match packet for packet.
+        _assert_identical(build_flows(16, [
+            (0, 5, 200_000, 0.0),
+            (8, 12, 50_000, 0.0),
+            (3, 4, 1_000, 5e-6),
+        ]))
 
 
 class TestEnvironmentToggle:

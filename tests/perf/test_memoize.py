@@ -18,7 +18,6 @@ import pytest
 from repro.core.config import GridConfig, MachineConfig, SystemConfig
 from repro.params import HardwareParams
 from repro.perf import canonicalize, memoize_sweep, register_canonical, sweep_key
-from repro.perf.memoize import SweepCache, key_digest
 
 
 # ---- canonicalize -----------------------------------------------------------
@@ -213,24 +212,6 @@ class TestMemoizeSweep:
         assert f.cache_info()["hits"] == 1
 
 
-class TestSweepCacheDisk:
-    def test_roundtrip_and_exact_key_verification(self, tmp_path):
-        cache = SweepCache(disk_dir=tmp_path)
-        key = sweep_key(Point(1, 2))
-        cache.store(key, "value")
-
-        fresh = SweepCache(disk_dir=tmp_path)
-        found, value = fresh.lookup(key)
-        assert found and value == "value"
-
-        # A corrupt file is a miss, not an exception.
-        path = tmp_path / f"{key_digest(key)}.pkl"
-        path.write_bytes(b"not a pickle")
-        corrupt = SweepCache(disk_dir=tmp_path)
-        found, _ = corrupt.lookup(key)
-        assert not found
-
-
 class TestRegistrationPolicy:
     """Static-verifiability guarantees enforced at decoration time."""
 
@@ -292,70 +273,6 @@ class TestEffectFree:
         assert probe.__statcheck_effect_free__ is True
 
     def test_profiler_hooks_are_vouched(self):
-        from repro.perf.profiler import counter_add, phase
+        from repro.perf.profiler import counter_add
 
-        assert phase.__statcheck_effect_free__ is True
         assert counter_add.__statcheck_effect_free__ is True
-
-
-class TestSweepCacheAtomicity:
-    """Crash-safe disk persistence: write-temp-then-rename publication."""
-
-    def test_store_leaves_no_temp_residue(self, tmp_path):
-        cache = SweepCache(disk_dir=tmp_path)
-        for n in range(5):
-            cache.store(sweep_key(Point(n, n)), n)
-        names = [p.name for p in tmp_path.iterdir()]
-        assert len(names) == 5
-        assert all(name.endswith(".pkl") for name in names)
-        assert not any(".tmp" in name for name in names)
-
-    def test_concurrent_writer_temp_names_are_distinct(self, tmp_path):
-        import os
-
-        cache = SweepCache(disk_dir=tmp_path)
-        key = sweep_key(Point(1, 1))
-        path = cache._disk_path(key)
-        # The temp name embeds the pid, so two processes publishing the
-        # same digest never collide mid-write.
-        assert str(os.getpid()) in f"{path.name}.{os.getpid()}.tmp"
-
-    def test_attach_and_detach_disk(self, tmp_path):
-        cache = SweepCache()
-        key = sweep_key(Point(2, 2))
-        cache.store(key, "ram-only")
-        assert list(tmp_path.iterdir()) == []
-
-        cache.attach_disk(tmp_path)
-        cache.store(key, "published")
-        assert len(list(tmp_path.iterdir())) == 1
-
-        cache.detach_disk()
-        cache.store(sweep_key(Point(3, 3)), "ram-again")
-        assert len(list(tmp_path.iterdir())) == 1
-
-    def test_seed_skips_disk_and_counters(self, tmp_path):
-        cache = SweepCache(disk_dir=tmp_path)
-        key = sweep_key(Point(4, 4))
-        cache.seed(key, "seeded")
-        assert list(tmp_path.iterdir()) == []
-        assert cache.hits == 0 and cache.misses == 0
-        found, value = cache.lookup(key)
-        assert found and value == "seeded"
-
-    def test_corrupt_entry_is_recomputed_through(self, tmp_path):
-        """A corrupt on-disk file (pre-atomic writer, torn disk) reads
-        as a miss and the next store atomically repairs it."""
-        cache = SweepCache(disk_dir=tmp_path)
-        key = sweep_key(Point(5, 5))
-        cache.store(key, "good")
-        path = cache._disk_path(key)
-        path.write_bytes(b"\x00garbage")
-
-        fresh = SweepCache(disk_dir=tmp_path)
-        found, _ = fresh.lookup(key)
-        assert not found
-        fresh.store(key, "repaired")
-        reread = SweepCache(disk_dir=tmp_path)
-        found, value = reread.lookup(key)
-        assert found and value == "repaired"

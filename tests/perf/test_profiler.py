@@ -1,11 +1,7 @@
-"""Profiler: phase attribution, counters and the disabled fast path."""
-
-import time
+"""Profiler: event counters and the disabled fast path."""
 
 from repro.perf import (
-    Timer,
     counter_add,
-    phase,
     profiling_disabled,
     profiling_enabled,
     reset_profile,
@@ -13,14 +9,7 @@ from repro.perf import (
 )
 
 
-class TestTimer:
-    def test_measures_elapsed(self):
-        with Timer() as t:
-            time.sleep(0.01)
-        assert t.elapsed_s >= 0.009
-
-
-class TestPhases:
+class TestCounters:
     def setup_method(self):
         profiling_enabled()
         reset_profile()
@@ -29,38 +18,17 @@ class TestPhases:
         profiling_disabled()
         reset_profile()
 
-    def test_phase_accumulates(self):
-        with phase("unit_test_phase"):
-            time.sleep(0.005)
-        with phase("unit_test_phase"):
-            pass
-        snap = snapshot_profile()
-        entry = snap["phases"]["unit_test_phase"]
-        assert entry["calls"] == 2
-        assert entry["seconds"] >= 0.004
-
     def test_counters(self):
         counter_add("unit_test_counter", 2)
         counter_add("unit_test_counter", 3)
         assert snapshot_profile()["counters"]["unit_test_counter"] == 5
 
     def test_reset(self):
-        with phase("unit_test_phase"):
-            pass
         counter_add("unit_test_counter", 1)
         reset_profile()
-        snap = snapshot_profile()
-        assert snap["phases"] == {}
-        assert snap["counters"] == {}
+        assert snapshot_profile()["counters"] == {}
 
     def test_disabled_is_noop(self):
         profiling_disabled()
-        with phase("unit_test_phase"):
-            pass
         counter_add("unit_test_counter", 1)
-        assert snapshot_profile()["phases"] == {}
         assert snapshot_profile()["counters"] == {}
-
-    def test_disabled_phase_is_shared_singleton(self):
-        profiling_disabled()
-        assert phase("a") is phase("b")

@@ -40,7 +40,7 @@ def run(path: str, rules: str, capsys):
 # ---------------------------------------------------------------------------
 
 PERF_MODEL = REPO_SRC / "core" / "perf_model.py"
-_KERNEL_ANCHOR = '    with phase("model"):'
+_KERNEL_ANCHOR = "    model = PerfModel(params=params, factors=factors)"
 
 
 class TestEFF001SeededMutations:

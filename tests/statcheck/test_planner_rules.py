@@ -1,6 +1,6 @@
 """Seeded-mutation evidence that statcheck guards the planner kernels.
 
-The planner sources ship clean under the EFF/COST/PAR families; these
+The planner sources ship clean under the EFF and COST families; these
 tests copy the real files, inject one classic defect each (a cost
 contract whose declared polynomial forgot the optimiser-state factor,
 an environment read inside the memoized strategy kernel), and assert
@@ -37,10 +37,8 @@ class TestPlannerSourcesClean:
         for path in (STRATEGY, TRANSITION, SOLVER):
             assert check_file(path, select=COST_FAMILY) == [], path.name
 
-    def test_effect_and_parallel_families_clean(self, tmp_path, capsys):
-        code = main(
-            ["--rules", "EFF,PAR", str(STRATEGY), str(TRANSITION), str(SOLVER)]
-        )
+    def test_effect_family_clean(self, tmp_path, capsys):
+        code = main(["--rules", "EFF", str(STRATEGY), str(TRANSITION), str(SOLVER)])
         out = capsys.readouterr().out
         assert code == 0, out
 
@@ -91,13 +89,13 @@ class TestMemoizedKernelMutations:
         # Accumulating candidates into a module-level list instead of a
         # local makes the kernel read/write shared mutable state.
         text = SOLVER.read_text()
-        plain = "        per_layer: List[Tuple[StrategyCandidate, ...]] = []"
+        plain = "    per_layer: List[Tuple[StrategyCandidate, ...]] = []\n    for layer"
         assert text.count(plain) == 1
         leaked = text.replace(
             "#: Paths the exhaustive oracle refuses to enumerate past.",
             "_SCRATCH: list = []\n\n"
             "#: Paths the exhaustive oracle refuses to enumerate past.",
-        ).replace(plain, "        per_layer = _SCRATCH")
+        ).replace(plain, "    per_layer = _SCRATCH\n    for layer")
         assert "_SCRATCH" in leaked
         dest = tmp_path / "solver.py"
         dest.write_text(leaked)
