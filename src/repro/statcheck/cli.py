@@ -196,8 +196,8 @@ def _effects_report(paths: List[Path]) -> str:
     ``paths``, one package analysis per touched package."""
     import json
 
-    from .effects import analyze_path
     from .engine import iter_python_files
+    from .index import indexed_files
 
     requested = [Path(p).resolve() for p in paths]
 
@@ -208,14 +208,13 @@ def _effects_report(paths: List[Path]) -> str:
                 return True
         return False
 
-    analyses = {}
-    for file in iter_python_files(paths):
-        analysis = analyze_path(Path(file))
-        analyses[analysis.root or str(Path(file).resolve())] = analysis
+    indexes = {}
+    for file, index in indexed_files(iter_python_files(paths)):
+        indexes.setdefault(str(index.root or file.resolve()), index)
     packages = []
     functions = []
-    for root in sorted(analyses):
-        analysis = analyses[root]
+    for root in sorted(indexes):
+        analysis = indexes[root].effects
         packages.append({"root": root, "stats": analysis.stats})
         functions.extend(
             summary.to_json()
@@ -233,23 +232,17 @@ def _effects_report(paths: List[Path]) -> str:
 def _costs_report(paths: List[Path]) -> str:
     """Per-function declared/derived cost polynomials (JSON) for every
     ``@cost``-annotated function under ``paths``."""
-    import ast
     import json
 
     from .costs.checks import cost_signature
-    from .engine import iter_python_files
-    from .interp import ContractPass
+    from .engine import iter_contexts
+    from .interp import contract_pass
 
     functions = []
     events = []
-    for file in iter_python_files(paths):
-        path = Path(file)
-        try:
-            tree = ast.parse(path.read_text(encoding="utf-8"))
-        except (OSError, SyntaxError):
-            continue
-        contracts = ContractPass(str(path), tree)
-        shown = str(path)
+    for ctx in iter_contexts(paths):
+        contracts = contract_pass(ctx)
+        shown = ctx.path
         seen = set()
         for info in contracts.defs:
             if info.cost_decorator is None or info.qualname in seen:

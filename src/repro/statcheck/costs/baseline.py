@@ -16,45 +16,28 @@ from pathlib import Path
 from typing import Dict, Optional
 
 _BASELINE_PATH = Path(__file__).parent / "baseline.json"
-_cache: Optional[Dict[str, dict]] = None
-_cache_key: Optional[tuple] = None
 
 
 def load_packaged_baseline() -> Optional[Dict[str, dict]]:
     """The ``functions`` table of the packaged baseline, or ``None``."""
-    global _cache, _cache_key
-    try:
-        stat = _BASELINE_PATH.stat()
-        key = (stat.st_mtime_ns, stat.st_size)
-    except OSError:
-        return None
-    if _cache is not None and _cache_key == key:
-        return _cache
     try:
         data = json.loads(_BASELINE_PATH.read_text(encoding="utf-8"))
     except (OSError, ValueError):
         return None
-    _cache = data.get("functions", {})
-    _cache_key = key
-    return _cache
+    return data.get("functions", {})
 
 
 def compute_baseline(root: Path) -> Dict[str, dict]:
-    """The current signature table for every annotated function under
-    the package rooted at ``root`` (keys are ``relpath::qualname``)."""
-    from ..engine import EXCLUDED_DIRS
-    from ..registry import _file_contracts
+    """The current signature table for every annotated function of the
+    package rooted at ``root`` (keys are ``relpath::qualname``)."""
+    from ..index import package_index
     from .checks import cost_signature
 
+    index = package_index(root)
     functions: Dict[str, dict] = {}
-    for path in sorted(root.rglob("*.py")):
-        if any(
-            part in EXCLUDED_DIRS or part.endswith(".egg-info")
-            for part in path.parts
-        ):
-            continue
-        rel = path.resolve().relative_to(root.resolve()).as_posix()
-        for info in _file_contracts(path):
+    for path in index.files:
+        rel = path.relative_to(index.root).as_posix()
+        for info in index.facts(path).contracts:
             if info.cost is None:
                 continue
             key = f"{rel}::{info.qualname}"
@@ -71,6 +54,4 @@ def write_baseline(root: Path, out: Optional[Path] = None) -> Path:
     target.write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    global _cache, _cache_key
-    _cache = _cache_key = None
     return target

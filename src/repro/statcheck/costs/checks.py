@@ -323,6 +323,8 @@ def _check_wire(cp, costed: List[ContractDef]) -> None:
 
 # ---- COST003 ---------------------------------------------------------
 def _check_baseline(cp, costed: List[ContractDef]) -> None:
+    if not costed:
+        return
     baseline, keyer = _load_baseline(cp)
     if baseline is None:
         return
@@ -366,11 +368,7 @@ def _load_baseline(cp):
         functions = data.get("functions", {})
         fname = candidate.name
         return functions, lambda info: f"{fname}::{info.qualname}"
-    if not candidate.is_file():
-        return None, None
-    from ..registry import _package_root
-
-    root = _package_root(candidate)
+    root = cp.index.root
     if root is None:
         return None, None
     from .baseline import load_packaged_baseline

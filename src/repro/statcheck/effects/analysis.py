@@ -1,9 +1,9 @@
 """Package-wide interprocedural effect inference.
 
 Builds a call graph over every definition of the enclosing package (the
-same no-imports, AST-only collection discipline as the contract registry
-in :mod:`repro.statcheck.registry`), then solves a bottom-up fixpoint over
-its strongly connected components:
+per-file facts of :mod:`repro.statcheck.index`, collected with no
+imports from the AST alone), then solves a bottom-up fixpoint over its
+strongly connected components:
 
     transitive(f) = direct(f)  JOIN  translate(transitive(g), site)
                                for every call site f -> g
@@ -61,12 +61,6 @@ from .lattice import (
     EffectSet,
     FunctionSummary,
 )
-
-#: Directory names never descended into (kept in sync with the engine).
-_EXCLUDED_DIRS = {
-    ".git", "__pycache__", ".egg-info", "repro.egg-info", ".venv",
-    "build", "dist", ".mypy_cache", ".ruff_cache",
-}
 
 TransferFn = Callable[[EffectSet], EffectSet]
 
@@ -236,7 +230,6 @@ class PackageAnalysis:
     """Fixpoint summaries for every definition under one package root."""
 
     root: Optional[str]
-    modules: Dict[str, ModuleInfo]
     summaries: Dict[str, FunctionSummary]
     by_path: Dict[str, List[str]]
     stats: Dict[str, int]
@@ -247,18 +240,11 @@ class PackageAnalysis:
     def summary(self, path: str, qualname: str) -> Optional[FunctionSummary]:
         return self.summaries.get(f"{path}::{qualname}")
 
-    def to_json(self) -> Dict[str, object]:
-        return {
-            "version": 1,
-            "root": self.root,
-            "stats": dict(self.stats),
-            "functions": [
-                self.summaries[k].to_json() for k in sorted(self.summaries)
-            ],
-        }
 
-
-def _link(modules: Dict[str, ModuleInfo], root: Optional[str]) -> PackageAnalysis:
+def link_package(
+    modules: Dict[str, ModuleInfo], root: Optional[str]
+) -> PackageAnalysis:
+    """Resolve every call site of ``modules`` and solve the fixpoint."""
     # ---- registries -------------------------------------------------------
     name_funcs: Dict[str, List[str]] = {}
     methods: Dict[str, List[str]] = {}
@@ -429,7 +415,6 @@ def _link(modules: Dict[str, ModuleInfo], root: Optional[str]) -> PackageAnalysi
     }
     return PackageAnalysis(
         root=root,
-        modules=modules,
         summaries=summaries,
         by_path=by_path,
         stats=stats,
@@ -437,98 +422,29 @@ def _link(modules: Dict[str, ModuleInfo], root: Optional[str]) -> PackageAnalysi
 
 
 # ---------------------------------------------------------------------------
-# entry points + caching
+# entry points
 # ---------------------------------------------------------------------------
-
-_MOD_CACHE: Dict[str, Tuple[Tuple[int, int], Optional[ModuleInfo]]] = {}
-_PKG_CACHE: Dict[str, Tuple[FrozenSet[Tuple[str, int, int]], PackageAnalysis]] = {}
-
-
-def _package_root(path: Path) -> Optional[Path]:
-    parent = path.resolve().parent
-    if not (parent / "__init__.py").is_file():
-        return None
-    while (parent.parent / "__init__.py").is_file():
-        parent = parent.parent
-    return parent
-
-
-def _module_info(path: Path) -> Optional[ModuleInfo]:
-    try:
-        stat = path.stat()
-        key = (stat.st_mtime_ns, stat.st_size)
-    except OSError:
-        return None
-    cached = _MOD_CACHE.get(str(path))
-    if cached is not None and cached[0] == key:
-        return cached[1]
-    try:
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-    except (OSError, SyntaxError):
-        info: Optional[ModuleInfo] = None
-    else:
-        info = collect_module(tree, str(path))
-    _MOD_CACHE[str(path)] = (key, info)
-    return info
-
-
-def _package_files(root: Path) -> List[Path]:
-    return sorted(
-        p for p in root.rglob("*.py")
-        if not any(part in _EXCLUDED_DIRS or part.endswith(".egg-info")
-                   for part in p.parts)
-    )
 
 
 def analyze_path(path: Path) -> PackageAnalysis:
     """Analysis of the package enclosing ``path`` (or of the single file
     when it is not inside a package).  A directory argument means the
     package rooted there (its enclosing package when it is itself a
-    subpackage).  Cached on file mtimes/sizes."""
-    path = Path(path).resolve()
-    if path.is_dir():
-        if (path / "__init__.py").is_file():
-            root = _package_root(path / "__init__.py")
-        else:
-            root = path
-        files = _package_files(root)
-    else:
-        root = _package_root(path)
-        files = _package_files(root) if root is not None else [path]
-    cache_key = str(root if root is not None else path)
-    state = frozenset(
-        (str(p), s.st_mtime_ns, s.st_size)
-        for p in files
-        for s in (p.stat(),)
-        if True
-    )
-    cached = _PKG_CACHE.get(cache_key)
-    if cached is not None and cached[0] == state:
-        return cached[1]
-    modules: Dict[str, ModuleInfo] = {}
-    for file in files:
-        info = _module_info(file)
-        if info is not None:
-            modules[str(file)] = info
-    analysis = _link(modules, str(root) if root is not None else None)
-    _PKG_CACHE[cache_key] = (state, analysis)
-    return analysis
+    subpackage).  Built once per package index, so it is reused until a
+    file of the package changes."""
+    from ..index import package_index
+
+    return package_index(path).effects
 
 
 def analyze_source(source: str, path: str = "<string>") -> PackageAnalysis:
     """Single-module analysis of an in-memory source (tests, stdin)."""
     tree = ast.parse(source, filename=path)
-    return _link({path: collect_module(tree, path)}, None)
+    return link_package({path: collect_module(tree, path)}, None)
 
 
 def effect_pass(ctx) -> PackageAnalysis:
-    """Context-cached package analysis for one linted file."""
-    cached = ctx.cache.get("effects")
-    if cached is None:
-        path = Path(ctx.path)
-        if path.is_file():
-            cached = analyze_path(path)
-        else:
-            cached = analyze_source(ctx.source, ctx.path)
-        ctx.cache["effects"] = cached
-    return cached
+    """The package analysis a linted file is checked against."""
+    from ..index import index_of
+
+    return index_of(ctx).effects

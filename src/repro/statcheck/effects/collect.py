@@ -31,6 +31,7 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
+from ..registry import _decorator_name
 from .intrinsics import (
     ALIAS_METHODS,
     IO_BUILTINS,
@@ -58,7 +59,7 @@ from .lattice import (
 Roots = FrozenSet[Tuple[str, str]]
 FRESH: Roots = frozenset()
 
-#: Legacy global-state numpy RNG entry points (mirrors DET001).
+#: Legacy global-state numpy RNG entry points (shared with DET001).
 _NUMPY_LEGACY = {
     "seed", "rand", "randn", "randint", "random", "random_sample", "ranf",
     "sample", "choice", "shuffle", "permutation", "standard_normal",
@@ -114,15 +115,6 @@ def module_aliases(tree: ast.AST) -> Dict[str, str]:
                 dotted = f"{prefix}.{alias.name}" if prefix else alias.name
                 aliases[alias.asname or alias.name] = dotted
     return aliases
-
-
-def _decorator_base(dec: ast.expr) -> Optional[str]:
-    target = dec.func if isinstance(dec, ast.Call) else dec
-    if isinstance(target, ast.Name):
-        return target.id
-    if isinstance(target, ast.Attribute):
-        return target.attr
-    return None
 
 
 @dataclass
@@ -738,7 +730,7 @@ def collect_module(tree: ast.Module, path: str) -> ModuleInfo:
 
     def collect_fn(fn: ast.FunctionDef, class_name: Optional[str]) -> None:
         decorators = tuple(
-            d for d in (_decorator_base(dec) for dec in fn.decorator_list)
+            d for d in (_decorator_name(dec) for dec in fn.decorator_list)
             if d is not None
         )
         is_method = class_name is not None and "staticmethod" not in decorators

@@ -32,6 +32,8 @@ import ast
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Set
 
+from .collect import _dotted
+
 
 @dataclass(frozen=True)
 class GuardFinding:
@@ -39,17 +41,6 @@ class GuardFinding:
     col: int
     chain: str  #: the dereferenced faults expression, dotted
     attr: str   #: the attribute/subscript accessed on it
-
-
-def _dotted(node: ast.expr) -> Optional[str]:
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
 
 
 def _terminates(body: Sequence[ast.stmt]) -> bool:

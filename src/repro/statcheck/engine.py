@@ -30,13 +30,16 @@ class Context:
 
     ``cache`` is shared by all rules on the same file so expensive
     analyses (the dimension-inference pass) run once even when several
-    rules consume their results.
+    rules consume their results.  ``index`` is the file's package
+    (:class:`~.index.PackageIndex`): :func:`check_paths` passes one per
+    package, otherwise :func:`~.index.index_of` resolves it on first use.
     """
 
     path: str
     source: str
     tree: ast.Module
     cache: Dict[str, Any] = field(default_factory=dict)
+    index: Any = None
 
     def finding(
         self,
@@ -104,13 +107,9 @@ def _selected_rules(
     return rules
 
 
-def check_source(
-    source: str,
-    path: str = "<string>",
-    select: Optional[Sequence[str]] = None,
-    ignore: Optional[Sequence[str]] = None,
+def _check(
+    source: str, path: str, rules: Sequence[Rule], index: Any = None
 ) -> List[Finding]:
-    """Run the (selected) rules over one source string."""
     try:
         tree = ast.parse(source, filename=path)
     except SyntaxError as exc:
@@ -123,11 +122,21 @@ def check_source(
                 col=(exc.offset or 1) - 1,
             )
         ]
-    ctx = Context(path=path, source=source, tree=tree)
+    ctx = Context(path=path, source=source, tree=tree, index=index)
     findings: List[Finding] = []
-    for rule in _selected_rules(select, ignore):
+    for rule in rules:
         findings.extend(rule.check(ctx))
     return sort_findings(SuppressionIndex(source, tree=tree).apply(findings))
+
+
+def check_source(
+    source: str,
+    path: str = "<string>",
+    select: Optional[Sequence[str]] = None,
+    ignore: Optional[Sequence[str]] = None,
+) -> List[Finding]:
+    """Run the (selected) rules over one source string."""
+    return _check(source, path, _selected_rules(select, ignore))
 
 
 def check_file(
@@ -139,20 +148,27 @@ def check_file(
     return check_source(source, path=str(path), select=select, ignore=ignore)
 
 
+def walk_python_files(root: Path) -> List[Path]:
+    """Every ``.py`` file under the directory ``root``, sorted.  Excluded
+    directories are matched below ``root`` only, so a checkout or install
+    that itself lives under ``build/`` or ``.venv/`` is still walked."""
+    return sorted(
+        p
+        for p in root.rglob("*.py")
+        if not any(
+            part in EXCLUDED_DIRS or part.endswith(".egg-info")
+            for part in p.relative_to(root).parts
+        )
+    )
+
+
 def iter_python_files(paths: Sequence[Path]) -> Iterator[Path]:
     """Expand files/directories into a sorted stream of ``.py`` files."""
     seen = set()
     for entry in paths:
         entry = Path(entry)
         if entry.is_dir():
-            candidates = sorted(
-                p
-                for p in entry.rglob("*.py")
-                if not any(
-                    part in EXCLUDED_DIRS or part.endswith(".egg-info")
-                    for part in p.parts
-                )
-            )
+            candidates = walk_python_files(entry)
         elif entry.suffix == ".py":
             candidates = [entry]
         else:
@@ -163,13 +179,32 @@ def iter_python_files(paths: Sequence[Path]) -> Iterator[Path]:
                 yield candidate
 
 
+def iter_contexts(paths: Sequence[Path]) -> Iterator[Context]:
+    """A :class:`Context` for every parseable ``.py`` file under
+    ``paths``; the files of one package share one package index."""
+    from .index import indexed_files
+
+    for path, index in indexed_files(iter_python_files(paths)):
+        try:
+            source = path.read_text(encoding="utf-8")
+            tree = ast.parse(source, filename=str(path))
+        except (OSError, SyntaxError):
+            continue
+        yield Context(path=str(path), source=source, tree=tree, index=index)
+
+
 def check_paths(
     paths: Sequence[Path],
     select: Optional[Sequence[str]] = None,
     ignore: Optional[Sequence[str]] = None,
 ) -> List[Finding]:
-    """Run the suite over files and directory trees."""
+    """Run the suite over files and directory trees, resolving each
+    package's index once for all of its files."""
+    from .index import indexed_files
+
+    rules = _selected_rules(select, ignore)
     findings: List[Finding] = []
-    for path in iter_python_files(paths):
-        findings.extend(check_file(path, select=select, ignore=ignore))
+    for path, index in indexed_files(iter_python_files(paths)):
+        source = path.read_text(encoding="utf-8")
+        findings.extend(_check(source, str(path), rules, index))
     return sort_findings(findings)

@@ -35,9 +35,10 @@ cost: <reason>": the fragment is the set of constructs the repo's
 kernels actually use, and staying inside it is what keeps the cost
 analysis exact rather than approximate.
 
-:class:`ContractPass` is the per-file pass: it builds the package-wide
-contract registry once, walks every function once (nested functions
-included) and adds the non-interpreter checks of :mod:`.shapes` and
+:class:`ContractPass` is the per-file pass: it resolves calls through
+the package index's contract table (:mod:`.index`, built once per
+package), walks every function once (nested functions included) and
+adds the non-interpreter checks of :mod:`.shapes` and
 :mod:`.costs.checks`.  Events are ``(rule_id, node, message)`` tuples
 that the thin rule classes filter by id.
 """
@@ -70,12 +71,12 @@ from .costs.values import (
     bare_sym,
     broadcast,
 )
+from .index import PackageIndex, index_of, source_index
 from .registry import (
     AMBIGUOUS,
     ContractDef,
     _positional_param_names,
     collect_contracts,
-    registry_for,
 )
 from .shapes import dims_equivalent
 from .symdims import SymDim, SymDimError, ceildiv, floordiv, sym
@@ -1662,14 +1663,21 @@ class ShapeStats:
 
 
 class ContractPass:
-    """The SHAPE and COST analysis of one file; the rules filter events."""
+    """The SHAPE and COST analysis of one file; the rules filter events.
 
-    def __init__(self, path: str, tree: ast.Module) -> None:
+    Calls resolve against ``index``, the file's package; without one,
+    ``tree``'s facts overlay the package of ``path``.
+    """
+
+    def __init__(
+        self, path: str, tree: ast.Module, *, index: Optional[PackageIndex] = None
+    ) -> None:
         self.path = path
         self.tree = tree
+        self.index = source_index(path, tree) if index is None else index
         self.events: List[Tuple[str, ast.AST, str]] = []
         self.defs = collect_contracts(tree)
-        self.registry = registry_for(path, self.defs)
+        self.registry = self.index.resolution
         self.base_env = _module_int_env(tree)
         self.stats = ShapeStats(
             contracts_defined=sum(d.contract is not None for d in self.defs),
@@ -1744,7 +1752,9 @@ def contract_pass(ctx) -> ContractPass:
     COST rule."""
     cached = ctx.cache.get("contract_pass")
     if cached is None:
-        cached = ctx.cache["contract_pass"] = ContractPass(ctx.path, ctx.tree)
+        cached = ctx.cache["contract_pass"] = ContractPass(
+            ctx.path, ctx.tree, index=index_of(ctx)
+        )
     return cached
 
 
@@ -1754,13 +1764,9 @@ def collect_stats(paths: Sequence[Union[str, Path]]) -> Dict[str, ShapeStats]:
     Used by the test asserting that the static pass actually consumes
     contracts in every annotated subsystem.
     """
-    from .engine import iter_python_files
+    from .engine import iter_contexts
 
-    stats: Dict[str, ShapeStats] = {}
-    for file in iter_python_files([Path(p) for p in paths]):
-        try:
-            tree = ast.parse(file.read_text(encoding="utf-8"))
-        except (OSError, SyntaxError):
-            continue
-        stats[str(file)] = ContractPass(str(file), tree).stats
-    return stats
+    return {
+        ctx.path: contract_pass(ctx).stats
+        for ctx in iter_contexts([Path(p) for p in paths])
+    }

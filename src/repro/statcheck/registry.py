@@ -2,11 +2,10 @@
 
 The shared abstract interpreter (:mod:`.interp`) resolves call sites
 against the contracts declared across the *whole* enclosing package.
-Every package file is parsed and scanned once per statcheck run
-(mtime/size-keyed cache), and one :class:`ContractDef` per decorator
-carries the parsed ``@shaped``/``@partitioned`` contract *and* the
-function's ``@cost`` annotation.  The per-file pass builds the
-resolution table once per analysed file, for both families.
+One :class:`ContractDef` per decorator carries the parsed
+``@shaped``/``@partitioned`` contract *and* the function's ``@cost``
+annotation; the package index (:mod:`.index`) collects them once per
+file and builds the resolution table once per package.
 
 Nothing here imports analyzed code — collection is pure AST.
 """
@@ -15,7 +14,6 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..contracts import (
@@ -206,36 +204,6 @@ def collect_contracts(tree: ast.Module) -> List[ContractDef]:
 #: Marker for a bare name defined with >1 distinct contract.
 AMBIGUOUS = object()
 
-_FILE_CACHE: Dict[str, Tuple[Tuple[int, int], List[ContractDef]]] = {}
-
-
-def _package_root(path: Path) -> Optional[Path]:
-    parent = path.resolve().parent
-    if not (parent / "__init__.py").is_file():
-        return None
-    while (parent.parent / "__init__.py").is_file():
-        parent = parent.parent
-    return parent
-
-
-def _file_contracts(path: Path) -> List[ContractDef]:
-    try:
-        stat = path.stat()
-        key = (stat.st_mtime_ns, stat.st_size)
-    except OSError:
-        return []
-    cached = _FILE_CACHE.get(str(path))
-    if cached is not None and cached[0] == key:
-        return cached[1]
-    try:
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-    except (OSError, SyntaxError):
-        defs: List[ContractDef] = []
-    else:
-        defs = collect_contracts(tree)
-    _FILE_CACHE[str(path)] = (key, defs)
-    return defs
-
 
 def build_resolution(defs: Iterable[ContractDef]) -> Dict[str, object]:
     """Map callable names to their (unambiguous) contract definitions.
@@ -263,34 +231,3 @@ def _same_contract(a: ContractDef, b: ContractDef) -> bool:
     spec_a = a.contract.spec if a.contract else None
     spec_b = b.contract.spec if b.contract else None
     return spec_a == spec_b and a.partition == b.partition and a.cost == b.cost
-
-
-def registry_for(path: str, own: List[ContractDef]) -> Dict[str, object]:
-    """The name-resolution table for one analyzed file, whose own
-    definitions are ``own`` (:func:`collect_contracts` of its tree).
-
-    Real files inside a package see every contract of the whole package
-    (collected by walking the package root); loose files and inline
-    ``<string>`` sources see only their own definitions.
-    """
-    candidate = Path(path)
-    if not candidate.is_file():
-        return build_resolution(own)
-    root = _package_root(candidate)
-    if root is None:
-        return build_resolution(own)
-    from .engine import EXCLUDED_DIRS
-
-    analysed = candidate.resolve()
-    defs: List[ContractDef] = []
-    for file in sorted(root.rglob("*.py")):
-        if any(
-            part in EXCLUDED_DIRS or part.endswith(".egg-info")
-            for part in file.parts
-        ):
-            continue
-        if file.resolve() == analysed:
-            defs.extend(own)
-        else:
-            defs.extend(_file_contracts(file))
-    return build_resolution(defs)

@@ -12,54 +12,25 @@ from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Set
+from typing import Dict, Iterator, Set
 
+from ..effects.collect import (
+    _NUMPY_LEGACY,
+    _STDLIB_RANDOM,
+    _canonical,
+    _dotted,
+    module_aliases,
+)
 from ..engine import Context, Rule, register
 from .units import unit_pass
 
-#: Legacy global-state numpy RNG entry points (`np.random.<fn>`).
-_NUMPY_LEGACY = {
-    "seed", "rand", "randn", "randint", "random", "random_sample", "ranf",
-    "sample", "choice", "shuffle", "permutation", "standard_normal",
-    "uniform", "normal", "binomial", "poisson", "exponential", "bytes",
-}
-#: Stdlib `random` module functions with process-global state.
-_STDLIB_RANDOM = {
-    "seed", "random", "randint", "randrange", "getrandbits", "choice",
-    "choices", "shuffle", "sample", "uniform", "triangular", "gauss",
-    "normalvariate", "expovariate", "betavariate", "paretovariate",
-}
 
-
-def _dotted(node: ast.expr) -> Optional[str]:
-    """`np.random.default_rng` -> "np.random.default_rng"."""
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
-
-
-def _module_aliases(tree: ast.Module) -> Dict[str, str]:
-    """Names bound by imports, mapped to the canonical module path."""
-    aliases: Dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                aliases[alias.asname or alias.name.split(".")[0]] = alias.name
-        elif isinstance(node, ast.ImportFrom) and node.module:
-            for alias in node.names:
-                aliases[alias.asname or alias.name] = f"{node.module}.{alias.name}"
-    return aliases
-
-
-def _canonical(dotted: str, aliases: Dict[str, str]) -> str:
-    head, _, rest = dotted.partition(".")
-    resolved = aliases.get(head, head)
-    return f"{resolved}.{rest}" if rest else resolved
+def _aliases(ctx: Context) -> Dict[str, str]:
+    """The file's import aliases, computed once for all DET rules."""
+    cached = ctx.cache.get("module_aliases")
+    if cached is None:
+        cached = ctx.cache["module_aliases"] = module_aliases(ctx.tree)
+    return cached
 
 
 def _is_constant_seed(node: ast.expr) -> bool:
@@ -77,7 +48,7 @@ class UnseededRandom(Rule):
     )
 
     def check(self, ctx: Context) -> Iterator:
-        aliases = _module_aliases(ctx.tree)
+        aliases = _aliases(ctx)
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
@@ -269,7 +240,7 @@ class WallClockInSimulation(Rule):
         parts = Path(ctx.path).parts
         if not any(pkg in parts for pkg in _SIMULATED_TIME_PACKAGES):
             return
-        aliases = _module_aliases(ctx.tree)
+        aliases = _aliases(ctx)
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
@@ -307,7 +278,7 @@ class ConstantSeedFallback(Rule):
     )
 
     def check(self, ctx: Context) -> Iterator:
-        aliases = _module_aliases(ctx.tree)
+        aliases = _aliases(ctx)
 
         def is_const_default_rng(node: ast.expr) -> bool:
             if not isinstance(node, ast.Call):

@@ -33,30 +33,14 @@ from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import Iterator, Optional, Tuple
+from typing import Iterator
 
 from ..effects import describe, effect_pass
 from ..effects.comm import check_collectives
 from ..effects.guards import check_guards
 from ..engine import Context, Rule, register
-from ..registry import collect_contracts
-
-
-def _decorator_name(dec: ast.expr) -> Optional[str]:
-    target = dec.func if isinstance(dec, ast.Call) else dec
-    if isinstance(target, ast.Name):
-        return target.id
-    if isinstance(target, ast.Attribute):
-        return target.attr
-    return None
-
-
-def _analysis_key(ctx: Context) -> Tuple[object, str]:
-    """(package analysis, the path key its summaries are stored under)."""
-    analysis = effect_pass(ctx)
-    path = Path(ctx.path)
-    key = str(path.resolve()) if path.is_file() else ctx.path
-    return analysis, key
+from ..index import file_key, index_of
+from ..registry import _decorator_name
 
 
 def _memoized_defs(tree: ast.Module) -> Iterator[ast.FunctionDef]:
@@ -79,8 +63,11 @@ class MemoizedFunctionImpurity(Rule):
     )
 
     def check(self, ctx: Context) -> Iterator:
-        analysis, key = _analysis_key(ctx)
-        for fn in _memoized_defs(ctx.tree):
+        memoized = list(_memoized_defs(ctx.tree))
+        if not memoized:
+            return
+        analysis, key = effect_pass(ctx), file_key(ctx.path)
+        for fn in memoized:
             summary = analysis.summary(key, fn.name)
             if summary is None:
                 # Method-qualified memoized defs (unused today): fall
@@ -114,10 +101,11 @@ class ContractArgumentMutation(Rule):
     )
 
     def check(self, ctx: Context) -> Iterator:
-        contracts = collect_contracts(ctx.tree)
+        key = file_key(ctx.path)
+        contracts = index_of(ctx).facts(key).contracts
         if not contracts:
             return
-        analysis, key = _analysis_key(ctx)
+        analysis = effect_pass(ctx)
         for contract in contracts:
             summary = analysis.summary(key, contract.qualname)
             if summary is None:

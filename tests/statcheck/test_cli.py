@@ -120,6 +120,37 @@ class TestExcludedDirs:
         found = [p.name for p in iter_python_files([tmp_path / "pkg"])]
         assert found == ["real.py"]
 
+    def test_package_below_an_excluded_dir_is_walked(self, tmp_path):
+        # Excluded names are matched below the walked root: a checkout or
+        # install under build/ or .venv/ keeps its files, contracts and
+        # effect summaries.
+        from repro.statcheck import check_file, iter_python_files
+        from repro.statcheck.effects import analyze_path
+
+        pkg = tmp_path / "build" / "pkg"
+        pkg.mkdir(parents=True)
+        write(pkg, "__init__.py", "")
+        write(pkg, "kernels.py", (
+            "from repro.contracts import cost, shaped\n\n"
+            '@shaped("(N,K) -> (N,K)")\n'
+            '@cost(flops="N*K", mem="8*N*K", assume=True)\n'
+            "def double(x):\n"
+            "    return x + x\n"
+        ))
+        write(pkg, "caller.py", (
+            "from repro.contracts import cost, shaped\n"
+            "from .kernels import double\n\n"
+            '@shaped("(N,K) -> (N,K)")\n'
+            '@cost(flops="2*N*K", mem="16*N*K")\n'
+            "def twice(x):\n"
+            "    return double(double(x))\n"
+        ))
+        found = [p.name for p in iter_python_files([pkg.resolve()])]
+        assert found == ["__init__.py", "caller.py", "kernels.py"]
+        assert check_file(pkg / "caller.py", select=["COST001"]) == []
+        names = {s.qualname for s in analyze_path(pkg).summaries.values()}
+        assert names == {"double", "twice"}
+
     def test_check_paths_ignores_excluded_trees(self, tmp_path, capsys):
         (tmp_path / "pkg").mkdir()
         (tmp_path / "pkg" / "build").mkdir()

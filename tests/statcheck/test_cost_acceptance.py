@@ -11,7 +11,7 @@ from pathlib import Path
 
 from repro.statcheck import check_paths, render_text
 from repro.statcheck.costs.baseline import compute_baseline, load_packaged_baseline
-from repro.statcheck.registry import _file_contracts
+from repro.statcheck.index import file_facts
 
 REPO = Path(__file__).resolve().parents[2]
 SRC = REPO / "src" / "repro"
@@ -35,7 +35,7 @@ def test_no_assume_in_winograd_kernels():
     assumed = [
         f"{path.name}::{info.qualname}"
         for path in sorted((SRC / "winograd").rglob("*.py"))
-        for info in _file_contracts(path)
+        for info in file_facts(path).contracts
         if info.cost is not None and info.cost.assume
     ]
     assert assumed == []

@@ -1,22 +1,28 @@
-"""Regression: the SHAPE and COST families share one contract registry.
+"""Regression: one package index serves the SHAPE, COST and EFF families.
 
-Both families' rules read the one per-file
+Both interpreter families read the one per-file
 :class:`~repro.statcheck.interp.ContractPass`, which resolves call sites
-through :mod:`repro.statcheck.registry` (the shared, cached contract table);
-this pins that the table is built once per analysed file, so neither
-family can silently regrow its own collection logic.
+through the package index (:mod:`repro.statcheck.index`); the effect
+rules read the same index's effect link.  These tests pin that a run
+builds each table once per package and collects each file's facts once,
+so no family can silently regrow its own walker or cache.
 """
 
 from __future__ import annotations
 
 import ast
+import os
+import shutil
+from collections import Counter
 from pathlib import Path
 
-from repro.statcheck import check_source, interp
+from repro.statcheck import check_paths, index, iter_python_files
+from repro.statcheck.index import file_facts
 from repro.statcheck.interp import ContractPass
-from repro.statcheck.registry import AMBIGUOUS, _file_contracts
+from repro.statcheck.registry import AMBIGUOUS
 
 REPO = Path(__file__).resolve().parents[2]
+SRC = REPO / "src" / "repro"
 FILES = [
     REPO / "src" / "repro" / "winograd" / "conv.py",
     REPO / "src" / "repro" / "core" / "functional.py",
@@ -29,23 +35,34 @@ def _pass(path: Path) -> ContractPass:
     return ContractPass(str(path), tree)
 
 
-def test_both_families_build_the_registry_once(monkeypatch):
-    calls = []
-    real = interp.registry_for
+def _counting(counts: Counter, fn, key):
+    def wrapper(*args, **kwargs):
+        counts[key(*args, **kwargs)] += 1
+        return fn(*args, **kwargs)
 
-    def counting(path, own):
-        calls.append(path)
-        return real(path, own)
+    return wrapper
 
-    monkeypatch.setattr(interp, "registry_for", counting)
-    path = FILES[1]
-    findings = check_source(
-        path.read_text(encoding="utf-8"),
-        path=str(path),
-        select=["SHAPE001", "SHAPE002", "SHAPE003", "COST001", "COST002"],
-    )
-    assert findings == []
-    assert calls == [str(path)]
+
+def test_one_index_per_run(monkeypatch):
+    monkeypatch.setattr(index, "_FACTS", {})
+    monkeypatch.setattr(index, "_INDEXES", {})
+    tables, collected, parses = Counter(), Counter(), Counter()
+    monkeypatch.setattr(index, "build_resolution", _counting(
+        tables, index.build_resolution, lambda defs: "resolution"))
+    monkeypatch.setattr(index, "link_package", _counting(
+        tables, index.link_package, lambda modules, root: "link"))
+    monkeypatch.setattr(index, "collect_module", _counting(
+        collected, index.collect_module, lambda tree, key: key))
+    monkeypatch.setattr(ast, "parse", _counting(
+        parses, ast.parse, lambda source, filename="<unknown>", *rest, **kw: filename))
+
+    assert check_paths([SRC]) == []
+
+    files = {str(path) for path in iter_python_files([SRC])}
+    assert tables == {"resolution": 1, "link": 1}
+    assert set(collected) == files
+    assert {k: n for k, n in collected.items() if n != 1} == {}
+    assert max(parses[name] for name in files) == 2
 
 
 def test_registry_carries_cost_contracts():
@@ -57,8 +74,16 @@ def test_registry_carries_cost_contracts():
     assert entry.cost is not None and entry.cost.mem is not None
 
 
-def test_file_collection_is_cached():
-    path = FILES[2]
-    first = _file_contracts(path)
-    second = _file_contracts(path)
-    assert first is second  # mtime/size-keyed cache: parsed exactly once
+def test_file_facts_are_cached_per_stamp(tmp_path):
+    path = tmp_path / "collectives.py"
+    shutil.copyfile(FILES[2], path)
+    first = file_facts(path)
+    assert file_facts(path) is first  # parsed exactly once
+    assert first.contracts and first.module is not None
+
+    stat = path.stat()
+    path.write_text(path.read_text() + "\n\ndef added():\n    return 0\n")
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns + 10**9))
+    second = file_facts(path)
+    assert second is not first
+    assert "added" in {fn.name for fn in second.module.functions}

@@ -56,6 +56,15 @@ class TestUnseededRandom:
             """
         ) == [("DET001", 3)]
 
+    def test_relative_import_is_not_stdlib_random(self):
+        # A package module named `random` is not the stdlib one.
+        assert findings(
+            """
+            from .random import shuffle
+            shuffle(x)
+            """
+        ) == []
+
     def test_generator_methods_are_quiet(self):
         # Drawing from an explicit Generator object is the sanctioned way.
         assert findings(
@@ -251,6 +260,15 @@ class TestWallClockInSimulation:
             """,
             path="src/repro/netsim/collectives.py",
         ) == [("DET006", 3)]
+
+    def test_relative_module_named_time_quiet(self):
+        assert self.det6(
+            """
+            from . import time
+            t = time.time()
+            """,
+            path="src/repro/netsim/pacing.py",
+        ) == []
 
     def test_datetime_now_flagged(self):
         assert self.det6(

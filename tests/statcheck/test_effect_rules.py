@@ -12,6 +12,7 @@ from __future__ import annotations
 import shutil
 from pathlib import Path
 
+from repro.statcheck import check_source
 from repro.statcheck.cli import main
 
 REPO_SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
@@ -63,6 +64,24 @@ class TestEFF001SeededMutations:
         assert code == 1
         assert "EFF001" in out and "evaluate_layer_cached" in out
         assert "environment" in out
+
+    def test_in_memory_source_for_package_path(self):
+        # The given source, not the file on disk, is what the effect
+        # analysis sees: it reports exactly what the same text does as a
+        # loose file.
+        text = PERF_MODEL.read_text().replace(
+            _KERNEL_ANCHOR,
+            '    import os\n'
+            '    _salt = os.environ.get("REPRO_PERF_SALT")\n'
+            + _KERNEL_ANCHOR,
+        )
+        in_package = check_source(text, path=str(PERF_MODEL), select=["EFF001"])
+        loose = check_source(text, path="perf_model.py", select=["EFF001"])
+        assert [(f.rule, f.line) for f in in_package] == [("EFF001", 433)]
+        assert [(f.line, f.message) for f in in_package] == [
+            (f.line, f.message) for f in loose
+        ]
+        assert "environment" in in_package[0].message
 
     def test_argument_mutation_detected(self, tmp_path, capsys):
         path = _copy_with(
