@@ -2,7 +2,7 @@
 
 :func:`shaped` declares an array-shape contract on a function::
 
-    @shaped("(B,I,H,W), (J,I,T,T), _, P -> (B,J,H+2*P-R+1,W+2*P-R+1), _")
+    @shaped("(B,I,H,W), (T,T,I,J), _, P -> (B,J,H+2*P-R+1,W+2*P-R+1), _")
     def winograd_forward(x, weights_wd, transform, pad=0): ...
 
 The spec lists one entry per parameter (``self``/``cls`` is skipped

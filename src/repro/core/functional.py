@@ -103,7 +103,7 @@ class MptWorker:
     group: int
     cluster: int
     element_ids: List[int]
-    #: Weight slice ``(J, I, len(element_ids))``.
+    #: Weight slice ``(len(element_ids), I, J)``.
     weights: np.ndarray
     grad: Optional[np.ndarray] = None
 
@@ -111,23 +111,21 @@ class MptWorker:
     @cost(flops="2*E*TS*I*J", mem="4*E*TS*J")
     def compute_forward(self, x_elements: np.ndarray) -> np.ndarray:
         """Element-wise GEMMs: ``(E, tiles, I) @ (E, I, J) -> (E, tiles, J)``."""
-        return np.matmul(x_elements, self.weights.transpose(2, 1, 0))
+        return np.matmul(x_elements, self.weights)
 
     @shaped("(E,TS,J) -> (E,TS,I)")
     @cost(flops="2*E*TS*I*J", mem="4*E*TS*I")
     def compute_backward(self, dy_elements: np.ndarray) -> np.ndarray:
         """``dX(e) = dY(e) @ W(e)^T``."""
-        return np.matmul(dy_elements, self.weights.transpose(2, 0, 1))
+        return np.matmul(dy_elements, self.weights.transpose(0, 2, 1))
 
-    @shaped("(E,TS,I), (E,TS,J) -> (J,I,E)")
+    @shaped("(E,TS,I), (E,TS,J) -> (E,I,J)")
     @cost(flops="2*E*TS*I*J", mem="4*E*I*J")
     def compute_weight_grad(
         self, x_elements: np.ndarray, dy_elements: np.ndarray
     ) -> np.ndarray:
         """``dW(e) = X(e)^T @ dY(e)`` accumulated over the local shard."""
-        grad = np.matmul(x_elements.transpose(0, 2, 1), dy_elements)
-        # (E, I, J) -> (J, I, E) to match the weight layout.
-        return grad.transpose(2, 1, 0)
+        return np.matmul(x_elements.transpose(0, 2, 1), dy_elements)
 
 
 class MptLayerMachine:
@@ -146,7 +144,7 @@ class MptLayerMachine:
     pad:
         Convolution padding.
     initial_weights:
-        Full Winograd-domain weights ``(J, I, T, T)``; sliced across
+        Full Winograd-domain weights ``(T, T, I, J)``; sliced across
         groups element-wise (round-robin).
     predict:
         Enable activation prediction on the forward gather (lossless for
@@ -170,10 +168,10 @@ class MptLayerMachine:
                 f"{grid.num_groups} groups exceed {t2} tile elements"
             )
         if initial_weights.shape != (
-            out_channels,
+            transform.tile,
+            transform.tile,
             in_channels,
-            transform.tile,
-            transform.tile,
+            out_channels,
         ):
             raise ValueError(f"bad weight shape {initial_weights.shape}")
         self.in_channels = in_channels
@@ -191,7 +189,7 @@ class MptLayerMachine:
         # Element ownership: element e belongs to group e % N_g
         # (see repro.core.partition for the contract-checked split).
         element_parts = partition_elements(t2, grid.num_groups)
-        flat_weights = initial_weights.reshape(out_channels, in_channels, t2)
+        flat_weights = initial_weights.reshape(t2, in_channels, out_channels)
         self.workers: Dict[Tuple[int, int], MptWorker] = {}
         for g in range(grid.num_groups):
             element_ids = element_parts[g]
@@ -200,22 +198,20 @@ class MptLayerMachine:
                     group=g,
                     cluster=c,
                     element_ids=element_ids,
-                    weights=flat_weights[:, :, element_ids].copy(),
+                    weights=flat_weights[element_ids],
                 )
         self._forward_state: Optional[dict] = None
 
     # ------------------------------------------------------------------
     def full_weights(self) -> np.ndarray:
-        """Reassemble the full ``(J, I, T, T)`` weights from any cluster's
+        """Reassemble the full ``(T, T, I, J)`` weights from any cluster's
         slices (all clusters hold identical replicas after an update)."""
-        t2 = self.transform.tile**2
-        flat = np.zeros((self.out_channels, self.in_channels, t2))
+        t = self.transform.tile
+        flat = np.zeros((t * t, self.in_channels, self.out_channels))
         for g in range(self.grid.num_groups):
             worker = self.workers[(g, 0)]
-            flat[:, :, worker.element_ids] = worker.weights
-        return flat.reshape(
-            self.out_channels, self.in_channels, self.transform.tile, self.transform.tile
-        )
+            flat[worker.element_ids] = worker.weights
+        return flat.reshape(t, t, self.in_channels, self.out_channels)
 
     def _shard_batch(self, batch: int) -> List[np.ndarray]:
         shards = shard_batch(batch, self.grid.num_clusters)
@@ -236,14 +232,12 @@ class MptLayerMachine:
         state: dict = {"grid_geom": grid_geom, "clusters": []}
         for c, shard in enumerate(shards):
             # Tile owners (cluster members, striped) transform spatial
-            # tiles; flattened view: (n_tiles_total, I, T^2).
+            # tiles; element-major view: (T^2, n_tiles, I).
             spatial_tiles = extract_tiles(x[shard], grid_geom)
             wd_tiles = self.transform.transform_input(spatial_tiles)
-            b, i, th, tw, t, _ = wd_tiles.shape
-            flat = wd_tiles.transpose(0, 2, 3, 1, 4, 5).reshape(
-                b * th * tw, i, t * t
-            )
-            n_tiles = flat.shape[0]
+            t, _, b, th, tw, i = wd_tiles.shape
+            n_tiles = b * th * tw
+            flat = wd_tiles.reshape(t2, n_tiles, i)
 
             # Scatter: element e goes to the worker of group owner(e).
             # Only (N_g-1)/N_g of the data crosses the network (each tile
@@ -252,30 +246,26 @@ class MptLayerMachine:
             for g in range(ng):
                 worker = self.workers[(g, c)]
                 elems = worker.element_ids
-                # (E, tiles, I)
-                x_elements = flat[:, :, elems].transpose(2, 0, 1)
-                per_group_inputs[g] = x_elements
+                per_group_inputs[g] = flat[elems]  # (E, tiles, I)
                 self.counters.scatter_bytes += remote_scatter_bytes(
                     n_tiles, i, len(elems), ng
                 )
 
             # Compute + gather output elements back to tile owners.
-            out_flat = np.zeros((n_tiles, self.out_channels, t2))
+            out_flat = np.zeros((t2, n_tiles, self.out_channels))
             for g in range(ng):
                 worker = self.workers[(g, c)]
-                y_elements = worker.compute_forward(per_group_inputs[g])
-                out_flat[:, :, worker.element_ids] = y_elements.transpose(1, 2, 0)
-
-            out_tiles = out_flat.reshape(b, th, tw, self.out_channels, t, t)
-            out_tiles = out_tiles.transpose(0, 3, 1, 2, 4, 5)
+                out_flat[worker.element_ids] = worker.compute_forward(
+                    per_group_inputs[g]
+                )
+            out_tiles = out_flat.reshape(t, t, b, th, tw, self.out_channels)
 
             if self.predict:
                 dead_mask = self._predict_and_count(out_tiles, ng)
                 # Predicted-dead tiles are not gathered: the tile owner
                 # reconstructs them as zero (their true spatial outputs
                 # are all <= 0, so the post-ReLU result is unchanged).
-                out_tiles = out_tiles.copy()
-                out_tiles[dead_mask] = 0.0
+                out_tiles[:, :, dead_mask] = 0.0
             else:
                 self.counters.gather_bytes += remote_gather_bytes(
                     n_tiles, self.out_channels, t2, ng
@@ -302,12 +292,14 @@ class MptLayerMachine:
         return np.concatenate(outputs, axis=0)
 
     def _predict_and_count(self, out_tiles: np.ndarray, ng: int) -> np.ndarray:
-        """Run 2D activation prediction and count the skipped traffic."""
+        """Run 2D activation prediction on element-major ``out_tiles`` and
+        count the skipped traffic; returns the ``(B, th, tw, J)`` dead mask."""
         sigma = float(out_tiles.std()) or 1.0
         quantizer = NonUniformQuantizer(self.quantizer_config, sigma)
-        result = predict_2d(out_tiles, self.transform, quantizer)
+        tiles = np.moveaxis(out_tiles, (0, 1), (-2, -1))  # tile-major view
+        result = predict_2d(tiles, self.transform, quantizer)
         assert result.false_negatives == 0
-        b, out_ch, th, tw, t, _ = out_tiles.shape
+        b, th, tw, out_ch, t, _ = tiles.shape
         total = remote_gather_bytes(b * th * tw, out_ch, t * t, ng)
         skipped = total * result.predicted_ratio
         fp32_bits = 32.0
@@ -328,7 +320,8 @@ class MptLayerMachine:
         grid_geom = self._forward_state["grid_geom"]
         shards = self._shard_batch(dy.shape[0])
         ng, nc = self.grid.num_groups, self.grid.num_clusters
-        t2 = self.transform.tile**2
+        t = self.transform.tile
+        t2 = t * t
         dx_parts = []
         partial_grads: Dict[int, List[np.ndarray]] = {g: [] for g in range(ng)}
         for c, shard in enumerate(shards):
@@ -336,14 +329,12 @@ class MptLayerMachine:
             b, th, tw = cluster_state["tiles_shape"]
             dy_tiles = assemble_output_adjoint(dy[shard], grid_geom)
             dy_wd = self.transform.inverse_transform_transposed(dy_tiles)
-            flat_dy = dy_wd.transpose(0, 2, 3, 1, 4, 5).reshape(
-                b * th * tw, self.out_channels, t2
-            )
-            dx_flat = np.zeros((b * th * tw, self.in_channels, t2))
+            flat_dy = dy_wd.reshape(t2, b * th * tw, self.out_channels)
+            dx_flat = np.zeros((t2, b * th * tw, self.in_channels))
             for g in range(ng):
                 worker = self.workers[(g, c)]
                 elems = worker.element_ids
-                dy_elements = flat_dy[:, :, elems].transpose(2, 0, 1)
+                dy_elements = flat_dy[elems]
                 self.counters.scatter_bytes += remote_scatter_bytes(
                     b * th * tw, self.out_channels, len(elems), ng
                 )
@@ -352,14 +343,11 @@ class MptLayerMachine:
                     cluster_state["input_elements"][g], dy_elements
                 )
                 partial_grads[g].append(partial)
-                dx_elements = worker.compute_backward(dy_elements)
-                dx_flat[:, :, elems] = dx_elements.transpose(1, 2, 0)
+                dx_flat[elems] = worker.compute_backward(dy_elements)
                 self.counters.gather_bytes += remote_gather_bytes(
                     b * th * tw, self.in_channels, len(elems), ng
                 )
-            dx_wd = dx_flat.reshape(b, th, tw, self.in_channels,
-                                    self.transform.tile, self.transform.tile)
-            dx_wd = dx_wd.transpose(0, 3, 1, 2, 4, 5)
+            dx_wd = dx_flat.reshape(t, t, b, th, tw, self.in_channels)
             dx_tiles = self.transform.transform_input_transposed(dx_wd)
             dx_parts.append(extract_tiles_adjoint(dx_tiles, grid_geom))
 

@@ -24,7 +24,9 @@ from ..winograd import (
     conv2d_forward,
     spatial_to_winograd,
     winograd_backward,
+    winograd_backward_tiles,
     winograd_forward,
+    winograd_forward_tiles,
 )
 
 
@@ -87,7 +89,7 @@ class Conv2D(Layer):
 
 class WinogradConv2D(Layer):
     """The Winograd layer (paper Fig. 2b): weights live in the Winograd
-    domain ``(J, I, T, T)`` and are updated there.
+    domain ``(T, T, I, J)`` and are updated there.
 
     Initialisation lifts a He-initialised spatial kernel with
     ``G w G^T`` so training starts from a conventional operating point
@@ -126,49 +128,30 @@ class WinogradConv2D(Layer):
         self.grads["W"] += dw
         return dx
 
-    @shaped("(B,I,H,W) -> (B,J,TH,TW,T,T)")
+    @shaped("(B,I,H,W) -> (T,T,B,TH,TW,J)")
     def forward_tiles(self, x: np.ndarray) -> np.ndarray:
         """Forward pass that stops in the Winograd domain, returning output
-        tiles ``(B, J, th, tw, T, T)`` *before* the inverse transform.
+        tiles ``(T, T, B, th, tw, J)`` *before* the inverse transform.
 
         Used by the modified FractalNet join (Section VII-A), which
         averages branches in the Winograd domain and inverse-transforms
         once.
         """
-        from ..winograd.conv import elementwise_matmul
-        from ..winograd.tiling import TileGrid, extract_tiles
-
-        grid = TileGrid(
-            height=x.shape[2],
-            width=x.shape[3],
-            pad=self.pad,
-            m=self.transform.m,
-            r=self.transform.r,
+        out_tiles, self._cache = winograd_forward_tiles(
+            x, self.params["W"], self.transform, self.pad
         )
-        spatial_tiles = extract_tiles(x, grid)
-        input_tiles = self.transform.transform_input(spatial_tiles)
-        from ..winograd.conv import WinogradConvCache
+        return out_tiles
 
-        self._cache = WinogradConvCache(input_tiles=input_tiles, grid=grid)
-        return elementwise_matmul(input_tiles, self.params["W"])
-
-    @shaped("(B,J,TH,TW,T,T) -> (B,I,H,W)")
+    @shaped("(T,T,B,TH,TW,J) -> (B,I,H,W)")
     def backward_tiles(self, d_out_tiles: np.ndarray) -> np.ndarray:
         """Backward counterpart of :meth:`forward_tiles`: takes the
         gradient w.r.t. the Winograd-domain output tiles."""
-        from ..winograd.conv import (
-            elementwise_matmul_transposed,
-            elementwise_weight_grad,
+        assert self._cache is not None, "backward_tiles called before forward_tiles"
+        dx, dw = winograd_backward_tiles(
+            d_out_tiles, self.params["W"], self.transform, self._cache
         )
-        from ..winograd.tiling import extract_tiles_adjoint
-
-        assert self._cache is not None
-        self.grads["W"] += elementwise_weight_grad(
-            self._cache.input_tiles, d_out_tiles
-        )
-        dx_tiles_wd = elementwise_matmul_transposed(d_out_tiles, self.params["W"])
-        dx_tiles = self.transform.transform_input_transposed(dx_tiles_wd)
-        return extract_tiles_adjoint(dx_tiles, self._cache.grid)
+        self.grads["W"] += dw
+        return dx
 
 
 class ReLU(Layer):

@@ -44,7 +44,17 @@ def train(
     momentum: float = 0.9,
     seed: int = 0,
 ) -> TrainingCurve:
-    """Synchronous-SGD training; returns the per-epoch curve."""
+    """Synchronous-SGD training; returns the per-epoch curve.
+
+    Every epoch runs ``len(train_data) // batch_size`` full batches (a
+    partial last batch is dropped), so ``batch_size`` must lie in
+    ``[1, len(train_data)]``: outside it an epoch has no step and no loss.
+    """
+    if not 1 <= batch_size <= len(train_data):
+        raise ValueError(
+            f"batch_size {batch_size} must be in [1, len(train_data)] = "
+            f"[1, {len(train_data)}]: no full batch fits otherwise"
+        )
     optimizer = SGD(network, lr=lr, momentum=momentum)
     rng = np.random.default_rng(seed)
     curve = TrainingCurve()

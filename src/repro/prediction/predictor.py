@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..winograd.cook_toom import WinogradTransform
+from ..winograd.tiling import element_major
 from .quantization import (
     NonUniformQuantizer,
     QuantizedTensor,
@@ -83,8 +84,8 @@ def predict_2d(
     est = interval_matmul_right(est, transform.A, axis=-2)
     dead = _neuron_dead_bound(est).all(axis=(-2, -1))
 
-    real = transform.inverse_transform(tiles)
-    actual = (real <= 0.0).all(axis=(-2, -1))
+    real = transform.inverse_transform(element_major(tiles))
+    actual = (real <= 0.0).all(axis=(0, 1)).reshape(dead.shape)
     return _result(dead, actual)
 
 

@@ -29,10 +29,17 @@ from .zero_skip import zero_skip_1d, zero_skip_2d
 
 @dataclass
 class TileSample:
-    """A batch of realistic Winograd-domain data for one layer."""
+    """A batch of realistic Winograd-domain data for one layer, tile-major
+    (each tile's ``T x T`` elements last, contiguous)."""
 
     input_tiles_spatial: np.ndarray  # (B, I, th, tw, T, T), spatial domain
     output_tiles_wd: np.ndarray  # (B, J, th, tw, T, T), pre-activation
+
+
+def _tile_major(tiles: np.ndarray) -> np.ndarray:
+    """Element-major ``(T, T, B, th, tw, C)`` tiles as a contiguous
+    tile-major ``(B, C, th, tw, T, T)`` array."""
+    return np.ascontiguousarray(tiles.transpose(2, 5, 3, 4, 0, 1))
 
 
 def make_tile_sample(
@@ -69,7 +76,7 @@ def make_tile_sample(
     # Shift in the Winograd domain so the spatial-domain pre-activations
     # are shifted by a constant (the (0..m,0..m) spatial impulse of a
     # constant is approximated by shifting the DC-like element).
-    out_spatial_std = float(transform.inverse_transform(out_tiles).std())
+    out_spatial_std = float(_tile_major(transform.inverse_transform(out_tiles)).std())
     shift_spatial = bias_shift * out_spatial_std
     # Winograd-domain representation S of a constant spatial shift:
     # solve A^T S A = shift * ones (minimum-norm solution).
@@ -77,8 +84,10 @@ def make_tile_sample(
     ones = np.full((transform.m, transform.m), shift_spatial)
     a_pinv = np.linalg.pinv(a.T)
     s = a_pinv @ ones @ a_pinv.T
-    out_tiles = out_tiles - s
-    return TileSample(input_tiles_spatial=spatial_tiles, output_tiles_wd=out_tiles)
+    return TileSample(
+        input_tiles_spatial=_tile_major(spatial_tiles),
+        output_tiles_wd=_tile_major(out_tiles) - s,
+    )
 
 
 @dataclass
@@ -179,16 +188,12 @@ def tile_sample_from_network(
     conv = next(l for l in net.layers if isinstance(l, WinogradConv2D))
     x = val_data.x[:samples]
     out_tiles = conv.forward_tiles(x)
-    spatial_tiles = None
     # forward_tiles cached the Winograd-domain input tiles; recover the
     # spatial tiles for the zero-skip analysis.
-    from ..winograd.tiling import TileGrid, extract_tiles
-
-    grid = TileGrid(height=x.shape[2], width=x.shape[3], pad=conv.pad,
-                    m=conv.transform.m, r=conv.transform.r)
-    spatial_tiles = extract_tiles(x, grid)
+    spatial_tiles = extract_tiles(x, conv._cache.grid)
     return TileSample(
-        input_tiles_spatial=spatial_tiles, output_tiles_wd=out_tiles
+        input_tiles_spatial=_tile_major(spatial_tiles),
+        output_tiles_wd=_tile_major(out_tiles),
     )
 
 

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..winograd.cook_toom import WinogradTransform
+from ..winograd.tiling import element_major
 
 
 @dataclass
@@ -51,7 +52,7 @@ def zero_skip_2d(
     spatial_tiles: np.ndarray, transform: WinogradTransform, tol: float = 1e-12
 ) -> ZeroSkipResult:
     """Skip statistics for fully transformed input tiles ``B^T x B``."""
-    transformed = transform.transform_input(spatial_tiles)
+    transformed = transform.transform_input(element_major(spatial_tiles))
     return _result_from_mask(np.abs(transformed) <= tol)
 
 

@@ -46,7 +46,7 @@ def winograd_transform_fact() -> Obj:
 
 def mpt_worker_fact() -> Obj:
     return Obj("MptWorker", {
-        "weights": Arr((sym("J"), sym("I"), sym("E"))),
+        "weights": Arr((sym("E"), sym("I"), sym("J"))),
     })
 
 
@@ -58,7 +58,7 @@ def conv_cache_fact() -> Obj:
     t = _T()
     return Obj("WinogradConvCache", {
         "input_tiles": Arr(
-            (sym("B"), sym("I"), sym("TH"), sym("TW"), t, t)
+            (t, t, sym("B"), sym("TH"), sym("TW"), sym("I"))
         ),
         "grid": tile_grid_fact(),
     })
@@ -76,6 +76,13 @@ PARAM_FACTS = {
     "grid": tile_grid_fact,
     "transform": lambda: Xform(sym("M"), sym("R")),
     "cache": conv_cache_fact,
+}
+
+#: Facts for a callee's ``_`` (skip) return slot, by callee name, in the
+#: callee's symbols; a call substitutes its bindings into them.
+#: ``winograd_forward`` reads the grid of the cache its first half returns.
+RETURN_FACTS = {
+    "winograd_forward_tiles": conv_cache_fact,
 }
 
 

@@ -9,8 +9,9 @@ derives both the *shapes* of the arrays a function manipulates and its
   use wins), and a rank or fully bound dim that contradicts the
   contract is SHAPE002.  Return values and tuple unpacking are checked
   against the function's own contract (SHAPE002), and an
-  ``np.tensordot`` whose contracted axes differ in size is SHAPE003 —
-  a flipped Cook–Toom transpose in Equation 1 fails there;
+  ``np.tensordot``, ``np.matmul``/``np.dot`` or ``@`` whose contracted
+  axes differ in size is SHAPE003 — a flipped Cook–Toom transpose in
+  Equation 1 fails there;
 * FLOP and bytes-moved polynomials, which the COST rules compare
   against ``@cost`` declarations (:mod:`.costs.checks`).  ``for`` loops
   over ``range(...)`` or summarized lists are evaluated symbolically —
@@ -599,7 +600,7 @@ class FnDeriver:
             and isinstance(it.func, ast.Name)
             and it.func.id == "range"
         ):
-            if it.keywords or len(it.args) not in (1, 2):
+            if it.keywords or len(it.args) not in (1, 2, 3):
                 raise Fail("unsupported range() form")
             if not isinstance(st.target, ast.Name):
                 raise Fail("range loop needs a plain index variable")
@@ -610,7 +611,13 @@ class FnDeriver:
             if len(args) == 1:
                 lo, hi = ZERO, args[0]
             else:
-                lo, hi = args
+                lo, hi = args[:2]
+            if len(args) == 3:
+                step = args[2].as_const()
+                if step == -1:  # the elements of range(hi + 1, lo + 1)
+                    lo, hi = hi + ONE, lo + ONE
+                elif step != 1:
+                    raise Fail("range() step other than 1 or -1")
             trip = hi - lo
             # sum_{i=lo}^{hi-1} i = (hi*(hi-1) - lo*(lo-1)) / 2
             vsum = (hi * (hi - ONE) - lo * (lo - ONE)) * _HALF
@@ -721,7 +728,7 @@ class FnDeriver:
         b = self.eval(node.right)
         if isinstance(a, Arr) or isinstance(b, Arr):
             if isinstance(node.op, ast.MatMult):
-                return _in_matmul(self, a, b)
+                return _in_matmul(self, node, node.left, a, node.right, b)
             return self._elementwise([a, b])
         if not (isinstance(a, SymDim) and isinstance(b, SymDim)):
             return None
@@ -1219,10 +1226,23 @@ class FnDeriver:
                 else:
                     outs.append(None)
             else:
-                outs.append(None)
+                fact = facts.RETURN_FACTS.get(info.name)
+                outs.append(None if fact is None else _bound_fact(fact(), bound))
         if len(outs) == 1:
             return outs[0]
         return Tup(outs)
+
+
+def _bound_fact(value: object, bound) -> object:
+    """A callee-side fact with a call's bindings substituted (``bound``
+    maps a callee dim to the caller's, or ``None`` when unbound)."""
+    if isinstance(value, Arr):
+        return Arr(tuple(bound(d) for d in value.dims))
+    if isinstance(value, Geom):
+        return Geom(*(bound(getattr(value, f)) for f in Geom.BINDINGS))
+    if isinstance(value, Obj):
+        return Obj(value.cls, {k: _bound_fact(v, bound) for k, v in value.attrs.items()})
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -1272,7 +1292,14 @@ def _shape_to_dims(value: object) -> Tuple[Optional[SymDim], ...]:
     raise Fail("allocation shape is not statically known")
 
 
-def _in_matmul(dr: FnDeriver, a: object, b: object) -> Arr:
+def _in_matmul(
+    dr: FnDeriver,
+    node: ast.AST,
+    a_node: ast.expr,
+    a: object,
+    b_node: ast.expr,
+    b: object,
+) -> Arr:
     arr_a = _need_arr(a, "matmul operand")
     arr_b = _need_arr(b, "matmul operand")
     if arr_a.lead is not None or arr_b.lead is not None:
@@ -1280,7 +1307,14 @@ def _in_matmul(dr: FnDeriver, a: object, b: object) -> Arr:
     if len(arr_a.dims) < 2 or len(arr_b.dims) < 2:
         raise Fail("matmul needs rank >= 2 operands")
     m, k = arr_a.dims[-2], arr_a.dims[-1]
-    n = arr_b.dims[-1]
+    k_b, n = arr_b.dims[-2], arr_b.dims[-1]
+    if k is not None and k_b is not None and not dr._same(k, k_b):
+        dr._event(
+            "SHAPE003", node,
+            f"{dr.shared.qualname}: matmul contracts axis -1 of "
+            f"{ast.unparse(a_node)} (size {k}) against axis -2 of "
+            f"{ast.unparse(b_node)} (size {k_b})",
+        )
     batch = broadcast(Arr(arr_a.dims[:-2]), Arr(arr_b.dims[:-2])).dims
     if m is None or k is None or n is None:
         raise Fail("matmul extent unknown")
@@ -1292,7 +1326,7 @@ def _i_matmul(dr: FnDeriver, node: ast.Call) -> Arr:
     args = [dr.eval(a) for a in node.args]
     if len(args) != 2:
         raise Fail("matmul needs two arguments")
-    return _in_matmul(dr, args[0], args[1])
+    return _in_matmul(dr, node, node.args[0], args[0], node.args[1], args[1])
 
 
 def _axes_list(node: ast.expr, dr: FnDeriver) -> List[int]:

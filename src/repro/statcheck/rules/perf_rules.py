@@ -1,9 +1,10 @@
 """Performance lint (``PERF001``, ``PERF002``).
 
 The Winograd kernels and the performance model sit on every sweep's hot
-path, and PR 2 vectorized their per-tile-element work: the ``T x T``
-Winograd-domain GEMMs run as one batched einsum, not ``T**2`` separate
-Python iterations.  ``PERF001`` keeps that invariant — a Python-level
+path, and their per-tile-element work is vectorized: the ``T x T``
+Winograd-domain GEMMs run as one batched ``np.matmul`` over the
+element-major ``(T**2, N, C)`` operands, not ``T**2`` separate Python
+iterations.  ``PERF001`` keeps that invariant — a Python-level
 ``for`` loop over ``range(T*T)`` (or any ``x**2`` / ``x*x`` element
 count) in ``repro.winograd`` or ``repro.core`` reintroduces exactly the
 interpreter overhead the vectorization removed.
@@ -72,7 +73,8 @@ class TileElementLoop(Rule):
     description = (
         "Python-level `for` loop over range(T*T) / tile**2 elements in "
         "repro.winograd or repro.core; the T x T Winograd-domain work "
-        "must stay batched (einsum / stride tricks), not per-element."
+        "must stay batched (batched matmul / stride tricks), not "
+        "per-element."
     )
 
     def check(self, ctx: Context) -> Iterator:
@@ -95,8 +97,8 @@ class TileElementLoop(Rule):
                         node if isinstance(node, ast.For) else node.iter,
                         f"Python loop over range({ast.unparse(arg)}) "
                         f"iterates all {squared}^2 tile elements; batch "
-                        "the per-element work (einsum over the tile axis "
-                        "or stride tricks) instead",
+                        "the per-element work (a batched matmul over the "
+                        "tile axes or stride tricks) instead",
                     )
                     break
 

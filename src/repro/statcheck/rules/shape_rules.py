@@ -56,10 +56,10 @@ class TransformConformance(_ShapeRule):
     id = "SHAPE003"
     name = "winograd-transform-conformance"
     description = (
-        "np.tensordot whose contracted axes differ in size — e.g. a "
-        "Cook-Toom chain contracting the wrong axis of B (T x T), "
-        "G (T x r) or A (T x m): a flipped transpose in Equation 1 "
-        "fails here."
+        "np.tensordot, np.matmul/np.dot or @ whose contracted axes "
+        "differ in size — e.g. a Cook-Toom GEMM contracting the wrong "
+        "axis of B (T x T), G (T x r) or A (T x m): a flipped transpose "
+        "in Equation 1 fails here."
     )
 
 

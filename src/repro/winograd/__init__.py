@@ -7,7 +7,9 @@ Public surface:
 * :class:`TileGrid`, :func:`extract_tiles`, :func:`assemble_output` —
   tile decomposition geometry.
 * :func:`winograd_forward` / :func:`winograd_backward` — the Winograd
-  layer (weights trained in the Winograd domain).
+  layer (weights trained in the Winograd domain), composed of the
+  Winograd-domain halves :func:`winograd_forward_tiles` /
+  :func:`winograd_backward_tiles`.
 * :func:`conv2d_forward` etc. — direct convolution reference.
 """
 
@@ -21,8 +23,10 @@ from .conv import (
     spatial_to_winograd,
     winograd_backward,
     winograd_backward_spatial,
+    winograd_backward_tiles,
     winograd_forward,
     winograd_forward_spatial,
+    winograd_forward_tiles,
     winograd_to_spatial_lstsq,
 )
 from .direct import (
@@ -60,8 +64,10 @@ __all__ = [
     "spatial_to_winograd",
     "winograd_backward",
     "winograd_backward_spatial",
+    "winograd_backward_tiles",
     "winograd_forward",
     "winograd_forward_spatial",
+    "winograd_forward_tiles",
     "winograd_to_spatial_lstsq",
     "conv2d_backward_input",
     "conv2d_backward_weight",

@@ -17,6 +17,10 @@ derivation with one interpolation point at infinity, then transposes the
 network to obtain the correlation form.  All arithmetic is performed with
 :class:`fractions.Fraction` so the matrices are exact; floats are derived
 views.
+
+The 2D operators take element-major arrays: the two tile axes come
+first (``(T, T, B, TH, TW, C)`` tiles, ``(r, r, I, J)`` filters), so each
+one is two contiguous GEMMs (:func:`_sandwich`).
 """
 
 from __future__ import annotations
@@ -133,6 +137,9 @@ class WinogradTransform:
         ``(T, m)`` respectively, used as in Equation 1 of the paper.
     B_exact, G_exact, A_exact:
         The same matrices with exact :class:`~fractions.Fraction` entries.
+
+    The 1D helpers act on the last axis; the 2D helpers act on the
+    leading two axes (element-major layout, see :mod:`.tiling`).
     """
 
     m: int
@@ -181,60 +188,76 @@ class WinogradTransform:
         """``A^T Y`` along the last axis (length ``T``)."""
         return np.tensordot(Y, self.A, axes=([-1], [0]))
 
-    # ---- 2D helpers -----------------------------------------------------
-    @shaped("(...,T,T) -> (...,T,T)")
-    @cost(flops="4*ELL*T**3", mem="8*ELL*T**2")
+    # ---- 2D helpers (element-major: the two tile axes lead) -------------
+    @shaped("(T,T,B,TH,TW,C) -> (T,T,B,TH,TW,C)")
+    @cost(flops="4*B*C*TH*TW*T**3", mem="8*B*C*TH*TW*T**2")
     def transform_input(self, x: np.ndarray) -> np.ndarray:
-        """``B^T x B`` applied to the trailing two axes (each length ``T``)."""
-        out = np.tensordot(x, self.B, axes=([-2], [0]))
-        out = np.tensordot(out, self.B, axes=([-2], [0]))
-        return out
+        """``B^T x B`` over the leading two axes (each length ``T``)."""
+        t, _, b, th, tw, c = x.shape
+        out = _sandwich(self.B.T, x.reshape(t, t, b * th * tw * c))
+        return out.reshape(t, t, b, th, tw, c)
 
-    @shaped("(...,R,R) -> (...,T,T)")
-    @cost(flops="2*ELL*R*T*(R+T)", mem="4*ELL*T*(R+T)")
+    @shaped("(R,R,I,J) -> (T,T,I,J)")
+    @cost(flops="2*I*J*R*T*(R+T)", mem="4*I*J*T*(R+T)")
     def transform_weight(self, w: np.ndarray) -> np.ndarray:
-        """``G w G^T`` applied to the trailing two axes (each length ``r``)."""
-        out = np.tensordot(w, self.G, axes=([-2], [1]))
-        out = np.tensordot(out, self.G, axes=([-2], [1]))
-        return out
+        """``G w G^T`` over the leading two axes (each length ``r``)."""
+        r, _, i, j = w.shape
+        out = _sandwich(self.G, w.reshape(r, r, i * j))
+        return out.reshape(self.tile, self.tile, i, j)
 
-    @shaped("(...,T,T) -> (...,M,M)")
-    @cost(flops="2*ELL*M*T*(M+T)", mem="4*ELL*M*(M+T)")
+    @shaped("(T,T,B,TH,TW,C) -> (M,M,B,TH,TW,C)")
+    @cost(flops="2*B*C*TH*TW*M*T*(M+T)", mem="4*B*C*TH*TW*M*(M+T)")
     def inverse_transform(self, Y: np.ndarray) -> np.ndarray:
-        """``A^T Y A`` applied to the trailing two axes (each length ``T``)."""
-        out = np.tensordot(Y, self.A, axes=([-2], [0]))
-        out = np.tensordot(out, self.A, axes=([-2], [0]))
-        return out
+        """``A^T Y A`` over the leading two axes (each length ``T``)."""
+        t, _, b, th, tw, c = Y.shape
+        out = _sandwich(self.A.T, Y.reshape(t, t, b * th * tw * c))
+        return out.reshape(self.m, self.m, b, th, tw, c)
 
     # ---- transposed (gradient) operators --------------------------------
-    @shaped("(...,M,M) -> (...,T,T)")
-    @cost(flops="2*ELL*M*T*(M+T)", mem="4*ELL*T*(M+T)")
+    @shaped("(M,M,B,TH,TW,C) -> (T,T,B,TH,TW,C)")
+    @cost(flops="2*B*C*TH*TW*M*T*(M+T)", mem="4*B*C*TH*TW*T*(M+T)")
     def inverse_transform_transposed(self, dy: np.ndarray) -> np.ndarray:
         """Transpose of :meth:`inverse_transform`: maps ``m x m`` gradients
         to ``T x T`` Winograd-domain gradients (``A dy A^T``)."""
-        out = np.tensordot(dy, self.A, axes=([-2], [1]))
-        out = np.tensordot(out, self.A, axes=([-2], [1]))
-        return out
+        m, _, b, th, tw, c = dy.shape
+        out = _sandwich(self.A, dy.reshape(m, m, b * th * tw * c))
+        return out.reshape(self.tile, self.tile, b, th, tw, c)
 
-    @shaped("(...,T,T) -> (...,T,T)")
-    @cost(flops="4*ELL*T**3", mem="8*ELL*T**2")
+    @shaped("(T,T,B,TH,TW,C) -> (T,T,B,TH,TW,C)")
+    @cost(flops="4*B*C*TH*TW*T**3", mem="8*B*C*TH*TW*T**2")
     def transform_input_transposed(self, dX: np.ndarray) -> np.ndarray:
         """Transpose of :meth:`transform_input`: maps ``T x T``
         Winograd-domain input gradients back to spatial tiles
         (``B dX B^T``)."""
-        out = np.tensordot(dX, self.B, axes=([-2], [1]))
-        out = np.tensordot(out, self.B, axes=([-2], [1]))
-        return out
+        t, _, b, th, tw, c = dX.shape
+        out = _sandwich(self.B, dX.reshape(t, t, b * th * tw * c))
+        return out.reshape(t, t, b, th, tw, c)
 
-    @shaped("(...,T,T) -> (...,R,R)")
-    @cost(flops="2*ELL*R*T*(R+T)", mem="4*ELL*R*(R+T)")
+    @shaped("(T,T,I,J) -> (R,R,I,J)")
+    @cost(flops="2*I*J*R*T*(R+T)", mem="4*I*J*R*(R+T)")
     def transform_weight_transposed(self, dW: np.ndarray) -> np.ndarray:
         """Transpose of :meth:`transform_weight`: maps ``T x T``
         Winograd-domain weight gradients to spatial ``r x r`` gradients
         (``G^T dW G``)."""
-        out = np.tensordot(dW, self.G, axes=([-2], [0]))
-        out = np.tensordot(out, self.G, axes=([-2], [0]))
-        return out
+        t, _, i, j = dW.shape
+        out = _sandwich(self.G.T, dW.reshape(t, t, i * j))
+        return out.reshape(self.r, self.r, i, j)
+
+
+@shaped("(P,Q), (Q,Q,N) -> (P,P,N)")
+@cost(flops="2*N*P*Q*(P+Q)", mem="4*N*P*(P+Q)")
+def _sandwich(mat: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``mat x mat^T`` on the two leading axes of ``x``, first axis first.
+
+    The first axis is one GEMM on the contiguous ``(Q, Q*N)`` view; the
+    second is ``P`` GEMMs batched over the first.  Each output element is
+    the same length-``Q`` dot products, in the same order, as contracting
+    a tile-major ``(..., Q, Q)`` array axis ``-2`` then axis ``-1``.
+    """
+    p, q = mat.shape
+    n = x.shape[2]
+    y = mat @ x.reshape(q, q * n)
+    return np.matmul(mat, y.reshape(p, q, n))
 
 
 @lru_cache(maxsize=None)

@@ -6,8 +6,12 @@ the output.  This module implements the forward extraction, the output
 assembly, and their adjoints (needed for back-propagation through the
 tiling itself).
 
-Feature maps use the layout ``(batch, channel, height, width)``; tile
-arrays use ``(batch, channel, tile_row, tile_col, T, T)``.
+Feature maps use the layout ``(batch, channel, height, width)``.  Tile
+arrays are element-major, ``(T, T, batch, tile_row, tile_col, channel)``
+(``(m, m, ...)`` on the output side): element ``(u, v)`` of every tile is
+one contiguous ``(batch * tiles, channel)`` block, which is what the
+element-wise GEMMs of paper Equation 2 and the intra-tile split of
+Section III consume.
 """
 
 from __future__ import annotations
@@ -97,7 +101,7 @@ def _padded_canvas(x: np.ndarray, grid: TileGrid) -> np.ndarray:
     return canvas
 
 
-@shaped("(B,C,H,W), _ -> (B,C,TH,TW,T,T)")
+@shaped("(B,C,H,W), _ -> (T,T,B,TH,TW,C)")
 @cost(mem="4*B*C*(PH*PW + H*W + TH*TW*T**2)", where=TILE_GEOMETRY)
 def extract_tiles(x: np.ndarray, grid: TileGrid) -> np.ndarray:
     """Cut a feature map into overlapping ``T x T`` tiles with stride ``m``.
@@ -110,117 +114,56 @@ def extract_tiles(x: np.ndarray, grid: TileGrid) -> np.ndarray:
     Returns
     -------
     np.ndarray
-        Tiles of shape ``(B, C, tiles_high, tiles_wide, T, T)``.
+        Element-major tiles of shape ``(T, T, B, tiles_high, tiles_wide, C)``.
     """
     if x.shape[2] != grid.height or x.shape[3] != grid.width:
         raise ValueError(f"input shape {x.shape} does not match grid {grid}")
     canvas = _padded_canvas(x, grid)
     t, m = grid.tile, grid.m
     view = np.lib.stride_tricks.sliding_window_view(canvas, (t, t), axis=(2, 3))
-    return np.ascontiguousarray(view[:, :, ::m, ::m, :, :])
+    return np.ascontiguousarray(view[:, :, ::m, ::m, :, :].transpose(4, 5, 0, 2, 3, 1))
 
 
-#: Tile count above which the block-phase scatter beats the per-tile
-#: overlap-add loop.  Each loop iteration moves a whole ``(B, C, T, T)``
-#: slab, so numpy's per-call overhead amortizes well until the grid gets
-#: large, while the scatter pays a strided access pattern per element
-#: but is O(1) in the tile count.  Measured crossover is ~1000 tiles per
-#: image (see docs/performance.md).
-_SCATTER_MIN_TILES = 1024
-
-
-@shaped("(B,C,TH,TW,T,T), _ -> (B,C,H,W)")
+@shaped("(T,T,B,TH,TW,C), _ -> (B,C,H,W)")
 @cost(mem="4*B*C*(PH*PW + TH*TW*T**2)", where=TILE_GEOMETRY)
 def extract_tiles_adjoint(d_tiles: np.ndarray, grid: TileGrid) -> np.ndarray:
     """Adjoint of :func:`extract_tiles`: overlap-add tile gradients.
 
     Sums each tile gradient back into the (padded) canvas and crops the
     padding, yielding the gradient with respect to the original map.
-    Small grids use a per-tile loop (bit-identical to
-    :func:`repro.winograd.reference.extract_tiles_adjoint_reference`);
-    grids of at least ``_SCATTER_MIN_TILES`` tiles dispatch to the
-    vectorized :func:`_scatter_tiles_blockphase`, which differs from the
-    loop only by float reassociation.
+    Element ``(u, v)`` of every tile lands on the ``m``-strided canvas
+    view at offset ``(u, v)``, so the overlap-add is ``T^2`` strided adds.
+    Both loops run downwards: a canvas cell then receives its tiles in
+    ascending ``(tile_row, tile_col)`` order, the order of the per-tile
+    loop :func:`repro.winograd.reference.extract_tiles_adjoint_reference`,
+    so the two agree bit for bit.
     """
-    if grid.tiles_per_image >= _SCATTER_MIN_TILES:
-        return _scatter_tiles_blockphase(d_tiles, grid)
-    batch, channels = d_tiles.shape[0], d_tiles.shape[1]
-    t, m = grid.tile, grid.m
+    t, _, batch, tiles_high, tiles_wide, channels = d_tiles.shape
+    m = grid.m
     canvas = np.zeros(
         (batch, channels, grid.padded_height, grid.padded_width),
         dtype=d_tiles.dtype,
     )
-    for th in range(grid.tiles_high):
-        for tw in range(grid.tiles_wide):
-            canvas[:, :, th * m : th * m + t, tw * m : tw * m + t] += d_tiles[
-                :, :, th, tw
-            ]
+    rows, cols = (tiles_high - 1) * m + 1, (tiles_wide - 1) * m + 1
+    for u in range(t - 1, -1, -1):
+        for v in range(t - 1, -1, -1):
+            canvas[:, :, u : u + rows : m, v : v + cols : m] += d_tiles[
+                u, v
+            ].transpose(0, 3, 1, 2)
     return canvas[
         :, :, grid.pad : grid.pad + grid.height, grid.pad : grid.pad + grid.width
     ]
 
 
-@shaped("T, M -> _")
-@cost(ret_len="ceildiv(T,M)", ret_sum="_, T")
-def _block_phases(tile: int, m: int) -> list:
-    """``m``-strided block decomposition of a length-``tile`` extent.
-
-    Returns ``(start, count)`` pairs: one phase per ``m``-aligned block
-    offset, ``count = min(m, tile - start)``, so the counts sum to
-    ``tile`` and there are ``ceil(tile / m)`` phases.
-    """
-    return [
-        (start, min(m, tile - start)) for start in range(0, tile, m)
-    ]
+def element_major(tiles: np.ndarray) -> np.ndarray:
+    """Tile-major ``(..., T, T)`` tiles, any leading rank, as the rank-6
+    element-major ``(T, T, N, 1, 1, 1)`` array the 2D transforms take
+    (``N`` tiles, in the leading axes' C order)."""
+    t1, t2 = tiles.shape[-2:]
+    return np.moveaxis(tiles.reshape(-1, 1, 1, 1, t1, t2), (-2, -1), (0, 1))
 
 
-@shaped("(B,C,TH,TW,T,T), _ -> (B,C,H,W)")
-@cost(mem="4*B*C*(PH*PW + TH*TW*T**2)", where=TILE_GEOMETRY)
-def _scatter_tiles_blockphase(d_tiles: np.ndarray, grid: TileGrid) -> np.ndarray:
-    """Overlap-add with cost independent of the tile count.
-
-    Tiles overlap by ``t - m``, so the overlap-add cannot be a single
-    reshape.  Instead each tile is split into ``m``-strided blocks: all
-    tiles' ``(block_row, block_col)`` blocks land at pairwise-disjoint
-    canvas locations, so each of the ``ceil(t/m)^2`` block phases is one
-    vectorized accumulate into a strided canvas view.
-    """
-    batch, channels = d_tiles.shape[0], d_tiles.shape[1]
-    t, m = grid.tile, grid.m
-    tiles_high, tiles_wide = grid.tiles_high, grid.tiles_wide
-    canvas = np.zeros(
-        (batch, channels, grid.padded_height, grid.padded_width),
-        dtype=d_tiles.dtype,
-    )
-    stride_b, stride_c, stride_h, stride_w = canvas.strides
-    for block_row, rows in _block_phases(t, m):
-        for block_col, cols in _block_phases(t, m):
-            # Writable strided window: one (rows x cols) block per tile,
-            # anchored at (tile_row * m + block_row, ...).  Blocks are
-            # disjoint (rows, cols <= m = the tile stride), so the
-            # accumulate below never writes one cell twice.
-            target = np.lib.stride_tricks.as_strided(
-                canvas[:, :, block_row:, block_col:],
-                shape=(batch, channels, tiles_high, rows, tiles_wide, cols),
-                strides=(
-                    stride_b,
-                    stride_c,
-                    m * stride_h,
-                    stride_h,
-                    m * stride_w,
-                    stride_w,
-                ),
-            )
-            block = d_tiles[
-                :, :, :, :, block_row : block_row + rows, block_col : block_col + cols
-            ]
-            target += block.transpose(0, 1, 2, 4, 3, 5)
-    return canvas[
-        :, :, grid.pad : grid.pad + grid.height, grid.pad : grid.pad + grid.width
-    ]
-
-
-@shaped("(B,C,TH,TW,M,M), _ -> (B,C,OH,OW)")
+@shaped("(M,M,B,TH,TW,C), _ -> (B,C,OH,OW)")
 @cost(mem="4*B*C*OH*OW", where=TILE_GEOMETRY)
 def assemble_output(out_tiles: np.ndarray, grid: TileGrid) -> np.ndarray:
     """Stitch per-tile ``m x m`` outputs into the full output map.
@@ -228,18 +171,17 @@ def assemble_output(out_tiles: np.ndarray, grid: TileGrid) -> np.ndarray:
     Tiles never overlap on the output side; trailing tiles that extend past
     the output boundary are cropped.
     """
-    batch, channels = out_tiles.shape[0], out_tiles.shape[1]
-    m = grid.m
+    m, _, batch, tiles_high, tiles_wide, channels = out_tiles.shape
     # Pure data movement (output tiles never overlap): interleave the
     # tile and intra-tile axes, then crop — bit-identical to placing
     # tiles one by one.
-    full = out_tiles.transpose(0, 1, 2, 4, 3, 5).reshape(
-        batch, channels, grid.tiles_high * m, grid.tiles_wide * m
+    full = out_tiles.transpose(2, 5, 3, 0, 4, 1).reshape(
+        batch, channels, tiles_high * m, tiles_wide * m
     )
     return np.ascontiguousarray(full[:, :, : grid.out_height, : grid.out_width])
 
 
-@shaped("(B,C,OH,OW), _ -> (B,C,TH,TW,M,M)")
+@shaped("(B,C,OH,OW), _ -> (M,M,B,TH,TW,C)")
 @cost(mem="4*B*C*(2*TH*TW*M**2 + OH*OW)", where=TILE_GEOMETRY)
 def assemble_output_adjoint(dy: np.ndarray, grid: TileGrid) -> np.ndarray:
     """Adjoint of :func:`assemble_output`: cut an output gradient into
@@ -252,5 +194,5 @@ def assemble_output_adjoint(dy: np.ndarray, grid: TileGrid) -> np.ndarray:
     full[:, :, : grid.out_height, : grid.out_width] = dy
     tiles = full.reshape(
         batch, channels, grid.tiles_high, m, grid.tiles_wide, m
-    ).transpose(0, 1, 2, 4, 3, 5)
+    ).transpose(3, 5, 0, 2, 4, 1)
     return np.ascontiguousarray(tiles)

@@ -58,7 +58,7 @@ class TestForward:
         with pytest.raises(ValueError):
             MptLayerMachine(
                 2, 2, transform, GridConfig(32, 1),
-                initial_weights=np.zeros((2, 2, 4, 4)),
+                initial_weights=np.zeros((4, 4, 2, 2)),
             )
 
     def test_full_weights_round_trip(self):
@@ -81,10 +81,10 @@ class TestBackward:
         np.testing.assert_allclose(dx, expected_dx, atol=1e-9)
         # Every worker's reduced slice equals the full-batch gradient.
         t2 = transform.tile**2
-        flat_expected = expected_dw.reshape(4, 3, t2)
+        flat_expected = expected_dw.reshape(t2, 3, 4)
         for (g, c), worker in machine.workers.items():
             np.testing.assert_allclose(
-                worker.grad, flat_expected[:, :, worker.element_ids], atol=1e-8
+                worker.grad, flat_expected[worker.element_ids], atol=1e-8
             )
 
     def test_gradient_replicas_identical_across_clusters(self):

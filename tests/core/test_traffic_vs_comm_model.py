@@ -48,7 +48,7 @@ def test_counters_match_comm_model_byte_exactly(ng, nc):
     )
 
     rng = np.random.default_rng(7)
-    weights = rng.standard_normal((OUT_CH, IN_CH, transform.tile, transform.tile))
+    weights = rng.standard_normal((transform.tile, transform.tile, IN_CH, OUT_CH))
     machine = MptLayerMachine(
         IN_CH, OUT_CH, transform, grid, initial_weights=weights, pad=1,
     )

@@ -155,7 +155,7 @@ class TestFunctionalDataFlow:
         grid = TileGrid(height=8, width=8, pad=1, m=2, r=3)
         tiles = transform.transform_input(extract_tiles(maps, grid))
         rng = np.random.default_rng(2)
-        weights = rng.standard_normal((4, 3, 4, 4))
+        weights = rng.standard_normal((4, 4, 3, 4))
         expected = elementwise_matmul(tiles, weights)
 
         engine = P2PEngine()

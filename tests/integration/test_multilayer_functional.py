@@ -54,10 +54,10 @@ class TestMptNetworkMachine:
         np.testing.assert_allclose(dx, expected_dx, atol=1e-9)
         # Check the reduced gradient slices of layer 1.
         t2 = transform.tile**2
-        flat = dw1.reshape(4, 3, t2)
+        flat = dw1.reshape(t2, 3, 4)
         for (g, c), worker in net.layers[0].workers.items():
             np.testing.assert_allclose(
-                worker.grad, flat[:, :, worker.element_ids], atol=1e-8
+                worker.grad, flat[worker.element_ids], atol=1e-8
             )
 
     def test_update_then_retrain_exact(self):
@@ -87,7 +87,7 @@ class TestMptNetworkMachine:
 
     def test_mixed_grids_rejected(self):
         transform = make_transform(2, 3)
-        w = np.zeros((2, 2, 4, 4))
+        w = np.zeros((4, 4, 2, 2))
         with pytest.raises(ValueError):
             MptNetworkMachine(
                 [

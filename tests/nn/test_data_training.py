@@ -63,6 +63,23 @@ class TestTraining:
         assert curve.val_accuracies[-1] > max(0.5, before)
         assert curve.losses[-1] < curve.losses[0]
 
+    @pytest.mark.parametrize("batch_size", [32, 0, -4])
+    def test_batch_size_without_a_full_batch_rejected(self, batch_size):
+        """An epoch with no full batch would run no step and record a NaN
+        loss; train must refuse it, naming both values."""
+        train_data, val_data = train_val_datasets(16, 8, classes=4, size=16, seed=0)
+        net = small_cnn(classes=4, width=4, seed=0)
+        with pytest.raises(ValueError) as err:
+            train(net, train_data, val_data, epochs=1, batch_size=batch_size)
+        assert f"batch_size {batch_size}" in str(err.value)
+        assert str(len(train_data)) in str(err.value)
+
+    def test_batch_size_equal_to_dataset_trains(self):
+        train_data, val_data = train_val_datasets(16, 8, classes=4, size=12, seed=0)
+        net = small_cnn(classes=4, width=4, seed=0)
+        curve = train(net, train_data, val_data, epochs=1, batch_size=16)
+        assert np.isfinite(curve.losses).all()
+
     def test_winograd_and_direct_nets_train_equivalently(self):
         """The Winograd layer must train as well as direct convolution
         (paper Section II-B: no quality loss)."""

@@ -89,7 +89,7 @@ class TestWinogradConv2D:
         layer.forward(x)
         layer.backward(dy)
         eps = 1e-6
-        idx = (1, 0, 2, 3)
+        idx = (2, 3, 0, 1)  # (u, v, i, j)
         w0 = layer.params["W"][idx]
         layer.params["W"][idx] = w0 + eps
         up = np.sum(layer.forward(x) * dy)

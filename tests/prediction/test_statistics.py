@@ -42,8 +42,11 @@ class TestTileSample:
         tr = make_transform(2, 3)
         low = make_tile_sample(batch=4, size=16, seed=0, bias_shift=0.0)
         high = make_tile_sample(batch=4, size=16, seed=0, bias_shift=1.0)
-        dead_low = (tr.inverse_transform(low.output_tiles_wd) <= 0).mean()
-        dead_high = (tr.inverse_transform(high.output_tiles_wd) <= 0).mean()
+        def dead(tiles):
+            real = tr.inverse_transform(np.moveaxis(tiles, (-2, -1), (0, 1)))
+            return (real <= 0).mean()
+
+        dead_low, dead_high = dead(low.output_tiles_wd), dead(high.output_tiles_wd)
         assert dead_high > dead_low
 
 

@@ -15,9 +15,10 @@ from repro.winograd import TileGrid, extract_tiles, make_transform
 
 
 def sparse_tiles(seed=0, sparsity=0.65):
+    """Tile-major ``(B, th, tw, C, T, T)`` spatial tiles of sparse maps."""
     maps = natural_feature_maps(4, 8, 16, seed=seed, sparsity=sparsity)
     grid = TileGrid(height=16, width=16, pad=1, m=2, r=3)
-    return extract_tiles(maps, grid)
+    return np.moveaxis(extract_tiles(maps, grid), (0, 1), (-2, -1))
 
 
 class TestPackUnpack:

@@ -142,7 +142,7 @@ class TestEFF002SeededMutations:
         assert code == 0, out
 
     def test_operand_mutation_detected(self, tmp_path, capsys):
-        anchor = "    if grid.tiles_per_image >= _SCATTER_MIN_TILES:\n        return _scatter_tiles_blockphase(d_tiles, grid)"
+        anchor = "    t, _, batch, tiles_high, tiles_wide, channels = d_tiles.shape"
         path = _copy_with(
             tmp_path,
             TILING,
@@ -157,7 +157,7 @@ class TestEFF002SeededMutations:
     def test_skip_operands_stay_exempt(self, tmp_path, capsys):
         # Mutating a `_` (skip) operand is outside EFF002's contract:
         # only value-semantics array/scalar slots are covered.
-        anchor = "    if grid.tiles_per_image >= _SCATTER_MIN_TILES:\n        return _scatter_tiles_blockphase(d_tiles, grid)"
+        anchor = "    t, _, batch, tiles_high, tiles_wide, channels = d_tiles.shape"
         path = _copy_with(
             tmp_path,
             TILING,

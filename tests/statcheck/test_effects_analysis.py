@@ -65,7 +65,7 @@ class TestCollector:
 
     def test_aug_assign_does_not_alias_operand(self):
         # `acc += view_of_param` reads the view; it must not make acc
-        # alias the parameter (the _scatter_tiles_blockphase shape).
+        # alias the parameter (an overlap-add accumulator's shape).
         s, _ = summaries(
             """
             def f(d, n):

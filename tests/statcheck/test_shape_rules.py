@@ -161,16 +161,21 @@ def model(x, w):
         assert "SHAPE002" in rules_of(findings)
 
     def test_flipped_weight_transform_return_dims_flagged(self):
-        # The flipped-G chain ends in (..., R, T) where the contract
-        # declares (..., T, T): an ellipsis operand's trailing dims.
+        # G w G^T applied with G^T (r x T) in place of G (T x r): the
+        # sandwich's contract ties the matrix's columns to the operand's
+        # leading dims, so the call sees r-sized axes where T is due.
         mutated = mutate(
             COOK_TOOM,
-            "out = np.tensordot(w, self.G, axes=([-2], [1]))",
-            "out = np.tensordot(w, self.G, axes=([-2], [0]))",
+            "out = _sandwich(self.G, w.reshape(r, r, i * j))",
+            "out = _sandwich(self.G.T, w.reshape(r, r, i * j))",
         )
         findings = check_source(mutated, select=["SHAPE002"])
-        assert rules_of(findings) == ["SHAPE002"]
-        assert "returns dim 0 = R" in findings[0].message
+        # Both leading dims of the operand disagree with the contract.
+        assert rules_of(findings) == ["SHAPE002", "SHAPE002"]
+        assert all(
+            "caller passes R where the contract requires T" in f.message
+            for f in findings
+        )
 
     def test_real_tree_is_clean(self):
         for path in (COOK_TOOM, TILING, PARTITION, COLLECTIVES):
@@ -189,15 +194,19 @@ class TestShape003TransformConformance:
 
     def test_flipped_weight_transform_flagged(self):
         # Classic Eq. 1 bug: G w G^T applied as if G were square — the
-        # contraction takes G's T-axis instead of its r-axis.
+        # first-axis GEMM of the shared sandwich takes the matrix's
+        # transpose (T x r for G), contracting its T-axis instead of r.
         mutated = mutate(
             COOK_TOOM,
-            "out = np.tensordot(w, self.G, axes=([-2], [1]))",
-            "out = np.tensordot(w, self.G, axes=([-2], [0]))",
+            "y = mat @ x.reshape(q, q * n)",
+            "y = mat.T @ x.reshape(q, q * n)",
         )
         findings = check_source(mutated, select=["SHAPE003"])
         assert "SHAPE003" in rules_of(findings)
-        assert any("G" in f.message for f in findings)
+        assert any(
+            "mat.T (size P)" in f.message and "(size Q)" in f.message
+            for f in findings
+        )
 
     def test_any_tensordot_with_mismatched_axes_flagged(self):
         # Not a Cook-Toom matrix: the contracted sizes K and M differ.
@@ -214,14 +223,47 @@ def project(a, b):
         assert "(size K)" in findings[0].message
         assert "(size M)" in findings[0].message
 
+    @pytest.mark.parametrize("product", ["np.matmul(a, b)", "a @ b"])
+    def test_any_matmul_with_mismatched_axes_flagged(self, product):
+        # The GEMM form of the same bug: a's columns (K) against b's
+        # rows (M).
+        source = f"""
+import numpy as np
+from repro.contracts import shaped
+
+@shaped("(N,K), (M,J) -> (N,J)")
+def project(a, b):
+    return {product}
+"""
+        findings = check_source(source, select=["SHAPE003"])
+        assert rules_of(findings) == ["SHAPE003"]
+        assert "(size K)" in findings[0].message
+        assert "(size M)" in findings[0].message
+
     def test_flipped_inverse_transform_flagged(self):
+        # A^T Y A with the second-axis GEMM taking the transposed matrix
+        # (T x m for A^T): its contraction meets the m-sized axis.
         mutated = mutate(
             COOK_TOOM,
-            "out = np.tensordot(Y, self.A, axes=([-2], [0]))",
-            "out = np.tensordot(Y, self.A, axes=([-2], [1]))",
+            "return np.matmul(mat, y.reshape(p, q, n))",
+            "return np.matmul(mat.T, y.reshape(p, q, n))",
         )
         findings = check_source(mutated, select=["SHAPE003"])
         assert "SHAPE003" in rules_of(findings)
+
+    def test_flipped_transform_call_flagged(self):
+        # A^T Y A called with A (T x m) in place of A^T (m x T).
+        mutated = mutate(
+            COOK_TOOM,
+            "out = _sandwich(self.A.T, Y.reshape(t, t, b * th * tw * c))",
+            "out = _sandwich(self.A, Y.reshape(t, t, b * th * tw * c))",
+        )
+        findings = check_source(mutated, select=["SHAPE002", "SHAPE003"])
+        assert rules_of(findings) == ["SHAPE002", "SHAPE002"]
+        assert all(
+            "caller passes T where the contract requires M" in f.message
+            for f in findings
+        )
 
 
 class TestShape004TileGeometry:

@@ -83,7 +83,7 @@ class TestBackwardEquivalence:
         dy = rng.standard_normal(y.shape)
         _, dw = winograd_backward(dy, weights, tr, cache)
         eps = 1e-6
-        for idx in [(0, 0, 1, 1), (1, 1, 3, 2), (0, 1, 0, 0)]:
+        for idx in [(1, 1, 0, 0), (3, 2, 1, 1), (0, 0, 1, 0)]:  # (u, v, i, j)
             wp, wm = weights.copy(), weights.copy()
             wp[idx] += eps
             wm[idx] -= eps
@@ -98,27 +98,27 @@ class TestElementwiseMatmul:
 
     def test_matches_einsum(self):
         rng = np.random.default_rng(3)
-        tiles = rng.standard_normal((2, 3, 2, 2, 4, 4))
-        weights = rng.standard_normal((5, 3, 4, 4))
+        tiles = rng.standard_normal((4, 4, 2, 2, 2, 3))
+        weights = rng.standard_normal((4, 4, 3, 5))
         got = elementwise_matmul(tiles, weights)
-        expected = np.einsum("bixyuv,jiuv->bjxyuv", tiles, weights)
+        expected = np.einsum("uvbxyi,uvij->uvbxyj", tiles, weights)
         np.testing.assert_allclose(got, expected, atol=1e-12)
 
     def test_no_cross_element_mixing(self):
         """Changing element (u,v) of the input must not affect any other
         element of the output — the independence MPT exploits."""
         rng = np.random.default_rng(4)
-        tiles = rng.standard_normal((1, 2, 1, 1, 4, 4))
-        weights = rng.standard_normal((2, 2, 4, 4))
+        tiles = rng.standard_normal((4, 4, 1, 1, 1, 2))
+        weights = rng.standard_normal((4, 4, 2, 2))
         base = elementwise_matmul(tiles, weights)
         tiles2 = tiles.copy()
-        tiles2[..., 1, 2] += 1.0
+        tiles2[1, 2] += 1.0
         out2 = elementwise_matmul(tiles2, weights)
         diff = np.abs(out2 - base)
         mask = np.zeros((4, 4), dtype=bool)
         mask[1, 2] = True
-        assert np.all(diff[..., ~mask] == 0)
-        assert np.any(diff[..., 1, 2] > 0)
+        assert np.all(diff[~mask] == 0)
+        assert np.any(diff[1, 2] > 0)
 
 
 class TestWeightProjection:

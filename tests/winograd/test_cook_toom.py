@@ -8,6 +8,17 @@ from hypothesis import strategies as st
 from repro.winograd import default_points, make_transform
 
 
+def one_tile(a: np.ndarray) -> np.ndarray:
+    """A single ``(T, T)`` tile as the rank-6 element-major array the 2D
+    transforms take."""
+    return a.reshape(a.shape + (1, 1, 1, 1))
+
+
+def one_filter(w: np.ndarray) -> np.ndarray:
+    """A single ``(r, r)`` filter as an element-major ``(r, r, 1, 1)``."""
+    return w.reshape(w.shape + (1, 1))
+
+
 def reference_correlation_1d(x: np.ndarray, w: np.ndarray, m: int) -> np.ndarray:
     r = len(w)
     return np.array([sum(x[i + j] * w[j] for j in range(r)) for i in range(m)])
@@ -88,8 +99,11 @@ class TestConstruction:
         rng = np.random.default_rng(11)
         x = rng.standard_normal((tr.tile, tr.tile))
         w = rng.standard_normal((r, r))
-        got = tr.inverse_transform(tr.transform_input(x) * tr.transform_weight(w))
-        np.testing.assert_allclose(got, reference_correlation_2d(x, w, m), atol=1e-9)
+        wd = tr.transform_weight(one_filter(w))[:, :, :, :, None, None]
+        got = tr.inverse_transform(tr.transform_input(one_tile(x)) * wd)
+        np.testing.assert_allclose(
+            got[:, :, 0, 0, 0, 0], reference_correlation_2d(x, w, m), atol=1e-9
+        )
 
     @given(
         m=st.integers(min_value=1, max_value=4),
@@ -119,8 +133,8 @@ class TestTransposedOperators:
     def test_inverse_transform_adjoint(self, m, r):
         tr = make_transform(m, r)
         rng = np.random.default_rng(3)
-        a = rng.standard_normal((tr.tile, tr.tile))
-        b = rng.standard_normal((m, m))
+        a = one_tile(rng.standard_normal((tr.tile, tr.tile)))
+        b = one_tile(rng.standard_normal((m, m)))
         lhs = np.sum(tr.inverse_transform(a) * b)
         rhs = np.sum(a * tr.inverse_transform_transposed(b))
         assert abs(lhs - rhs) < 1e-9
@@ -129,8 +143,8 @@ class TestTransposedOperators:
     def test_input_transform_adjoint(self, m, r):
         tr = make_transform(m, r)
         rng = np.random.default_rng(4)
-        a = rng.standard_normal((tr.tile, tr.tile))
-        b = rng.standard_normal((tr.tile, tr.tile))
+        a = one_tile(rng.standard_normal((tr.tile, tr.tile)))
+        b = one_tile(rng.standard_normal((tr.tile, tr.tile)))
         lhs = np.sum(tr.transform_input(a) * b)
         rhs = np.sum(a * tr.transform_input_transposed(b))
         assert abs(lhs - rhs) < 1e-9
@@ -139,8 +153,8 @@ class TestTransposedOperators:
     def test_weight_transform_adjoint(self, m, r):
         tr = make_transform(m, r)
         rng = np.random.default_rng(5)
-        a = rng.standard_normal((r, r))
-        b = rng.standard_normal((tr.tile, tr.tile))
+        a = one_filter(rng.standard_normal((r, r)))
+        b = one_filter(rng.standard_normal((tr.tile, tr.tile)))
         lhs = np.sum(tr.transform_weight(a) * b)
         rhs = np.sum(a * tr.transform_weight_transposed(b))
         assert abs(lhs - rhs) < 1e-9
@@ -148,8 +162,8 @@ class TestTransposedOperators:
     def test_batched_axes_supported(self):
         tr = make_transform(2, 3)
         rng = np.random.default_rng(6)
-        x = rng.standard_normal((3, 5, tr.tile, tr.tile))
+        x = rng.standard_normal((tr.tile, tr.tile, 3, 5, 2, 4))
         out = tr.transform_input(x)
         assert out.shape == x.shape
-        single = tr.transform_input(x[1, 2])
-        np.testing.assert_allclose(out[1, 2], single)
+        single = tr.transform_input(x[:, :, 1:2, 2:3, 0:1, 3:4])
+        np.testing.assert_allclose(out[:, :, 1, 2, 0, 3], single[:, :, 0, 0, 0, 0])

@@ -2,11 +2,12 @@
 
 The production kernels (batched ``matmul`` / stride tricks) and the
 loop-level references in :mod:`repro.winograd.reference` compute the
-same quantities.  Where both sides perform the identical reductions the
-comparison is exact (``np.array_equal`` on same-dtype outputs); where
-vectorization unavoidably reassociates a sum (``tensordot`` over
-flattened axes in the weight gradient, overlap-add accumulation order)
-the comparison is ``allclose`` at ``rtol=1e-12``.
+same quantities on the same element-major layout.  Where both sides
+perform the identical reductions the comparison is exact
+(``np.array_equal`` on same-dtype outputs) — the overlap-add included,
+since its descending element loop feeds every canvas cell in the
+per-tile loop's order; where the GEMMs run over differently batched
+operands the comparison is ``allclose`` at ``rtol=1e-12``.
 
 Shapes deliberately include the awkward cases: outputs not divisible by
 ``m`` (ragged tile grids), both paper kernel sizes ``r in {3, 5}``, and
@@ -37,8 +38,6 @@ from repro.winograd.reference import (
 from repro.winograd.tiling import (
     TileGrid,
     assemble_output,
-    _SCATTER_MIN_TILES,
-    _scatter_tiles_blockphase,
     assemble_output_adjoint,
     extract_tiles,
     extract_tiles_adjoint,
@@ -59,12 +58,12 @@ def _rng():
 
 
 def _tiles_pair(t, shape=(3, 5, 4, 3)):
-    """Random Winograd-domain tiles (B, C, th, tw, T, T) pairs."""
+    """Random Winograd-domain tiles (T, T, B, th, tw, C) pairs."""
     rng = _rng()
     batch, ch, th, tw = shape
-    tiles = rng.standard_normal((batch, ch, th, tw, t, t))
-    grads = rng.standard_normal((batch, ch + 1, th, tw, t, t))
-    weights = rng.standard_normal((ch + 1, ch, t, t))
+    tiles = rng.standard_normal((t, t, batch, th, tw, ch))
+    grads = rng.standard_normal((t, t, batch, th, tw, ch + 1))
+    weights = rng.standard_normal((t, t, ch, ch + 1))
     return tiles, grads, weights
 
 
@@ -116,38 +115,32 @@ class TestTiling:
         grid = TileGrid(height=height, width=width, pad=pad, m=m, r=r)
         t = grid.tile
         d_tiles = _rng().standard_normal(
-            (2, 3, grid.tiles_high, grid.tiles_wide, t, t)
+            (t, t, 2, grid.tiles_high, grid.tiles_wide, 3)
         )
         fast = extract_tiles_adjoint(d_tiles, grid)
         ref = extract_tiles_adjoint_reference(d_tiles, grid)
         assert fast.dtype == ref.dtype
-        # Overlap-add accumulates neighbouring tiles in a different
-        # order than the per-tile loop.
-        np.testing.assert_allclose(fast, ref, rtol=1e-12)
-        # The block-phase scatter (the large-grid dispatch target) must
-        # agree on every geometry, not just the ones big enough to
-        # trigger the dispatcher's threshold.
-        scattered = _scatter_tiles_blockphase(d_tiles, grid)
-        assert scattered.dtype == ref.dtype
-        np.testing.assert_allclose(scattered, ref, rtol=1e-12)
+        # Each canvas cell receives its overlapping tiles in the
+        # per-tile loop's (tile_row, tile_col) order: bit-identical.
+        assert np.array_equal(fast, ref)
 
     def test_extract_tiles_adjoint_large_grid_dispatch(self):
-        """A grid past ``_SCATTER_MIN_TILES`` routes through the
-        vectorized scatter and still matches the reference loop."""
+        """A 1,089-tile grid (33 x 33 tiles per image) matches the
+        reference loop bit for bit: one overlap-add path at every size."""
         grid = TileGrid(height=132, width=132, pad=1, m=4, r=3)
-        assert grid.tiles_per_image >= _SCATTER_MIN_TILES
+        assert grid.tiles_per_image == 1089
         d_tiles = _rng().standard_normal(
-            (1, 2, grid.tiles_high, grid.tiles_wide, grid.tile, grid.tile)
+            (grid.tile, grid.tile, 1, grid.tiles_high, grid.tiles_wide, 2)
         )
         fast = extract_tiles_adjoint(d_tiles, grid)
         ref = extract_tiles_adjoint_reference(d_tiles, grid)
-        np.testing.assert_allclose(fast, ref, rtol=1e-12)
+        assert np.array_equal(fast, ref)
 
     @pytest.mark.parametrize("m,r,height,width,pad", GEOMETRIES)
     def test_assemble_output_exact(self, m, r, height, width, pad):
         grid = TileGrid(height=height, width=width, pad=pad, m=m, r=r)
         out_tiles = _rng().standard_normal(
-            (2, 3, grid.tiles_high, grid.tiles_wide, m, m)
+            (m, m, 2, grid.tiles_high, grid.tiles_wide, 3)
         )
         fast = assemble_output(out_tiles, grid)
         ref = assemble_output_reference(out_tiles, grid)
@@ -173,7 +166,7 @@ class TestEndToEndAgainstReferencePipeline:
         transform = make_transform(m, r)
         t = transform.tile
         x = rng.standard_normal((2, 3, height, width))
-        weights = rng.standard_normal((4, 3, t, t))
+        weights = rng.standard_normal((t, t, 3, 4))
         y, cache = winograd_forward(x, weights, transform, pad=pad)
 
         grid = cache.grid
@@ -191,7 +184,7 @@ class TestEndToEndAgainstReferencePipeline:
         assert (transform.m, transform.r) == (2, 3)
         t = transform.tile
         x = rng.standard_normal((2, 3, 9, 9))  # B*t not divisible by N_c=4
-        weights = rng.standard_normal((4, 3, t, t))
+        weights = rng.standard_normal((t, t, 3, 4))
         y, cache = winograd_forward(x, weights, transform, pad=1)
         dy = rng.standard_normal(y.shape)
         dx, dw = winograd_backward(dy, weights, transform, cache)

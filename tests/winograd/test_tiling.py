@@ -49,10 +49,10 @@ class TestExtraction:
         x = rng.standard_normal((1, 1, 6, 6))
         grid = TileGrid(height=6, width=6, pad=1, m=2, r=3)
         tiles = extract_tiles(x, grid)
-        assert tiles.shape == (1, 1, 3, 3, 4, 4)
+        assert tiles.shape == (4, 4, 1, 3, 3, 1)
         padded = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
-        np.testing.assert_allclose(tiles[0, 0, 0, 0], padded[0, 0, :4, :4])
-        np.testing.assert_allclose(tiles[0, 0, 1, 1], padded[0, 0, 2:6, 2:6])
+        np.testing.assert_allclose(tiles[:, :, 0, 0, 0, 0], padded[0, 0, :4, :4])
+        np.testing.assert_allclose(tiles[:, :, 0, 1, 1, 0], padded[0, 0, 2:6, 2:6])
 
     def test_shape_mismatch_rejected(self):
         grid = TileGrid(height=6, width=6, pad=1, m=2, r=3)
@@ -65,7 +65,7 @@ class TestExtraction:
         grid = TileGrid(height=8, width=8, pad=0, m=2, r=3)
         tiles = extract_tiles(x, grid)
         # Column overlap: last 2 columns of tile (0,0) = first 2 of (0,1).
-        np.testing.assert_allclose(tiles[0, 0, 0, 0, :, 2:], tiles[0, 0, 0, 1, :, :2])
+        np.testing.assert_allclose(tiles[:, 2:, 0, 0, 0, 0], tiles[:, :2, 0, 0, 1, 0])
 
 
 class TestAssembly:
@@ -98,7 +98,7 @@ class TestAdjoints:
         grid = TileGrid(height=h, width=w, pad=pad, m=2, r=3)
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((1, 1, h, w))
-        t = rng.standard_normal((1, 1, grid.tiles_high, grid.tiles_wide, 4, 4))
+        t = rng.standard_normal((4, 4, 1, grid.tiles_high, grid.tiles_wide, 1))
         lhs = np.sum(extract_tiles(x, grid) * t)
         rhs = np.sum(x * extract_tiles_adjoint(t, grid))
         assert abs(lhs - rhs) < 1e-9
@@ -106,7 +106,7 @@ class TestAdjoints:
     def test_assemble_adjoint_property(self):
         grid = TileGrid(height=8, width=8, pad=1, m=2, r=3)
         rng = np.random.default_rng(9)
-        tiles = rng.standard_normal((1, 2, 4, 4, 2, 2))
+        tiles = rng.standard_normal((2, 2, 1, 4, 4, 2))
         y = rng.standard_normal((1, 2, 8, 8))
         lhs = np.sum(assemble_output(tiles, grid) * y)
         rhs = np.sum(tiles * assemble_output_adjoint(y, grid))
@@ -116,7 +116,7 @@ class TestAdjoints:
         grid = TileGrid(height=6, width=6, pad=0, m=2, r=3)
         assert grid.tiles_wide == 2
         # Horizontally adjacent tiles overlap on columns 2-3.
-        tiles = np.ones((1, 1, grid.tiles_high, grid.tiles_wide, 4, 4))
+        tiles = np.ones((4, 4, 1, grid.tiles_high, grid.tiles_wide, 1))
         dx = extract_tiles_adjoint(tiles, grid)
         assert dx[0, 0, 0, 0] == 1.0  # covered by one tile
         assert dx[0, 0, 0, 2] == 2.0  # covered by 2 tiles horizontally
