@@ -12,7 +12,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from .engine import all_rules, check_paths
-from .findings import render_json, render_text
+from .findings import Finding, render_json, render_text
 
 
 def _default_paths() -> List[Path]:
@@ -231,7 +231,8 @@ def _effects_report(paths: List[Path]) -> str:
 
 def _costs_report(paths: List[Path]) -> str:
     """Per-function declared/derived cost polynomials (JSON) for every
-    ``@cost``-annotated function under ``paths``."""
+    ``@cost``-annotated function under ``paths``; a file that does not
+    parse is listed as its ``SYNT001`` event."""
     import json
 
     from .costs.checks import cost_signature
@@ -241,6 +242,9 @@ def _costs_report(paths: List[Path]) -> str:
     functions = []
     events = []
     for ctx in iter_contexts(paths):
+        if isinstance(ctx, Finding):
+            events.append({k: getattr(ctx, k) for k in ("rule", "path", "line", "message")})
+            continue
         contracts = contract_pass(ctx)
         shown = ctx.path
         seen = set()

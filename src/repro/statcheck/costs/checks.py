@@ -253,7 +253,7 @@ def _check_traffic(cp, costed: List[ContractDef]) -> None:
                 f"with the comm_model analytical factor"
                 + _side_by_side("bytes", declared, fact),
             )
-    for cls in ast.walk(cp.tree):
+    for cls in cp.nodes:
         if not (
             isinstance(cls, ast.ClassDef)
             and cls.name == facts.TRAFFIC_MACHINE_CLASS
@@ -299,23 +299,17 @@ def _check_wire(cp, costed: List[ContractDef]) -> None:
                 f"collective's closed form"
                 + _side_by_side("bytes", declared, fact),
             )
-    defined = {
-        st.name
-        for st in ast.walk(cp.tree)
-        if isinstance(st, (ast.FunctionDef, ast.AsyncFunctionDef))
-    }
+    defined: Dict[str, ast.AST] = {}  # name -> its first def
+    for st in cp.nodes:
+        if isinstance(st, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            defined.setdefault(st.name, st)
     for anchor, required in facts.WIRE_PRESENCE.items():
         if anchor not in defined:
             continue
-        missing = sorted(set(required) - defined)
+        missing = sorted(set(required).difference(defined))
         if missing:
-            anchor_node = next(
-                st for st in ast.walk(cp.tree)
-                if isinstance(st, (ast.FunctionDef, ast.AsyncFunctionDef))
-                and st.name == anchor
-            )
             _event(
-                cp, "COST004", anchor_node,
+                cp, "COST004", defined[anchor],
                 f"{anchor}: module must define the checked wire-byte "
                 f"helpers {missing}",
             )

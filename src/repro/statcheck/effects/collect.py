@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..registry import _decorator_name
 from .intrinsics import (
@@ -96,15 +96,15 @@ def _canonical(dotted: str, aliases: Dict[str, str]) -> str:
     return f"{resolved}.{rest}" if rest else resolved
 
 
-def module_aliases(tree: ast.AST) -> Dict[str, str]:
-    """Names bound by imports -> canonical dotted path.
+def module_aliases(nodes: Iterable[ast.AST]) -> Dict[str, str]:
+    """Names bound by the imports among ``nodes`` -> canonical dotted path.
 
     Relative imports resolve under the ``@local.`` marker so they can
     never collide with a real stdlib module name; the analysis resolves
     them against the package registry by bare name instead.
     """
     aliases: Dict[str, str] = {}
-    for node in ast.walk(tree):
+    for node in nodes:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 aliases[alias.asname or alias.name.split(".")[0]] = alias.name
@@ -172,7 +172,7 @@ class ModuleInfo:
 # ---------------------------------------------------------------------------
 
 
-def _mutable_globals(tree: ast.Module) -> Set[str]:
+def _mutable_globals(tree: ast.Module, nodes: Sequence[ast.AST]) -> Set[str]:
     names: Set[str] = set()
     for stmt in tree.body:
         targets: List[ast.expr] = []
@@ -197,7 +197,7 @@ def _mutable_globals(tree: ast.Module) -> Set[str]:
                     names.add(target.id)
     # Anything rebound through a `global` declaration is mutable module
     # state no matter what its module-level initialiser looks like.
-    for node in ast.walk(tree):
+    for node in nodes:
         if isinstance(node, ast.Global):
             names.update(node.names)
     return names
@@ -208,11 +208,12 @@ def _mutable_globals(tree: ast.Module) -> Set[str]:
 # ---------------------------------------------------------------------------
 
 
-def _bound_names(fn: ast.AST) -> Set[str]:
-    """Every name the function binds locally (assignments, loop/with
-    targets, comprehension targets, nested defs, in-function imports)."""
+def _scope_names(fn: ast.AST) -> Tuple[Set[str], Set[str], Set[str]]:
+    """One walk of ``fn``: its ``global`` declarations, the other names it
+    binds locally (targets, nested defs, imports) and the import-bound ones."""
     bound: Set[str] = set()
     global_decls: Set[str] = set()
+    imported: Set[str] = set()
     for node in ast.walk(fn):
         if isinstance(node, ast.Global):
             global_decls.update(node.names)
@@ -238,10 +239,10 @@ def _bound_names(fn: ast.AST) -> Set[str]:
                 bound.add(a.arg)
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             for alias in node.names:
-                bound.add((alias.asname or alias.name).split(".")[0])
+                imported.add((alias.asname or alias.name).split(".")[0])
         elif isinstance(node, ast.ExceptHandler) and node.name:
             bound.add(node.name)
-    return bound - global_decls
+    return global_decls, (bound | imported) - global_decls, imported
 
 
 class _FunctionAnalyzer:
@@ -258,22 +259,11 @@ class _FunctionAnalyzer:
         self.info = info
         self.aliases = dict(aliases)
         self.mutable_globals = mutable_globals
-        self.global_decls: Set[str] = {
-            name
-            for node in ast.walk(fn)
-            if isinstance(node, ast.Global)
-            for name in node.names
-        }
-        self.local_bound = _bound_names(fn) | set(info.params)
-        # Names bound by in-function imports: locally bound, but still a
-        # module namespace for canonicalization (``import heapq`` inside
-        # a hot function is a common idiom in this tree).
-        self.import_bound: Set[str] = {
-            (alias.asname or alias.name).split(".")[0]
-            for node in ast.walk(fn)
-            if isinstance(node, (ast.Import, ast.ImportFrom))
-            for alias in node.names
-        }
+        # In-function imports bind local names that stay module namespaces
+        # for canonicalization (``import heapq`` inside a hot function is
+        # a common idiom in this tree).
+        self.global_decls, bound, self.import_bound = _scope_names(fn)
+        self.local_bound = bound | set(info.params)
         self.roots: Dict[str, Roots] = {
             p: frozenset({("param", p)}) for p in info.params
         }
@@ -696,8 +686,7 @@ class _FunctionAnalyzer:
             self.eval(stmt.cause)
             return
         if isinstance(stmt, (ast.Import, ast.ImportFrom)):
-            overlay = module_aliases(ast.Module(body=[stmt], type_ignores=[]))
-            self.aliases.update(overlay)
+            self.aliases.update(module_aliases([stmt]))
             return
         # Global/Nonlocal/Pass/Break/Continue: nothing to evaluate.
 
@@ -716,8 +705,9 @@ def _param_names(fn: ast.FunctionDef) -> Tuple[str, ...]:
 
 def collect_module(tree: ast.Module, path: str) -> ModuleInfo:
     """Intraprocedural facts for every def in a parsed module."""
-    aliases = module_aliases(tree)
-    mutable_globals = _mutable_globals(tree)
+    nodes = list(ast.walk(tree))
+    aliases = module_aliases(nodes)
+    mutable_globals = _mutable_globals(tree, nodes)
     info = ModuleInfo(
         path=path,
         aliases=aliases,

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Union
 
 from .findings import Finding, Severity, sort_findings
 from .suppress import SuppressionIndex
@@ -40,6 +41,12 @@ class Context:
     tree: ast.Module
     cache: Dict[str, Any] = field(default_factory=dict)
     index: Any = None
+
+    @cached_property
+    def nodes(self) -> List[ast.AST]:
+        """Every node of ``tree`` in ``ast.walk`` order, walked once on
+        first use: rules iterate this, never ``ast.walk(ctx.tree)``."""
+        return list(ast.walk(self.tree))
 
     def finding(
         self,
@@ -107,26 +114,30 @@ def _selected_rules(
     return rules
 
 
-def _check(
-    source: str, path: str, rules: Sequence[Rule], index: Any = None
-) -> List[Finding]:
+def _context(source: str, path: str, index: Any = None) -> Union[Context, Finding]:
+    """The context of one source, or its ``SYNT001`` finding when it does
+    not parse."""
     try:
         tree = ast.parse(source, filename=path)
     except SyntaxError as exc:
-        return [
-            Finding(
-                rule="SYNT001",
-                message=f"file does not parse: {exc.msg}",
-                path=path,
-                line=exc.lineno or 1,
-                col=(exc.offset or 1) - 1,
-            )
-        ]
-    ctx = Context(path=path, source=source, tree=tree, index=index)
+        return Finding(
+            rule="SYNT001",
+            message=f"file does not parse: {exc.msg}",
+            path=path,
+            line=exc.lineno or 1,
+            col=(exc.offset or 1) - 1,
+        )
+    return Context(path=path, source=source, tree=tree, index=index)
+
+
+def _run(ctx: Union[Context, Finding], rules: Sequence[Rule]) -> List[Finding]:
+    """The unsuppressed findings of ``rules`` on one file."""
+    if isinstance(ctx, Finding):
+        return [ctx]
     findings: List[Finding] = []
     for rule in rules:
         findings.extend(rule.check(ctx))
-    return sort_findings(SuppressionIndex(source, tree=tree).apply(findings))
+    return SuppressionIndex(ctx.source, ctx.nodes).apply(findings)
 
 
 def check_source(
@@ -136,7 +147,7 @@ def check_source(
     ignore: Optional[Sequence[str]] = None,
 ) -> List[Finding]:
     """Run the (selected) rules over one source string."""
-    return _check(source, path, _selected_rules(select, ignore))
+    return sort_findings(_run(_context(source, path), _selected_rules(select, ignore)))
 
 
 def check_file(
@@ -179,18 +190,14 @@ def iter_python_files(paths: Sequence[Path]) -> Iterator[Path]:
                 yield candidate
 
 
-def iter_contexts(paths: Sequence[Path]) -> Iterator[Context]:
-    """A :class:`Context` for every parseable ``.py`` file under
-    ``paths``; the files of one package share one package index."""
+def iter_contexts(paths: Sequence[Path]) -> Iterator[Union[Context, Finding]]:
+    """A :class:`Context` for every ``.py`` file under ``paths``, or its
+    ``SYNT001`` finding when it does not parse; the files of one package
+    share one package index."""
     from .index import indexed_files
 
     for path, index in indexed_files(iter_python_files(paths)):
-        try:
-            source = path.read_text(encoding="utf-8")
-            tree = ast.parse(source, filename=str(path))
-        except (OSError, SyntaxError):
-            continue
-        yield Context(path=str(path), source=source, tree=tree, index=index)
+        yield _context(path.read_text(encoding="utf-8"), str(path), index)
 
 
 def check_paths(
@@ -200,11 +207,5 @@ def check_paths(
 ) -> List[Finding]:
     """Run the suite over files and directory trees, resolving each
     package's index once for all of its files."""
-    from .index import indexed_files
-
     rules = _selected_rules(select, ignore)
-    findings: List[Finding] = []
-    for path, index in indexed_files(iter_python_files(paths)):
-        source = path.read_text(encoding="utf-8")
-        findings.extend(_check(source, str(path), rules, index))
-    return sort_findings(findings)
+    return sort_findings([f for ctx in iter_contexts(paths) for f in _run(ctx, rules)])

@@ -1700,14 +1700,17 @@ class ContractPass:
     """The SHAPE and COST analysis of one file; the rules filter events.
 
     Calls resolve against ``index``, the file's package; without one,
-    ``tree``'s facts overlay the package of ``path``.
+    ``tree``'s facts overlay the package of ``path``.  ``nodes`` is
+    ``tree``'s node list in ``ast.walk`` order (walked here when not given).
     """
 
     def __init__(
-        self, path: str, tree: ast.Module, *, index: Optional[PackageIndex] = None
+        self, path: str, tree: ast.Module, *, index: Optional[PackageIndex] = None,
+        nodes: Optional[List[ast.AST]] = None,
     ) -> None:
         self.path = path
         self.tree = tree
+        self.nodes = list(ast.walk(tree)) if nodes is None else nodes
         self.index = source_index(path, tree) if index is None else index
         self.events: List[Tuple[str, ast.AST, str]] = []
         self.defs = collect_contracts(tree)
@@ -1787,7 +1790,7 @@ def contract_pass(ctx) -> ContractPass:
     cached = ctx.cache.get("contract_pass")
     if cached is None:
         cached = ctx.cache["contract_pass"] = ContractPass(
-            ctx.path, ctx.tree, index=index_of(ctx)
+            ctx.path, ctx.tree, index=index_of(ctx), nodes=ctx.nodes
         )
     return cached
 
@@ -1798,9 +1801,10 @@ def collect_stats(paths: Sequence[Union[str, Path]]) -> Dict[str, ShapeStats]:
     Used by the test asserting that the static pass actually consumes
     contracts in every annotated subsystem.
     """
-    from .engine import iter_contexts
+    from .engine import Context, iter_contexts
 
     return {
         ctx.path: contract_pass(ctx).stats
         for ctx in iter_contexts([Path(p) for p in paths])
+        if isinstance(ctx, Context)
     }

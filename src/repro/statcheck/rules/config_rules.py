@@ -73,7 +73,7 @@ class ConfigFieldValidation(Rule):
     )
 
     def check(self, ctx: Context) -> Iterator:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not (
                 isinstance(node, ast.ClassDef)
                 and node.name.endswith("Config")
@@ -170,7 +170,7 @@ class GridProductInvariant(Rule):
 
     def check(self, ctx: Context) -> Iterator:
         # (a) literal collections of 2-int tuples bound to a grid-ish name.
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not (isinstance(node, ast.Assign) and len(node.targets) == 1):
                 continue
             target = node.targets[0]
@@ -201,7 +201,7 @@ class GridProductInvariant(Rule):
         # never attributed to an enclosing block twice.
         simple = (ast.Assign, ast.AnnAssign, ast.AugAssign, ast.Expr,
                   ast.Return, ast.Raise, ast.Assert)
-        for stmt in ast.walk(ctx.tree):
+        for stmt in ctx.nodes:
             if not isinstance(stmt, simple):
                 continue
             grids: List[Tuple[Tuple[int, int], ast.Call]] = []

@@ -29,7 +29,7 @@ def _aliases(ctx: Context) -> Dict[str, str]:
     """The file's import aliases, computed once for all DET rules."""
     cached = ctx.cache.get("module_aliases")
     if cached is None:
-        cached = ctx.cache["module_aliases"] = module_aliases(ctx.tree)
+        cached = ctx.cache["module_aliases"] = module_aliases(ctx.nodes)
     return cached
 
 
@@ -49,7 +49,7 @@ class UnseededRandom(Rule):
 
     def check(self, ctx: Context) -> Iterator:
         aliases = _aliases(ctx)
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.Call):
                 continue
             dotted = _dotted(node.func)
@@ -128,7 +128,7 @@ class SetIterationOrder(Rule):
 
     def check(self, ctx: Context) -> Iterator:
         set_names: Set[str] = set()
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if isinstance(node, ast.Assign) and len(node.targets) == 1:
                 target = node.targets[0]
                 if isinstance(target, ast.Name):
@@ -136,7 +136,7 @@ class SetIterationOrder(Rule):
                         set_names.add(target.id)
                     else:
                         set_names.discard(target.id)
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if isinstance(node, (ast.For, ast.AsyncFor)) and _is_set_expr(
                 node.iter, set_names
             ):
@@ -197,7 +197,7 @@ class IdentityOrdering(Rule):
     )
 
     def check(self, ctx: Context) -> Iterator:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if (
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Name)
@@ -241,7 +241,7 @@ class WallClockInSimulation(Rule):
         if not any(pkg in parts for pkg in _SIMULATED_TIME_PACKAGES):
             return
         aliases = _aliases(ctx)
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.Call):
                 continue
             dotted = _dotted(node.func)
@@ -292,7 +292,7 @@ class ConstantSeedFallback(Rule):
                 and _is_constant_seed(node.args[0])
             )
 
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if isinstance(node, ast.BoolOp) and isinstance(node.op, ast.Or):
                 for value in node.values[1:]:
                     if is_const_default_rng(value):

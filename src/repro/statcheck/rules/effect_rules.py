@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, List
 
 from ..effects import describe, effect_pass
 from ..effects.comm import check_collectives
@@ -43,8 +43,8 @@ from ..index import file_key, index_of
 from ..registry import _decorator_name
 
 
-def _memoized_defs(tree: ast.Module) -> Iterator[ast.FunctionDef]:
-    for node in ast.walk(tree):
+def _memoized_defs(nodes: List[ast.AST]) -> Iterator[ast.FunctionDef]:
+    for node in nodes:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             for dec in node.decorator_list:
                 if _decorator_name(dec) == "memoize_sweep":
@@ -63,7 +63,7 @@ class MemoizedFunctionImpurity(Rule):
     )
 
     def check(self, ctx: Context) -> Iterator:
-        memoized = list(_memoized_defs(ctx.tree))
+        memoized = list(_memoized_defs(ctx.nodes))
         if not memoized:
             return
         analysis, key = effect_pass(ctx), file_key(ctx.path)

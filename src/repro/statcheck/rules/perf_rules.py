@@ -81,7 +81,7 @@ class TileElementLoop(Rule):
         parts = Path(ctx.path).parts
         if not any(pkg in parts for pkg in _HOT_PACKAGES):
             return
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, (ast.For, ast.comprehension)):
                 continue
             call = _range_call(node.iter)
@@ -149,13 +149,13 @@ class PerPacketScheduleLoop(Rule):
     def check(self, ctx: Context) -> Iterator:
         if "netsim" not in Path(ctx.path).parts:
             return
-        for fn in ast.walk(ctx.tree):
+        for fn in ctx.nodes:
             if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             if fn.name in _SCHEDULING_PRIMITIVES:
                 continue
             # Only this def's own loops: nested defs are visited as
-            # their own ``fn`` by the outer walk (and checked against
+            # their own ``fn`` by the outer scan (and checked against
             # the allowlist there), so don't descend into them here.
             stack: list = list(fn.body)
             while stack:

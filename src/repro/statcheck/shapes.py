@@ -119,7 +119,7 @@ _GEOM_PROPS = (
 
 
 def _check_tile_geometry(cp) -> None:
-    for node in ast.walk(cp.tree):
+    for node in cp.nodes:
         if isinstance(node, ast.ClassDef):
             _check_geometry_class(cp, node)
 
@@ -258,36 +258,37 @@ _SLICE_TARGET = re.compile(r"slice|chunk|shard|part")
 _SIZE_TARGET = re.compile(r"bytes|elems|elements|size|count")
 
 
+def _split_name(stmt: ast.AST) -> Optional[str]:
+    """The slice-size name ``stmt`` assigns a ``total // n`` split to."""
+    target = stmt.targets[0] if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1 else None
+    name = target.id if isinstance(target, ast.Name) else ""
+    if _SLICE_TARGET.search(name) and _SIZE_TARGET.search(name) and _find_floordiv_split(stmt.value):
+        return name
+    return None
+
+
 def _check_slice_conservation(cp) -> None:
-    # Each assignment is judged once, in its innermost function, against
-    # that function's own remainder handling.
-    for fn in ast.walk(cp.tree):
+    # Each split is judged once, in its innermost function, against that
+    # function's own remainder handling; a file with no split is done.
+    if not any(_split_name(node) for node in cp.nodes):
+        return
+    for fn in cp.nodes:
         if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
         own = list(_own_nodes(fn))
         if _has_remainder_handling(own):
             continue
         for stmt in own:
-            if not isinstance(stmt, ast.Assign):
-                continue
-            target = stmt.targets[0] if len(stmt.targets) == 1 else None
-            name = target.id if isinstance(target, ast.Name) else None
-            if name is None or not (
-                _SLICE_TARGET.search(name)
-                and _SIZE_TARGET.search(name)
-            ):
-                continue
-            floordiv = _find_floordiv_split(stmt.value)
-            if floordiv is None:
-                continue
-            cp.events.append(
-                ("SHAPE006", stmt,
-                 f"{name} = {ast.unparse(stmt.value)} drops the "
-                 f"division remainder: the slices only sum back to the "
-                 f"total when the count divides it exactly; use ragged "
-                 f"bounds (round(i * total / n)) or account for the "
-                 f"remainder explicitly")
-            )
+            name = _split_name(stmt)
+            if name is not None:
+                cp.events.append(
+                    ("SHAPE006", stmt,
+                     f"{name} = {ast.unparse(stmt.value)} drops the "
+                     f"division remainder: the slices only sum back to the "
+                     f"total when the count divides it exactly; use ragged "
+                     f"bounds (round(i * total / n)) or account for the "
+                     f"remainder explicitly")
+                )
 
 
 def _own_nodes(fn: ast.AST) -> Iterator[ast.AST]:

@@ -12,8 +12,8 @@ Two forms, mirroring the usual lint pragmas:
 there is no bare ``ignore`` — so each one documents which invariant is
 being waived.
 
-When the file's AST is available the pragma targeting is statement
-aware rather than purely physical:
+When the file's AST nodes are available the pragma targeting is
+statement aware rather than purely physical:
 
 * a pragma on a decorator line also suppresses findings reported at the
   ``def``/``class`` line it decorates (rules anchor findings at the
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 from .findings import Finding
 
@@ -35,7 +35,7 @@ _PRAGMA = re.compile(
 )
 
 
-def _statement_anchors(tree: ast.AST) -> Dict[int, List[int]]:
+def _statement_anchors(nodes: Iterable[ast.AST]) -> Dict[int, List[int]]:
     """Map each physical line of a statement to the line(s) findings for
     that statement are anchored at.
 
@@ -50,7 +50,7 @@ def _statement_anchors(tree: ast.AST) -> Dict[int, List[int]]:
         if line != anchor:
             anchors.setdefault(line, []).append(anchor)
 
-    for node in ast.walk(tree):
+    for node in nodes:
         if isinstance(node, ast.stmt):
             end = getattr(node, "end_lineno", None) or node.lineno
             # Compound statements (def/if/for/...) span their whole body;
@@ -87,12 +87,13 @@ def _statement_anchors(tree: ast.AST) -> Dict[int, List[int]]:
 
 
 class SuppressionIndex:
-    """Parsed suppression pragmas of one file."""
+    """Parsed suppression pragmas of one file; ``nodes`` are its AST
+    nodes (:attr:`~.engine.Context.nodes`)."""
 
-    def __init__(self, source: str, tree: Optional[ast.AST] = None) -> None:
+    def __init__(self, source: str, nodes: Optional[Iterable[ast.AST]] = None) -> None:
         self.file_rules: Set[str] = set()
         self.line_rules: Dict[int, Set[str]] = {}
-        anchors = _statement_anchors(tree) if tree is not None else {}
+        anchors = _statement_anchors(nodes) if nodes is not None else {}
         lines = source.splitlines()
         for lineno, line in enumerate(lines, start=1):
             match = _PRAGMA.search(line)

@@ -44,19 +44,22 @@ class SymDimError(ValueError):
 def _atom_key(atom: Atom) -> Tuple[int, str]:
     if isinstance(atom, str):
         return (0, atom)
-    return (1, repr(atom))
+    if atom._key is None:  # rendered once per atom, on its first sort
+        object.__setattr__(atom, "_key", (1, repr(atom)))
+    return atom._key
 
 
 class _DivAtom:
     """Opaque ``floordiv``/``ceildiv`` node (immutable, hashable)."""
 
-    __slots__ = ("num", "den", "ceil", "_hash")
+    __slots__ = ("num", "den", "ceil", "_hash", "_key")
 
     def __init__(self, num: "SymDim", den: "SymDim", ceil: bool) -> None:
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "ceil", ceil)
         object.__setattr__(self, "_hash", hash((num, den, ceil)))
+        object.__setattr__(self, "_key", None)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("_DivAtom is immutable")

@@ -77,6 +77,19 @@ class TestCostsReport:
         report = json.loads(capsys.readouterr().out)
         assert [e["rule"] for e in report["events"]] == ["COST001"]
 
+    def test_unparsable_file_is_listed_not_dropped(self, tmp_path, capsys):
+        write(tmp_path, "broken.py", "def f(:\n")
+        write(tmp_path, "ok.py", GOOD_COST)
+        assert main(["--json", str(tmp_path)]) == 1
+        (finding,) = json.loads(capsys.readouterr().out)["findings"]
+        assert main(["--costs", str(tmp_path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert [e["path"] for e in report["functions"]] == [str(tmp_path / "ok.py")]
+        assert report["events"] == [
+            {key: finding[key] for key in ("rule", "path", "line", "message")}
+        ]
+        assert finding["rule"] == "SYNT001"
+
 
 class TestBaselineRegen:
     def test_flag_writes_via_write_baseline(self, tmp_path, capsys, monkeypatch):

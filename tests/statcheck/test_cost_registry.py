@@ -53,8 +53,24 @@ def test_one_index_per_run(monkeypatch):
         tables, index.link_package, lambda modules, root: "link"))
     monkeypatch.setattr(index, "collect_module", _counting(
         collected, index.collect_module, lambda tree, key: key))
-    monkeypatch.setattr(ast, "parse", _counting(
-        parses, ast.parse, lambda source, filename="<unknown>", *rest, **kw: filename))
+    # Every parsed tree remembers its file, so a walk rooted at a module
+    # is charged to the file it came from.
+    owners, module_walks = {}, Counter()
+    real_parse, real_walk = ast.parse, ast.walk
+
+    def parse(source, filename="<unknown>", *rest, **kw):
+        parses[filename] += 1
+        tree = real_parse(source, filename, *rest, **kw)
+        owners[tree] = filename
+        return tree
+
+    def walk(node):
+        if isinstance(node, ast.Module):
+            module_walks[owners.get(node)] += 1
+        return real_walk(node)
+
+    monkeypatch.setattr(ast, "parse", parse)
+    monkeypatch.setattr(ast, "walk", walk)
 
     assert check_paths([SRC]) == []
 
@@ -63,6 +79,10 @@ def test_one_index_per_run(monkeypatch):
     assert set(collected) == files
     assert {k: n for k, n in collected.items() if n != 1} == {}
     assert max(parses[name] for name in files) == 2
+    # One traversal per parsed tree (the index's and the engine's): the
+    # rules share the engine's node list instead of walking again.
+    assert {k: n for k, n in module_walks.items() if n > 2} == {}
+    assert set(module_walks) <= files
 
 
 def test_registry_carries_cost_contracts():

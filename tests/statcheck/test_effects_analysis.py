@@ -7,6 +7,7 @@ import ast
 import textwrap
 
 from repro.statcheck.effects import analyze_source
+from repro.statcheck.effects.collect import FunctionInfo, _FunctionAnalyzer, _param_names
 from repro.statcheck.effects.comm import check_collectives
 from repro.statcheck.effects.guards import check_guards
 
@@ -196,6 +197,42 @@ class TestCollector:
         )
         assert s["bump"].vouched
         assert not atoms(s["bump"])
+
+    def test_one_walk_finds_every_binding_form(self):
+        # One def with every binding form the analyzer's scope scan
+        # handles; the three sets are the three separate walks' output.
+        fn = ast.parse(textwrap.dedent(
+            """
+            def outer(p, *rest, q=1, **kw):
+                global x
+                import a.b as c
+                from m import n
+                import os.path
+                x = 1
+                total = [w for w in p]
+                del y
+                f = lambda la, lb=2: la + lb
+                try:
+                    pass
+                except E as e:
+                    pass
+                def inner(ia, *iv, **ik):
+                    return ia
+                class Inner:
+                    pass
+            """
+        )).body[0]
+        info = FunctionInfo(
+            name=fn.name, qualname=fn.name, lineno=fn.lineno,
+            params=_param_names(fn), is_method=False, decorators=(),
+        )
+        analyzer = _FunctionAnalyzer(fn, info, {}, set())
+        assert analyzer.global_decls == {"x"}
+        assert analyzer.local_bound == {
+            "Inner", "c", "e", "f", "ia", "ik", "inner", "iv", "kw", "la",
+            "lb", "n", "os", "p", "q", "rest", "total", "w", "y",
+        }
+        assert analyzer.import_bound == {"c", "n", "os"}
 
 
 # ---------------------------------------------------------------------------
