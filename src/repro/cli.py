@@ -166,13 +166,15 @@ def cmd_faults(args: argparse.Namespace) -> None:
             doc = (SCENARIOS[name].__doc__ or "").strip().splitlines()
             print(f"{name:<20} {doc[0] if doc else ''}")
         return
-    grids = None
-    if args.grids:
-        grids = []
-        for token in args.grids.split(","):
-            ng, _, nc = token.strip().partition("x")
-            grids.append((int(ng), int(nc)))
     try:
+        grids = None
+        if args.grids:
+            grids = []
+            for token in args.grids.split(","):
+                ng, sep, nc = token.strip().partition("x")
+                if not sep:
+                    raise ValueError(f"--grids takes NGxNC, got {token.strip()!r}")
+                grids.append((int(ng), int(nc)))
         report = run_scenario(
             args.scenario,
             seed=args.seed,
@@ -180,7 +182,7 @@ def cmd_faults(args: argparse.Namespace) -> None:
             grids=grids,
             include_iteration=not args.no_iteration,
         )
-    except KeyError as exc:
+    except (KeyError, ValueError) as exc:
         sys.exit(str(exc.args[0]))
     text = report_json(report)
     if args.out == "-":

@@ -287,7 +287,11 @@ def run_scenario(
     the same (name, seed, message_bytes, grids) twice yields
     byte-identical JSON (see :func:`report_json`).
     """
+    if not message_bytes >= 1:
+        raise ValueError(f"message_bytes must be >= 1, got {message_bytes!r}")
     grid_list = list(grids) if grids is not None else list(PAPER_GRIDS)
+    if not grid_list:
+        raise ValueError("grids must name at least one grid")
     rows = [
         run_scenario_on_grid(
             name, ng, nc, seed=seed, message_bytes=message_bytes, params=params

@@ -15,6 +15,7 @@ times land near the closed forms the performance model uses).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -70,6 +71,11 @@ class CollectiveResult:
     completed: bool = True
 
 
+def _check_start_time(start_time: float) -> None:
+    if not math.isfinite(start_time):
+        raise ValueError(f"start_time must be finite, got {start_time!r}")
+
+
 class _Collector:
     """Per-run delivery accumulator shared by every completion callback.
 
@@ -118,8 +124,19 @@ def ring_allreduce(
     ``deadline_s`` is a watchdog: the simulation stops there and the
     result reports ``completed=False`` if any slice chain is still in
     flight (or stranded on a failed link) at that point.
+
+    Raises ``ValueError`` for an empty ring, a negative or non-finite
+    ``message_bytes`` or a non-finite ``start_time``, whichever engine
+    would run.
     """
     n = len(nodes)
+    if not n:
+        raise ValueError("ring_allreduce needs at least one node")
+    if not (message_bytes >= 0 and math.isfinite(message_bytes)):
+        raise ValueError(
+            f"message_bytes must be finite and >= 0, got {message_bytes!r}"
+        )
+    _check_start_time(start_time)
     if n == 1:
         return CollectiveResult(finish_time_s=start_time, total_bytes_on_wire=0.0, messages=0)
     slice_sizes = ring_slice_sizes(message_bytes, n)
@@ -192,6 +209,7 @@ def all_to_all(
 
     ``deadline_s``: watchdog cut-off, as in :func:`ring_allreduce`.
     """
+    _check_start_time(start_time)
     # Bit-identical closed form when every ordered pair is one uniform
     # hop apart (fully-connected cluster) and the links are fault-clean;
     # gated as in :func:`ring_allreduce` for fast-path-less test doubles.

@@ -55,6 +55,8 @@ import os
 from dataclasses import dataclass
 from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..perf import counter_add, effect_free
 
 #: Tolerance the engine's ``schedule`` applies to "in the past" checks;
@@ -126,6 +128,13 @@ def _hooks_link_state(faults, link, t0: float, t1: float) -> str:
     return state_fn(link, t0, t1)
 
 
+def _declined(reason: str) -> None:
+    """Count why the ring shortcut fell back (a no-op unless profiling
+    is on) and return the fallback ``None``."""
+    counter_add("netsim.ring_declined." + reason)
+    return None
+
+
 def _serialise_step(start: float, sizes: Sequence[int], rate: float) -> float:
     """Serialisation-finish time of a back-to-back packet run that
     begins at ``start`` on an idle link (the engine's per-batch fold)."""
@@ -171,13 +180,15 @@ def ring_allreduce_shortcut(
     simulator state (clock, per-link wire bytes, delivery counters) is
     committed before returning.
     """
-    if not sim.fastpath or not sim.is_quiescent():
-        return None
+    if not sim.fastpath:
+        return _declined("disabled")
+    if not sim.is_quiescent():
+        return _declined("not_quiescent")
     n = len(nodes)
     if n < 2 or len(set(nodes)) != n:
-        return None
+        return _declined("not_a_ring")
     if start_time < sim.now - _PAST_SLACK:
-        return None  # reference path raises the "past" error
+        return _declined("past_start")  # reference path raises the "past" error
     return _ring_shortcut_locked(sim, nodes, slice_sizes, start_time, deadline_s)
 
 
@@ -206,19 +217,20 @@ def _ring_shortcut_locked(
     try:
         routes = [sim.topology.route(nodes[i], nodes[(i + 1) % n]) for i in range(n)]
     except (KeyError, ValueError, RuntimeError):
-        return None  # unreachable pair: the reference path raises it
+        return _declined("unreachable")  # the reference path raises it
     links = [link for route in routes for link in route]
     if len({(link.src, link.dst) for link in links}) != len(links):
-        return None  # a link on two pairs' routes: steps do not order its users
+        return _declined("shared_link")  # steps do not order its users
     payload = sim.packet_bytes
     header = sim.params.packet_header_bytes
     splits = {b: packet_split(b, payload, header) for b in sorted(set(slice_sizes)) if b}
     if not splits:
-        return None  # all-zero slices: reference path is already trivial
+        return _declined("empty")  # all-zero slices: the engine is trivial
     one_packet = all(len(sizes) == 1 for sizes in splits.values())
     single_hop = len(links) == n
     if not (one_packet or single_hop):
-        return None  # multi-packet messages pipeline across hops and interleave
+        # Multi-packet messages pipeline across hops and interleave.
+        return _declined("multi_packet_multi_hop")
     steps = 2 * (n - 1)
     if (
         single_hop
@@ -248,7 +260,7 @@ def _ring_shortcut_locked(
             if state == "dead":
                 dead.add(index)
             elif state != "clean":
-                return None
+                return _declined("dirty_link")
         if dead:
             # Stranding only removes users, so no event moves later and
             # the fault-free horizon still covers the run.
@@ -258,7 +270,7 @@ def _ring_shortcut_locked(
             if schedule is None:
                 return None
     if deadline_s is not None and schedule.latest > deadline_s:
-        return None  # would be cut off mid-flight: reference semantics
+        return _declined("deadline")  # cut off mid-flight: reference semantics
 
     for link, wire in zip(links, schedule.carried):
         link.bytes_carried += wire
@@ -286,60 +298,109 @@ def _fifo_replay(
 ) -> Optional[_RingSchedule]:
     """Per-link FIFO replay of a ring all-reduce, or ``None``.
 
-    Walks steps in order, then each step's chains, then each hop of the
-    chain's route, applying the engine's float expressions per hop.
-    Links are indexed by their position in the concatenated ``routes``
-    (each appears once); a chain strands at its first link in ``dead``.
-    Declines when a link's users do not arrive in strictly increasing
-    step order, or when a chain would queue and ``queue_ok`` is False.
+    Walks the steps in order and moves every chain of a step at once,
+    hop by hop, applying the engine's float expressions elementwise:
+    no link lies on two pairs' routes, so a step's chains use disjoint
+    links and are independent.  Links are indexed by their position in
+    the concatenated ``routes`` (each appears once); a chain strands at
+    its first link in ``dead``.  Each hop's serialisation is a left
+    fold over packet index, never ``k*wire/rate``.  Declines when a
+    link's users do not arrive in strictly increasing step order, or
+    when a chain would queue and ``queue_ok`` is False.
     """
     n = len(routes)
-    hops = []
-    index = 0
-    for route in routes:
-        hops.append([(index + h, link.bytes_per_s, link.latency_s)
-                     for h, link in enumerate(route)])
-        index += len(route)
-    free = [float("-inf")] * index
-    last = [float("-inf")] * index
-    carried = [0] * index
-    times = [start_time] * n
-    active = [i for i in range(n) if slice_sizes[i]]
-    chains = len(active)
-    latest = start_time
-    messages = payload = packets = 0
-    for k in range(2 * (n - 1)):
-        survivors = []
-        for i in active:
-            sizes = splits[slice_sizes[i]]
-            arrival = times[i]
-            for li, rate, latency in hops[(i + k) % n]:
-                if li in dead:
-                    break
-                if arrival <= last[li]:
-                    return None  # tie or overtake: not FIFO in step order
-                last[li] = arrival
-                begin = free[li]
-                if arrival >= begin:
-                    begin = arrival
-                elif not queue_ok:
-                    return None  # a queued multi-packet flow interleaves
-                done = _serialise_step(begin, sizes, rate)
-                free[li] = done
-                arrival = done + latency
-                if arrival > latest:
-                    latest = arrival
-                carried[li] += sum(sizes)
-                packets += len(sizes)
+    max_hops = max(len(route) for route in routes)
+    # Link index of pair p's hop h at [h, p] and again at [h, p + n], so
+    # chain i finds pair (i + k) mod n at i + k mod n; -1 past the route.
+    link_of = np.full((max_hops, 2 * n), -1, dtype=np.intp)
+    links = []
+    for pair, route in enumerate(routes):
+        for hop, link in enumerate(route):
+            link_of[hop, pair] = link_of[hop, pair + n] = len(links)
+            links.append(link)
+    rate = np.array([link.bytes_per_s for link in links], dtype=np.float64)
+    latency = np.array([link.latency_s for link in links], dtype=np.float64)
+    is_dead = np.zeros(len(links), dtype=bool)
+    is_dead[sorted(dead)] = True
+    free = np.full(len(links), -np.inf)
+    last = np.full(len(links), -np.inf)
+    carried = np.zeros(len(links), dtype=np.int64)
+
+    # One row per chain (non-empty slice), with its packets' wire sizes
+    # left-aligned and zero-padded.
+    chain = np.flatnonzero(slice_sizes)
+    sizes = [splits[slice_sizes[i]] for i in chain]
+    wire = np.zeros((len(chain), max(map(len, sizes))), dtype=np.float64)
+    for row, wires in enumerate(sizes):
+        wire[row, : len(wires)] = wires
+
+    steps = 2 * (n - 1)
+    #: Steps each chain completed: all of them unless it strands.
+    reached = np.full(len(chain), steps, dtype=np.int64)
+    # The chains still moving: row, first pair, packet counts, wire
+    # columns and totals, and arrival time at the next link.
+    rows, first = np.arange(len(chain)), chain
+    counts = np.array([len(wires) for wires in sizes], dtype=np.int64)
+    totals = np.array([sum(wires) for wires in sizes], dtype=np.int64)
+    columns = list(wire.T.copy())
+    times = np.full(len(chain), start_time, dtype=np.float64)
+    everyone = rows
+    packets = 0
+    for k in range(steps):
+        base = first + k % n
+        moving = np.ones(len(rows), dtype=bool)
+        for hop in range(max_hops):
+            li = link_of[hop][base]
+            if hop:
+                at = np.flatnonzero(moving & (li >= 0))
+                li = li[at]
             else:
-                times[i] = arrival
-                messages += 1
-                payload += slice_sizes[i]
-                survivors.append(i)
-        active = survivors
-    finish = max([start_time] + [times[i] for i in active])
+                at = everyone
+            if dead:
+                stranded = is_dead[li]
+                moving[at[stranded]] = False
+                at, li = at[~stranded], li[~stranded]
+            if not at.size:
+                break
+            arrive = times[at]
+            if (arrive <= last[li]).any():
+                return _declined("arrival_tie")  # not FIFO in step order
+            last[li] = arrive
+            begin = free[li]
+            if not queue_ok and (arrive < begin).any():
+                # A queued multi-packet flow interleaves.
+                return _declined("queued_multi_packet")
+            done = np.maximum(arrive, begin)
+            hop_rate = rate[li]
+            for column in columns:
+                # A padding zero adds exactly 0.0, which keeps any time
+                # but -0.0 (and no sum after a real packet is -0.0), so
+                # a chain with fewer packets keeps its finish.
+                done = done + column[at] / hop_rate
+            free[li] = done
+            times[at] = done + latency[li]
+            carried[li] += totals[at]
+            packets += int(counts[at].sum())
+        if dead and not moving.all():
+            reached[rows[~moving]] = k
+            rows, first = rows[moving], first[moving]
+            counts, totals = counts[moving], totals[moving]
+            columns = [column[moving] for column in columns]
+            times = times[moving]
+            everyone = np.arange(len(rows))
+
+    # A link's finish times never decrease, so its last user's arrival
+    # downstream is the latest of its events.
+    peak = float((free + latency).max())
+    payload = np.asarray(slice_sizes, dtype=np.int64)[chain]
     return _RingSchedule(
-        latest, finish, messages, payload, packets, carried, len(active) == chains
+        peak if peak > start_time else start_time,
+        max([start_time] + times.tolist()),
+        int(reached.sum()),
+        int((payload * reached).sum()),
+        packets,
+        carried.tolist(),
+        len(rows) == len(chain),
     )
 
 

@@ -81,7 +81,19 @@ class Topology:
         name: str = "",
     ) -> Link:
         """Add one unidirectional link (keeps the faster link on a
-        duplicate pair)."""
+        duplicate pair).  The rate must be finite and positive and the
+        latency finite and non-negative: every engine divides by the
+        rate."""
+        if not 0 < bytes_per_s < math.inf:
+            raise ValueError(
+                f"link {src}->{dst}: bytes_per_s must be finite and > 0, "
+                f"got {bytes_per_s!r}"
+            )
+        if not 0 <= latency_s < math.inf:
+            raise ValueError(
+                f"link {src}->{dst}: latency_s must be finite and >= 0, "
+                f"got {latency_s!r}"
+            )
         existing = self._adjacency.setdefault(src, {}).get(dst)
         if existing is not None:
             if bytes_per_s > existing.bytes_per_s:

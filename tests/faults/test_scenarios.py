@@ -6,6 +6,9 @@ import os
 import subprocess
 import sys
 
+import pytest
+
+from repro.cli import main
 from repro.faults import (
     REPORT_SCHEMA,
     SCENARIOS,
@@ -81,8 +84,6 @@ class TestScenarioRegistry:
             assert (SCENARIOS[name].__doc__ or "").strip(), name
 
     def test_unknown_scenario_raises(self):
-        import pytest
-
         with pytest.raises(KeyError):
             run_scenario_on_grid("no-such-scenario", 16, 16)
 
@@ -134,3 +135,30 @@ class TestReports:
         it = report["iteration"]
         assert it["effective_batch"] == 255
         assert it["grad_renorm"] > 1.0
+
+
+class TestInvalidInput:
+    @pytest.mark.parametrize("message_bytes", [0, -4096])
+    def test_run_scenario_rejects_empty_messages(self, message_bytes):
+        with pytest.raises(ValueError, match="message_bytes"):
+            run_scenario("baseline", message_bytes=message_bytes,
+                         grids=[(16, 16)], include_iteration=False)
+
+    def test_run_scenario_rejects_no_grids(self):
+        with pytest.raises(ValueError, match="grids"):
+            run_scenario("baseline", grids=[])
+
+    @pytest.mark.parametrize("argv", [
+        ["--message-bytes", "-1", "--grids", "16x16"],
+        ["--message-bytes", "0", "--grids", "16x16"],
+        ["--grids", "0x16"],
+        ["--grids", "16"],
+    ])
+    def test_cli_exits_with_one_line_and_no_report(self, tmp_path, argv):
+        out = tmp_path / "bad.json"
+        with pytest.raises(SystemExit) as info:
+            main(["faults", "--scenario", "baseline", "--no-iteration",
+                  "-o", str(out), *argv])
+        message = info.value.code
+        assert isinstance(message, str) and message and "\n" not in message
+        assert not out.exists()

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.faults import SCENARIOS
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import (
     FaultPlan,
@@ -24,8 +25,9 @@ from repro.faults.plan import (
     PacketLoss,
     WorkerFault,
 )
-from repro.faults.resilience import _watchdog
+from repro.faults.resilience import _watchdog, resilient_ring_allreduce
 from repro.netsim import (
+    CollectiveResult,
     Message,
     NetworkSimulator,
     Topology,
@@ -35,6 +37,7 @@ from repro.netsim import (
     ring,
     ring_allreduce,
 )
+from repro.netsim.collectives import ring_slice_sizes
 from repro.netsim.reconfiguration import reconfigure
 from repro.params import DEFAULT_PARAMS
 from repro.perf import (
@@ -173,6 +176,37 @@ class TestRingAllreduceIdentity:
 
         _fast, events = _assert_identical_events(build)
         assert (events == 0) == replayed
+
+    def test_ragged_one_hop_ring_is_replayed(self):
+        """``ring(4)`` with 1,026 B: slices of 256 and 257 B are one and
+        two collective packets, so the replay folds a zero-padded packet
+        column, and must still equal the engine."""
+        assert ring_slice_sizes(1026, 4) == [256, 257, 257, 256]
+
+        def build(fastpath):
+            topo = ring(4)
+            sim = NetworkSimulator(
+                topo, packet_bytes=DEFAULT_PARAMS.collective_packet_bytes,
+                fastpath=fastpath,
+            )
+            profiling_enabled()
+            reset_profile()
+            try:
+                result = ring_allreduce(sim, list(range(4)), 1026)
+                counters = snapshot_profile()["counters"]
+            finally:
+                profiling_disabled()
+                reset_profile()
+            observed = {"result": result, "now": sim.now,
+                        "delivered": (sim.messages_delivered, sim.bytes_delivered),
+                        "links": _topo_snapshot(topo)}
+            coalesced = counters.get("netsim.collectives_coalesced", 0)
+            return observed, coalesced, sim.events_processed
+
+        fast, fast_coalesced, fast_events = build(True)
+        ref, _, ref_events = build(False)
+        assert fast == ref
+        assert fast_coalesced == 1 and fast_events == 0 and ref_events > 0
 
 
 class TestAllToAllIdentity:
@@ -397,6 +431,147 @@ class TestSplicedRingIdentity:
             _spliced_ring_build(16, 16, 64 * 1024, deadline_s=deadline), plan
         )
         assert events == 0 and not fast["result"].completed
+
+
+class TestPaperRingReplayPin:
+    """The ring shortcut alone on ``reconfigure(16, 16, 1)``'s
+    host-bridged 256-ring (64 KiB, collective packets), pinned to the
+    values the reference engine computes for it (the ``-m slow``
+    identity tests above compare the two engines directly)."""
+
+    MESSAGE = 64 * 1024
+    #: Wire bytes of one full collective packet.
+    PACKET_WIRE = (DEFAULT_PARAMS.collective_packet_bytes
+                   + DEFAULT_PARAMS.packet_header_bytes)
+    #: Packets each ring link carries under the dead-worker plan, in
+    #: route order, as runs ``(first, length)`` of consecutive counts.
+    DEAD_WORKER_RUNS = [(65, 64), (128, 65), (0, 1), (0, 63), (0, 1),
+                        (0, 65), (64, 1)]
+
+    def _run(self, plan=None, deadline_s=None):
+        machine = reconfigure(16, 16, 1)
+        ring_order = machine.logical_rings[0]
+        ring_links = [
+            link
+            for a, b in zip(ring_order, ring_order[1:] + ring_order[:1])
+            for link in machine.topology.route(a, b)
+        ]
+        sim = NetworkSimulator(
+            machine.topology,
+            packet_bytes=DEFAULT_PARAMS.collective_packet_bytes,
+            faults=FaultInjector(plan) if plan is not None else None,
+            fastpath=True,
+        )
+        profiling_enabled()
+        reset_profile()
+        try:
+            result = ring_allreduce(sim, ring_order, self.MESSAGE,
+                                    deadline_s=deadline_s)
+            served = snapshot_profile()["counters"].get("netsim.packets_served")
+        finally:
+            profiling_disabled()
+            reset_profile()
+        assert sim.events_processed == 0
+        assert len(ring_links) == 260
+        # Python scalars only: no numpy value reaches a result or a report.
+        assert type(result.finish_time_s) is float and type(sim.now) is float
+        assert type(result.messages) is int
+        assert all(type(link.bytes_carried) is float for link in ring_links)
+        on_ring = {id(link) for link in ring_links}
+        off_ring = [link.bytes_carried for link in machine.topology.links
+                    if id(link) not in on_ring]
+        assert not any(off_ring)
+        return result, sim, served, [link.bytes_carried for link in ring_links]
+
+    def test_clean(self):
+        result, sim, served, ring_bytes = self._run()
+        finish = float.fromhex("0x1.c53317b2e3c11p-17")
+        assert result == CollectiveResult(finish, 33_423_360.0, 130_560, True)
+        assert sim.now == finish
+        assert (sim.messages_delivered, sim.bytes_delivered) == (130_560, 33_423_360)
+        assert served == 132_600
+        assert ring_bytes == [510 * self.PACKET_WIRE] * 260
+
+    def test_dead_worker_first_attempt(self):
+        ring_order = reconfigure(16, 16, 1).logical_rings[0]
+        plan = FaultPlan(
+            worker_faults=(WorkerFault(worker=ring_order[len(ring_order) // 2]),)
+        )
+        deadline = _watchdog(len(ring_order), self.MESSAGE, plan, DEFAULT_PARAMS)
+        result, sim, served, ring_bytes = self._run(plan, deadline)
+        assert result == CollectiveResult(0.0, 20_289 * 256.0, 20_289, False)
+        assert sim.now == float.fromhex("0x1.54b2c2870f031p-18")
+        assert sim.messages_delivered == 20_289
+        assert served == 20_673
+        packets = [first + i for first, length in self.DEAD_WORKER_RUNS
+                   for i in range(length)]
+        assert sum(packets) == served
+        assert ring_bytes == [count * self.PACKET_WIRE for count in packets]
+
+
+class TestDeclineReasons:
+    """The ring shortcut counts why it fell back, one profiler counter
+    per reason, on the fault battery's two remaining engine runs."""
+
+    @pytest.fixture(autouse=True)
+    def _fast_paths_on(self, monkeypatch):
+        monkeypatch.delenv("REPRO_NETSIM_REFERENCE", raising=False)
+
+    @staticmethod
+    def _declines(scenario, groups):
+        machine = reconfigure(16, 16, groups)
+        plan = SCENARIOS[scenario](machine, 0)
+        profiling_enabled()
+        reset_profile()
+        try:
+            resilient_ring_allreduce(machine, 0, 64 * 1024, plan, DEFAULT_PARAMS)
+            counters = snapshot_profile()["counters"]
+        finally:
+            profiling_disabled()
+            reset_profile()
+        prefix = "netsim.ring_declined."
+        return {name[len(prefix):]: count for name, count in counters.items()
+                if name.startswith(prefix)}
+
+    def test_dead_worker_retry_on_the_255_ring(self):
+        """The first attempt is replayed; the retry's ragged 256/257 B
+        slices are two packets on two-hop splice pairs."""
+        assert self._declines("dead-worker", 1) == {"multi_packet_multi_hop": 1}
+
+    def test_lossy_inter_cluster(self):
+        assert self._declines("lossy-inter-cluster", 16) == {"dirty_link": 1}
+
+
+class TestInvalidInput:
+    """Bad collective input raises the same ``ValueError`` whichever
+    engine would run."""
+
+    @staticmethod
+    def _errors(call):
+        errors = []
+        for fastpath in (True, False):
+            sim = NetworkSimulator(ring(4), fastpath=fastpath)
+            with pytest.raises(ValueError) as info:
+                call(sim)
+            errors.append(str(info.value))
+        assert errors[0] == errors[1]
+
+    @pytest.mark.parametrize("nodes,message_bytes,start_time", [
+        ([0, 1, 2, 3], -5, 0.0),
+        ([0, 1, 2, 3], float("nan"), 0.0),
+        ([0, 1, 2, 3], float("inf"), 0.0),
+        ([], 4096, 0.0),
+        ([0, 1, 2, 3], 4096, float("nan")),
+        ([0, 1, 2, 3], 4096, float("inf")),
+    ])
+    def test_ring_allreduce(self, nodes, message_bytes, start_time):
+        self._errors(lambda sim: ring_allreduce(
+            sim, nodes, message_bytes, start_time=start_time))
+
+    @pytest.mark.parametrize("start_time", [float("nan"), float("-inf")])
+    def test_all_to_all_start_time(self, start_time):
+        self._errors(lambda sim: all_to_all(
+            sim, [0, 1, 2, 3], 512, start_time=start_time))
 
 
 class TestRouteErrors:

@@ -123,6 +123,19 @@ class TestTopologyBasics:
         with pytest.raises(KeyError):
             topo.link(0, 1)
 
+    @pytest.mark.parametrize("rate,latency", [
+        (0.0, 1e-9), (-1.0, 1e-9), (float("nan"), 1e-9), (float("inf"), 1e-9),
+        (1e9, -1e-9), (1e9, float("nan")), (1e9, float("inf")),
+    ])
+    def test_invalid_link_rejected(self, rate, latency):
+        """Every engine divides by the rate: a zero rate would raise
+        ``ZeroDivisionError`` mid-run in the packet engine and give an
+        infinite finish in the ring replay."""
+        topo = Topology(num_nodes=2)
+        with pytest.raises(ValueError, match="0->1"):
+            topo.add_link(0, 1, rate, latency)
+        assert topo.links == []
+
     def test_reset_clears_link_state(self):
         topo = ring(4)
         topo.links[0].free_at = 5.0
