@@ -166,24 +166,21 @@ def cmd_faults(args: argparse.Namespace) -> None:
             doc = (SCENARIOS[name].__doc__ or "").strip().splitlines()
             print(f"{name:<20} {doc[0] if doc else ''}")
         return
-    try:
-        grids = None
-        if args.grids:
-            grids = []
-            for token in args.grids.split(","):
-                ng, sep, nc = token.strip().partition("x")
-                if not sep:
-                    raise ValueError(f"--grids takes NGxNC, got {token.strip()!r}")
-                grids.append((int(ng), int(nc)))
-        report = run_scenario(
-            args.scenario,
-            seed=args.seed,
-            message_bytes=args.message_bytes,
-            grids=grids,
-            include_iteration=not args.no_iteration,
-        )
-    except (KeyError, ValueError) as exc:
-        sys.exit(str(exc.args[0]))
+    grids = None
+    if args.grids:
+        grids = []
+        for token in args.grids.split(","):
+            ng, sep, nc = token.strip().partition("x")
+            if not sep:
+                raise ValueError(f"--grids takes NGxNC, got {token.strip()!r}")
+            grids.append((int(ng), int(nc)))
+    report = run_scenario(
+        args.scenario,
+        seed=args.seed,
+        message_bytes=args.message_bytes,
+        grids=grids,
+        include_iteration=not args.no_iteration,
+    )
     text = report_json(report)
     if args.out == "-":
         sys.stdout.write(text)
@@ -204,7 +201,6 @@ def cmd_faults(args: argparse.Namespace) -> None:
 def cmd_plan(args: argparse.Namespace) -> None:
     """Solve a global parallelization plan and write its JSON report."""
     from .planner import (
-        PlannerError,
         StrategyKnobs,
         config_names,
         network_names,
@@ -221,25 +217,22 @@ def cmd_plan(args: argparse.Namespace) -> None:
     splits = tuple(
         int(token) for token in args.batch_splits.split(",") if token.strip()
     )
-    try:
-        knobs = StrategyKnobs(
-            search_transforms=args.search_transforms,
-            batch_splits=splits,
-            capacity_frac=args.capacity_frac,
-        )
-        report = plan_report(
-            network=args.network,
-            config=args.config,
-            workers=args.machine_workers,
-            batch=args.batch,
-            transition=args.transition,
-            objective=args.objective,
-            modes=tuple(args.modes.split(",")),
-            knobs=knobs,
-            validate=args.validate,
-        )
-    except PlannerError as exc:
-        sys.exit(str(exc))
+    knobs = StrategyKnobs(
+        search_transforms=args.search_transforms,
+        batch_splits=splits,
+        capacity_frac=args.capacity_frac,
+    )
+    report = plan_report(
+        network=args.network,
+        config=args.config,
+        workers=args.machine_workers,
+        batch=args.batch,
+        transition=args.transition,
+        objective=args.objective,
+        modes=tuple(args.modes.split(",")),
+        knobs=knobs,
+        validate=args.validate,
+    )
     text = report_json(report)
     if args.out == "-":
         sys.stdout.write(text)
@@ -373,8 +366,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: List[str] | None = None) -> None:
+    """Run one command.  Invalid input (a ``ValueError`` — which
+    ``PlannerError`` is — or a ``KeyError``) exits non-zero with its
+    one-line message; commands write their output file only after
+    their work succeeds, so a rejected run leaves none."""
     args = build_parser().parse_args(argv)
-    args.func(args)
+    try:
+        args.func(args)
+    except (KeyError, ValueError) as exc:
+        sys.exit(str(exc.args[0]) if exc.args else type(exc).__name__)
 
 
 if __name__ == "__main__":

@@ -61,8 +61,9 @@ class FaultInjector(FaultHooks):
 
         Called by every :class:`NetworkSimulator` the injector is passed
         to; recompiling from the plan each time keeps binds idempotent
-        even after the resilience layer mutates the topology (host
-        bridges added by a splice never touch dead workers).
+        when the resilience layer rebinds it to a spliced copy of the
+        machine (host bridges added by a splice never touch dead
+        workers).
         """
         windows: Dict[Tuple[int, int], List[_Window]] = {}
         for fault in self.plan.link_faults:

@@ -33,6 +33,7 @@ from typing import List
 from ..netsim.collectives import CollectiveResult, ring_allreduce, ring_allreduce_time
 from ..netsim.engine import NetworkSimulator
 from ..netsim.reconfiguration import ReconfiguredMachine, splice_out
+from ..netsim.topology import Topology
 from ..params import DEFAULT_PARAMS, HardwareParams
 from .injector import FaultInjector
 from .plan import FaultPlan
@@ -98,7 +99,7 @@ def _watchdog(
 
 
 def _attempt(
-    machine: ReconfiguredMachine,
+    topology: Topology,
     ring: List[int],
     message_bytes: int,
     injector: FaultInjector,
@@ -109,7 +110,7 @@ def _attempt(
     """One collective attempt on a fresh simulator (stranded packets of
     a previous attempt are abandoned with their simulator)."""
     sim = NetworkSimulator(
-        machine.topology,
+        topology,
         params,
         packet_bytes=params.collective_packet_bytes,
         faults=injector,
@@ -117,33 +118,6 @@ def _attempt(
     return ring_allreduce(
         sim, ring, message_bytes, start_time=start_s, deadline_s=deadline_s
     )
-
-
-def _route_around_dead(topology, dead: List[int]) -> None:
-    """Make the topology's override routing avoid dead workers.
-
-    The hybrid machine's dimension-order router can relay same-cluster
-    traffic through an intermediate group-peer; if that intermediate is
-    the dead worker, packets strand even though the spliced ring never
-    *addresses* it.  Recovery therefore wraps ``routing_fn``: a path
-    through a dead worker falls back to the direct link when one exists
-    (ring splicing guarantees one between ring neighbours) and otherwise
-    to shortest-path routing.
-    """
-    inner = topology.routing_fn
-    if inner is None or not dead:
-        return
-    dead_set = frozenset(dead)
-
-    def avoid_dead(src: int, dst: int):
-        path = inner(src, dst)
-        if path is not None and any(node in dead_set for node in path[1:-1]):
-            if dst in topology.neighbors(src):
-                return [src, dst]
-            return None
-        return path
-
-    topology.routing_fn = avoid_dead
 
 
 def resilient_ring_allreduce(
@@ -156,8 +130,8 @@ def resilient_ring_allreduce(
 ) -> ResilientAllreduceResult:
     """Fault-tolerant pipelined ring all-reduce on one logical ring.
 
-    Mutates ``machine.topology`` when recovery splices the ring (host
-    bridges are added), exactly as :func:`reconfigure` itself does.
+    ``machine`` is never changed: a recovery that splices the ring runs
+    its degraded attempt on a bridged copy of the topology.
     """
     ring = list(machine.logical_rings[ring_index])
     injector = FaultInjector(plan)
@@ -165,7 +139,7 @@ def resilient_ring_allreduce(
 
     deadline = start_time + _watchdog(len(ring), message_bytes, plan, params)
     first = _attempt(
-        machine, ring, message_bytes, injector, params, start_time, deadline
+        machine.topology, ring, message_bytes, injector, params, start_time, deadline
     )
     result = ResilientAllreduceResult(
         finish_time_s=first.finish_time_s,
@@ -194,11 +168,9 @@ def resilient_ring_allreduce(
     dead = [w for w in plan.dead_workers_at(detect_s) if w in members]
     result.dead_workers = dead
 
-    new_ring = ring
-    bridges = 0
+    topology, new_ring, bridges = machine.topology, ring, 0
     if dead:
-        new_ring, bridges = splice_out(machine.topology, ring, dead, params)
-        _route_around_dead(machine.topology, dead)
+        topology, new_ring, bridges = splice_out(topology, ring, dead, params)
 
     # A permanently dead forward link between surviving neighbours (a
     # unidirectional SerDes failure) is routed around by flipping the
@@ -222,7 +194,7 @@ def resilient_ring_allreduce(
     restart_s = detect_s + result.reconfig_latency_s
     deadline2 = restart_s + _watchdog(len(new_ring), message_bytes, plan, params)
     second = _attempt(
-        machine, new_ring, message_bytes, injector, params, restart_s, deadline2
+        topology, new_ring, message_bytes, injector, params, restart_s, deadline2
     )
     result.attempts.append(
         AttemptReport(

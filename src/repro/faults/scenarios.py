@@ -134,14 +134,25 @@ def run_scenario_on_grid(
 ) -> dict:
     """One scenario on one paper grid; returns the per-grid report row.
 
-    Memoized process-wide on the contents of every argument (the fault
-    engine is deterministic given the plan seed, so the row is a pure
-    function of this tuple); the returned row is shared across equal
-    calls and must be treated as read-only.
+    The grid splits the 16x16 machine: ``num_groups`` must divide 16
+    and ``num_clusters`` must be ``256 // num_groups``.  Memoized
+    process-wide on the contents of every argument (the fault engine is
+    deterministic given the plan seed, so the row is a pure function of
+    this tuple); the returned row is shared across equal calls and must
+    be treated as read-only.
     """
     if name not in SCENARIOS:
         raise KeyError(
             f"unknown scenario {name!r}; available: {', '.join(SCENARIOS)}"
+        )
+    if not (
+        num_groups >= 1
+        and 16 % num_groups == 0
+        and num_clusters == 256 // num_groups
+    ):
+        raise ValueError(
+            f"grid {num_groups}x{num_clusters} does not split the 16x16 "
+            "machine: NG must divide 16 and NC must be 256 // NG"
         )
     return _scenario_grid_row_cached(
         name, num_groups, num_clusters, seed, message_bytes, params
@@ -191,11 +202,11 @@ def _scenario_grid_row_cached(
     """The scenario-battery kernel: statically pure (EFF001), so safe to
     memoize.
 
-    The machine is built per nested kernel — once for the fault-free
-    baseline and once for the fault run — because recovery may splice
-    the topology.  The expensive network runs are shared through the
-    nested memoized kernels above; the results are cached and must be
-    treated as read-only (this function only reads scalar fields).
+    Every kernel here reads the grid's one memoized machine, which
+    recovery never changes (it splices a copy).  The expensive network
+    runs are shared through the nested memoized kernels above; the
+    results are cached and must be treated as read-only (this function
+    only reads scalar fields).
     """
     build = _scenario_builder(name)
 

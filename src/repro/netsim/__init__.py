@@ -11,7 +11,6 @@ from .collectives import (
 from .engine import FaultHooks, Message, NetworkSimulator
 from .reconfiguration import (
     ReconfiguredMachine,
-    bridge_ring,
     paper_configurations,
     reconfigure,
     splice_out,
@@ -40,7 +39,6 @@ __all__ = [
     "ReconfiguredMachine",
     "TreeResult",
     "binomial_tree_allreduce",
-    "bridge_ring",
     "paper_configurations",
     "reconfigure",
     "splice_out",

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from collections import OrderedDict, deque
+from collections import OrderedDict, defaultdict, deque
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Deque, Dict, List, Optional, Tuple
@@ -82,6 +82,7 @@ class _LinkServer:
 
     def __init__(self, link: Link, sim: "NetworkSimulator") -> None:
         self.link = link
+        self.key = (link.src, link.dst)
         self.sim = sim
         self.queues: "OrderedDict[int, Deque[_Packet]]" = OrderedDict()
         self.busy = False
@@ -148,21 +149,23 @@ class _LinkServer:
         heap = sim._heap
         push = heapq.heappush
         seq = sim._seq
+        carried = 0
         if faults is None or not faults.may_drop:
             for packet in batch:
                 wire = packet.wire_bytes
                 done_time += wire / rate
-                link.bytes_carried += wire
+                carried += wire
                 push(heap, (done_time + latency, next(seq), partial(arrived, packet)))
         else:
             for packet in batch:
                 wire = packet.wire_bytes
                 done_time += wire / rate
-                link.bytes_carried += wire
+                carried += wire
                 if faults.drop_packet(link, packet, done_time):
                     self._handle_drop(packet, done_time, faults)
                 else:
                     push(heap, (done_time + latency, next(seq), partial(arrived, packet)))
+        sim._wire_bytes[self.key] += carried
         push(heap, (done_time, next(seq), self._serve_next))
         sim._packets_served_accum += len(batch)
 
@@ -270,6 +273,9 @@ class NetworkSimulator:
         self._seq = itertools.count()
         self._flow_ids = itertools.count()
         self._servers: Dict[Tuple[int, int], _LinkServer] = {}
+        #: Wire bytes (headers and dropped transmissions included) each
+        #: link has serialised in this simulator, by ``(src, dst)``.
+        self._wire_bytes: Dict[Tuple[int, int], float] = defaultdict(float)
         self.messages_delivered = 0
         self.bytes_delivered = 0
         #: Engine events popped so far — the quantity packet batching
@@ -332,6 +338,15 @@ class NetworkSimulator:
         if self._packets_served_accum:
             counter_add("netsim.packets_served", self._packets_served_accum)
             self._packets_served_accum = 0
+
+    def bytes_carried(self, link: Link) -> float:
+        """Wire bytes ``link`` has serialised in this simulator."""
+        return self._wire_bytes.get((link.src, link.dst), 0.0)
+
+    def carry(self, link: Link, wire: int) -> None:
+        """Count ``wire`` bytes onto ``link`` (how the fast paths commit
+        what the link servers would have serialised)."""
+        self._wire_bytes[(link.src, link.dst)] += wire
 
     def _server(self, link: Link) -> _LinkServer:
         key = (link.src, link.dst)
@@ -441,7 +456,7 @@ class NetworkSimulator:
 
         def complete_flow() -> None:
             for link in route:
-                link.bytes_carried += total_wire
+                self.carry(link, total_wire)
             counter_add("netsim.packets_served", packets * hops)
             counter_add("netsim.flows_coalesced", 1)
             self.flows_coalesced += 1
@@ -468,21 +483,3 @@ class NetworkSimulator:
         self.bytes_delivered += message.size_bytes
         if message.on_complete:
             message.on_complete(message, self.now)
-
-    def reset(self) -> None:
-        self.topology.reset()
-        self._heap.clear()
-        self._servers.clear()
-        self.now = 0.0
-        # Restart the tie-break and flow counters too, so a reset
-        # simulator replays a workload with bit-identical event ordering
-        # (the sequence numbers feed both heap tie-breaks and, under
-        # faults, the per-packet loss decisions).
-        self._seq = itertools.count()
-        self._flow_ids = itertools.count()
-        self.messages_delivered = 0
-        self.bytes_delivered = 0
-        self.events_processed = 0
-        self.flows_coalesced = 0
-        self._packets_served_accum = 0
-        self._run_until = None

@@ -273,7 +273,7 @@ def _ring_shortcut_locked(
         return _declined("deadline")  # cut off mid-flight: reference semantics
 
     for link, wire in zip(links, schedule.carried):
-        link.bytes_carried += wire
+        sim.carry(link, wire)
     if schedule.latest > sim.now:
         sim.now = schedule.latest
     sim.messages_delivered += schedule.messages
@@ -458,7 +458,7 @@ def all_to_all_shortcut(
                 return None
     wire = sum(sizes)
     for link in links:
-        link.bytes_carried += wire
+        sim.carry(link, wire)
     count = n * (n - 1)
     if finish > sim.now:
         sim.now = finish

@@ -14,21 +14,27 @@ logical ring.  The paper's three configurations for 256 workers:
 This module builds those spliced logical rings over the physical
 :func:`repro.netsim.topology.hybrid` machine (adding the host-bridge
 links) and returns the ring-ordered member list per logical group, which
-the collective layer consumes directly.
+the collective layer consumes directly.  A built machine is never
+changed: :func:`reconfigure` is memoized, so every caller on one grid
+shares one machine, and :func:`splice_out` bridges a copy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from ..params import DEFAULT_PARAMS, HardwareParams
+from ..perf import memoize_sweep
 from .topology import GridLayout, Topology, hybrid
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReconfiguredMachine:
-    """A physical machine viewed under one dynamic-clustering setting."""
+    """A physical machine viewed under one dynamic-clustering setting.
+
+    Shared by every caller of :func:`reconfigure` on the same grid:
+    treat its topology and lists as read-only."""
 
     topology: Topology
     layout: GridLayout
@@ -60,7 +66,8 @@ def bridge_ring(
     ring_order: List[int],
     params: HardwareParams = DEFAULT_PARAMS,
 ) -> int:
-    """Close a worker sequence into a full-bandwidth cycle.
+    """Close a worker sequence into a full-bandwidth cycle on a topology
+    under construction.
 
     Every consecutive pair (including the wrap-around) that lacks a
     full-width link gets a host bridge, exactly as dynamic clustering's
@@ -88,25 +95,43 @@ def splice_out(
     ring_order: List[int],
     dead: Iterable[int],
     params: HardwareParams = DEFAULT_PARAMS,
-) -> Tuple[List[int], int]:
+) -> Tuple[Topology, List[int], int]:
     """Cut ``dead`` workers out of a logical ring via host bridges.
 
     This is the degraded-ring reconstruction of :mod:`repro.faults`: the
     host bridges each gap a removed worker leaves (the same splicing
     mechanism dynamic clustering uses, Section IV), so the surviving
-    members form a full-bandwidth ring again.  Returns the surviving
-    ring order and the number of bridges added.  Adjacent dead workers
+    members form a full-bandwidth ring again.  Adjacent dead workers
     collapse into one gap; splicing down to a single survivor yields a
     one-worker ring (no links needed).
+
+    ``topology`` is left as it is.  Returns a copy with the bridges, the
+    surviving ring order and the number of bridges added.  The copy
+    routes around the dead: the hybrid machine's dimension-order router
+    can relay same-cluster traffic through an intermediate group-peer,
+    and packets would strand there although the ring never addresses
+    it, so a path through a dead worker falls back to the direct link
+    when one exists (splicing guarantees one between ring neighbours)
+    and otherwise to shortest-path routing.
     """
     dead_set = frozenset(dead)
     survivors = [w for w in ring_order if w not in dead_set]
     if not survivors:
         raise ValueError("cannot splice every worker out of the ring")
-    bridges = bridge_ring(topology, survivors, params)
-    return survivors, bridges
+    inner = topology.routing_fn
+
+    def avoid_dead(src: int, dst: int) -> Optional[List[int]]:
+        path = inner(src, dst)
+        if path is not None and not dead_set.isdisjoint(path[1:-1]):
+            return [src, dst] if dst in spliced.neighbors(src) else None
+        return path
+
+    spliced = topology.copy(avoid_dead if inner is not None and dead_set else inner)
+    bridges = bridge_ring(spliced, survivors, params)
+    return spliced, survivors, bridges
 
 
+@memoize_sweep
 def reconfigure(
     physical_groups: int,
     clusters: int,
@@ -120,6 +145,9 @@ def reconfigure(
     and so on (a boustrophedon), so consecutive ring neighbours are
     physically adjacent except at the bridge points — matching the
     paper's observation that reconfiguration only re-routes traffic.
+
+    Memoized on its arguments: every call on one grid returns the same
+    machine, which nothing changes after this function builds it.
     """
     if logical_groups < 1 or logical_groups > physical_groups:
         raise ValueError(

@@ -22,28 +22,30 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ..params import DEFAULT_PARAMS, HardwareParams
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Link:
-    """A unidirectional channel between two nodes."""
+    """A unidirectional channel between two nodes.
+
+    Immutable, and compared by identity: one ``Link`` is one channel of
+    one built machine.  What a run puts on the wire is the simulator's
+    state (``NetworkSimulator.bytes_carried``), never the link's.
+    """
 
     src: int
     dst: int
     bytes_per_s: float
     latency_s: float
     name: str = ""
-    #: Event-engine state: the time this link is next free.
-    free_at: float = 0.0
-    bytes_carried: float = 0.0
-
-    def reset(self) -> None:
-        self.free_at = 0.0
-        self.bytes_carried = 0.0
 
 
 @dataclass
 class Topology:
     """A set of nodes and unidirectional links with precomputed routes.
 
+    A topology is only grown while it is built: once the function that
+    builds it (``ring``, ``hybrid``, ``reconfigure``, ``splice_out``, ...)
+    returns, nothing adds a link or swaps ``routing_fn``, so memoized
+    routes stay valid and one built machine can be shared by every run.
     ``routing_fn``, when set, overrides shortest-path routing: it maps
     ``(src, dst)`` to the full node path (used for load-balanced
     dimension-order routing on the flattened butterfly).
@@ -59,18 +61,20 @@ class Topology:
     #: a handful of multi-hop destinations).
     _next_hop_cols: Dict[int, List[int]] = field(default_factory=dict)
     #: Memoized ``route()`` results (shared lists — treat as read-only).
-    #: Invalidated on every ``add_link`` and on ``routing_fn``
-    #: reassignment (see ``__setattr__``).
     _route_cache: Dict[Tuple[int, int], List[Link]] = field(default_factory=dict)
 
-    def __setattr__(self, name: str, value) -> None:
-        # Swapping the routing override (the resilience layer wraps it
-        # mid-recovery) invalidates every memoized route.
-        if name == "routing_fn":
-            cache = self.__dict__.get("_route_cache")
-            if cache:
-                cache.clear()
-        object.__setattr__(self, name, value)
+    def copy(
+        self, routing_fn: Optional[Callable[[int, int], List[int]]]
+    ) -> "Topology":
+        """A new topology over this one's links (shared: links are
+        immutable) with its own adjacency, route cache and ``routing_fn``,
+        ready for more links; this topology is left as it is."""
+        return Topology(
+            num_nodes=self.num_nodes,
+            links=list(self.links),
+            routing_fn=routing_fn,
+            _adjacency={src: dict(out) for src, out in self._adjacency.items()},
+        )
 
     def add_link(
         self,
@@ -80,10 +84,10 @@ class Topology:
         latency_s: float,
         name: str = "",
     ) -> Link:
-        """Add one unidirectional link (keeps the faster link on a
-        duplicate pair).  The rate must be finite and positive and the
-        latency finite and non-negative: every engine divides by the
-        rate."""
+        """Add one unidirectional link; on a duplicate pair the faster
+        link takes the slower one's place.  The rate must be finite and
+        positive and the latency finite and non-negative: every engine
+        divides by the rate."""
         if not 0 < bytes_per_s < math.inf:
             raise ValueError(
                 f"link {src}->{dst}: bytes_per_s must be finite and > 0, "
@@ -95,14 +99,13 @@ class Topology:
                 f"got {latency_s!r}"
             )
         existing = self._adjacency.setdefault(src, {}).get(dst)
-        if existing is not None:
-            if bytes_per_s > existing.bytes_per_s:
-                existing.bytes_per_s = bytes_per_s
-                existing.latency_s = latency_s
-                existing.name = name
+        if existing is not None and bytes_per_s <= existing.bytes_per_s:
             return existing
         link = Link(src, dst, bytes_per_s, latency_s, name)
-        self.links.append(link)
+        if existing is None:
+            self.links.append(link)
+        else:
+            self.links[self.links.index(existing)] = link
         self._adjacency[src][dst] = link
         self._next_hop_cols.clear()
         self._route_cache.clear()
@@ -202,10 +205,6 @@ class Topology:
             if visited > self.num_nodes + 2:
                 raise RuntimeError("routing loop detected")
         return path
-
-    def reset(self) -> None:
-        for link in self.links:
-            link.reset()
 
 
 def _link_latency(params: HardwareParams) -> float:

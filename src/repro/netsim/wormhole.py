@@ -29,7 +29,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
@@ -98,6 +98,8 @@ class WormholeSimulator:
         self._link_owner: Dict[Tuple[int, int], Optional[_VirtualChannel]] = {}
         self._link_queue: Dict[Tuple[int, int], Deque[_VirtualChannel]] = {}
         self._link_busy_until: Dict[Tuple[int, int], float] = {}
+        #: Wire bytes each link has moved in this simulator.
+        self._wire_bytes: Dict[Tuple[int, int], float] = defaultdict(float)
         self.flits_delivered = 0
 
     # ---- events ----------------------------------------------------------
@@ -139,6 +141,10 @@ class WormholeSimulator:
         return packet
 
     # ---- switching ------------------------------------------------------------
+    def bytes_carried(self, link: Link) -> float:
+        """Wire bytes ``link`` has moved in this simulator."""
+        return self._wire_bytes.get(self._key(link), 0.0)
+
     def _key(self, link: Link) -> Tuple[int, int]:
         return (link.src, link.dst)
 
@@ -189,7 +195,7 @@ class WormholeSimulator:
         self._link_busy_until[key] = self.now + ft
         vc.occupancy -= 1
         vc.sent += 1
-        link.bytes_carried += self.flit_bytes
+        self._wire_bytes[key] += self.flit_bytes
         arrival = self.now + ft + link.latency_s
         is_tail = vc.sent == vc.packet.flits
 

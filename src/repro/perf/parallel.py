@@ -24,6 +24,7 @@ SWEEP_MODULES: Tuple[str, ...] = (
     "repro.core.perf_model",
     "repro.core.dynamic_clustering",
     "repro.faults.scenarios",
+    "repro.netsim.reconfiguration",
     "repro.planner.strategy",
     "repro.planner.solver",
 )

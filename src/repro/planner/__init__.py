@@ -49,7 +49,7 @@ from .transition import (
     rerouted_bytes,
     transition_cost,
 )
-from .validate import transition_trace, validate_plan_transitions
+from .validate import validate_plan_transitions
 
 __all__ = [
     "DEFAULT_KNOBS",
@@ -81,7 +81,6 @@ __all__ = [
     "report_json",
     "rerouted_bytes",
     "transition_cost",
-    "transition_trace",
     "validate_plan_transitions",
     "worker_footprint_bytes",
 ]

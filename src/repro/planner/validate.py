@@ -3,7 +3,7 @@
 The transition model prices reconfiguration analytically (bytes over the
 host-bridge/full-link bandwidth plus a fixed latency); this module
 replays each costed transition of a plan as concrete messages on the
-event-simulated machine (:mod:`repro.core.trace`) and reports the
+event-simulated machine (:mod:`repro.netsim`) and reports the
 analytic-vs-simulated ratio, the same cross-check the tile-transfer
 validation performs for the steady-state phases.
 
@@ -24,33 +24,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ..core.trace import Message, TileTransferTrace
 from ..netsim import NetworkSimulator, all_to_all
 from ..netsim.topology import hybrid
 from ..params import DEFAULT_PARAMS, HardwareParams
 from .solver import NetworkPlan
-
-
-def transition_trace(
-    per_worker_bytes: float, num_groups: int, num_clusters: int
-) -> TileTransferTrace:
-    """Messages of one reconfiguration: uniform all-to-all of the
-    per-worker re-routed volume among the target grid's group leaders
-    (cluster 0's members, one per group)."""
-    if num_groups <= 1 or per_worker_bytes <= 0:
-        return TileTransferTrace(messages=[], bytes_per_pair=0, phase="transition")
-    _topology, layout = hybrid(num_groups, num_clusters, DEFAULT_PARAMS)
-    members = layout.cluster_members(0)
-    bytes_per_pair = max(1, round(per_worker_bytes / (num_groups - 1)))
-    messages = [
-        Message(src=src, dst=dst, size_bytes=bytes_per_pair, tag="transition")
-        for src in members
-        for dst in members
-        if src != dst
-    ]
-    return TileTransferTrace(
-        messages=messages, bytes_per_pair=bytes_per_pair, phase="transition"
-    )
 
 
 def validate_plan_transitions(
@@ -79,17 +56,19 @@ def validate_plan_transitions(
                 "analytic_s": analytic_s,
             }
             if grid.num_groups > 1:
-                trace = transition_trace(
-                    step.transition.per_worker_bytes,
-                    grid.num_groups,
-                    grid.num_clusters,
+                # Uniform all-to-all of the per-worker re-routed volume
+                # among the target grid's group leaders (cluster 0's
+                # members, one per group).
+                bytes_per_pair = max(
+                    1,
+                    round(step.transition.per_worker_bytes / (grid.num_groups - 1)),
                 )
                 topology, layout = hybrid(
                     grid.num_groups, grid.num_clusters, params
                 )
                 sim = NetworkSimulator(topology, params)
                 replay = all_to_all(
-                    sim, layout.cluster_members(0), trace.bytes_per_pair
+                    sim, layout.cluster_members(0), bytes_per_pair
                 )
                 row["simulated_s"] = replay.finish_time_s
                 row["messages"] = replay.messages

@@ -85,3 +85,23 @@ class TestCli:
     def test_parser_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "WRN-40-10", "--workers", "0"],
+        ["simulate", "WRN-40-10", "--workers", "3"],
+        ["timeline", "ResNet-34", "--batch", "-8"],
+        ["plan", "--machine-workers", "0", "-o", "p.json"],
+        ["plan", "--batch-splits", "abc", "-o", "p.json"],
+        ["faults", "--grids", "16x5", "-o", "f.json"],
+        ["faults", "--message-bytes", "-1", "-o", "f.json"],
+    ])
+    def test_invalid_input_exits_with_one_line(self, argv, tmp_path, monkeypatch):
+        """``main`` is the one error boundary: invalid input ends in a
+        non-zero exit with a one-line message, never a traceback, and
+        leaves no output file behind."""
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        message = info.value.code
+        assert isinstance(message, str) and message and "\n" not in message
+        assert list(tmp_path.iterdir()) == []

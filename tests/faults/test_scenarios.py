@@ -8,15 +8,22 @@ import sys
 
 import pytest
 
+from repro.analysis import fault_degradation_rows
 from repro.cli import main
+from repro.core.config import PAPER_GRIDS
 from repro.faults import (
     REPORT_SCHEMA,
     SCENARIOS,
     report_json,
+    resilience,
     run_scenario,
     run_scenario_on_grid,
     scenario_names,
+    scenarios,
 )
+from repro.netsim import reconfiguration
+from repro.netsim.reconfiguration import reconfigure
+from repro.params import DEFAULT_PARAMS
 
 # The timestamps a simulation must produce whether or not repro.faults
 # was ever imported into the process (zero-cost-when-disabled).
@@ -148,10 +155,18 @@ class TestInvalidInput:
         with pytest.raises(ValueError, match="grids"):
             run_scenario("baseline", grids=[])
 
+    @pytest.mark.parametrize("grid", [(16, 5), (4, 16), (32, 8), (0, 16)])
+    def test_run_scenario_rejects_grids_that_do_not_split_the_machine(self, grid):
+        with pytest.raises(ValueError, match="does not split the 16x16 machine"):
+            run_scenario("baseline", grids=[grid], include_iteration=False)
+
     @pytest.mark.parametrize("argv", [
         ["--message-bytes", "-1", "--grids", "16x16"],
         ["--message-bytes", "0", "--grids", "16x16"],
         ["--grids", "0x16"],
+        ["--grids", "16x5"],
+        ["--grids", "4x16"],
+        ["--grids", "32x8"],
         ["--grids", "16"],
     ])
     def test_cli_exits_with_one_line_and_no_report(self, tmp_path, argv):
@@ -162,3 +177,94 @@ class TestInvalidInput:
         message = info.value.code
         assert isinstance(message, str) and message and "\n" not in message
         assert not out.exists()
+
+
+def _clear_machine_caches():
+    """Make the next scenario run cold: forget every grid's machine and
+    every collective run on it."""
+    for kernel in (
+        reconfigure,
+        scenarios._baseline_collective_cached,
+        scenarios._resilient_collective_cached,
+        scenarios._scenario_grid_row_cached,
+    ):
+        kernel.cache_clear()
+
+
+class TestOneMachinePerGrid:
+    """Each grid is one machine that every run shares and none changes."""
+
+    def test_scenarios_leave_the_shared_machine_unchanged(self):
+        assert reconfigure(16, 16, 16) is reconfigure(16, 16, 16)
+        # The memo keys on the call as written; the scenario kernels
+        # pass ``params`` positionally.
+        machine = reconfigure(16, 16, 16, DEFAULT_PARAMS)
+        topology = machine.topology
+        links, routing_fn = list(topology.links), topology.routing_fn
+        for name in scenario_names():
+            # A message size no other test uses: the collective kernels
+            # run here, on the warm machine.
+            run_scenario(name, message_bytes=12_345, grids=[(16, 16)])
+            assert reconfigure(16, 16, 16, DEFAULT_PARAMS) is machine, name
+            assert machine.topology is topology, name
+            assert len(topology.links) == len(links), name
+            assert all(a is b for a, b in zip(topology.links, links)), name
+            assert topology.routing_fn is routing_fn, name
+
+    def test_dead_worker_recovers_on_a_bridged_copy(self, monkeypatch):
+        machine = reconfigure(16, 16, 16, DEFAULT_PARAMS)
+        seen = []
+        attempt = resilience._attempt
+
+        def recording(topology, *args):
+            seen.append(topology)
+            return attempt(topology, *args)
+
+        monkeypatch.setattr(resilience, "_attempt", recording)
+        plan = SCENARIOS["dead-worker"](machine, 0)
+        result = resilience.resilient_ring_allreduce(machine, 0, 16 * 1024, plan)
+        assert result.recovered and result.bridges_added == 1
+        first, degraded = seen
+        assert first is machine.topology
+        assert degraded is not machine.topology
+        assert [link.name for link in degraded.links].count("host-bridge") == 2
+        assert all(link.name != "host-bridge" for link in machine.topology.links)
+
+    def test_cold_scenario_builds_the_machine_once(self, monkeypatch):
+        builds = []
+        hybrid = reconfiguration.hybrid
+
+        def counting(*args, **kwargs):
+            builds.append(args)
+            return hybrid(*args, **kwargs)
+
+        monkeypatch.setattr(reconfiguration, "hybrid", counting)
+        _clear_machine_caches()
+        run_scenario("baseline", grids=[(16, 16)])
+        assert len(builds) == 1
+
+
+@pytest.mark.slow
+def test_degradation_sweep_equals_cold_runs():
+    """Every row of the one-process sweep (shared machines, the
+    scenarios in order) equals that scenario run alone, cold."""
+    _clear_machine_caches()
+    swept = fault_degradation_rows()
+    expected = []
+    for name in scenario_names():
+        for num_groups, num_clusters in PAPER_GRIDS:
+            _clear_machine_caches()
+            row = run_scenario_on_grid(name, num_groups, num_clusters)
+            expected.append({
+                "scenario": name,
+                "grid": row["grid"],
+                "ring_after": row["ring_size_after"],
+                "baseline_us": row["baseline_s"] * 1e6,
+                "faulted_us": row["faulted_s"] * 1e6,
+                "slowdown": row["slowdown"],
+                "retransmits": row["retransmits"],
+                "dead": len(row["dead_workers"]),
+                "reconfig_us": row["reconfig_latency_s"] * 1e6,
+                "completed": row["completed"],
+            })
+    assert swept == expected

@@ -59,10 +59,10 @@ PAPER_GRIDS_SLOW = [(1, 256)]
 GRID_MESSAGE_BYTES = [(8192, 512), (64 * 1024, 10_000)]
 
 
-def _topo_snapshot(topology):
+def _topo_snapshot(sim):
     return sorted(
-        (link.src, link.dst, link.name, link.bytes_carried)
-        for link in topology.links
+        (link.src, link.dst, link.name, sim.bytes_carried(link))
+        for link in sim.topology.links
     )
 
 
@@ -111,7 +111,7 @@ class TestRingAllreduceIdentity:
                 "now": sim.now,
                 "delivered": sim.messages_delivered,
                 "bytes": sim.bytes_delivered,
-                "links": _topo_snapshot(topo),
+                "links": _topo_snapshot(sim),
             }
 
         fast = _assert_identical(build)
@@ -126,7 +126,7 @@ class TestRingAllreduceIdentity:
             sim = NetworkSimulator(topo, fastpath=fastpath)
             result = ring_allreduce(sim, [0, 2, 4, 6], 4096)
             return {"result": result, "now": sim.now,
-                    "links": _topo_snapshot(topo)}
+                    "links": _topo_snapshot(sim)}
 
         _assert_identical(build)
 
@@ -143,7 +143,7 @@ class TestRingAllreduceIdentity:
             result = ring_allreduce(sim, [0, 2, 1, 3, 5, 4], 600)
             return {"result": result, "now": sim.now,
                     "events": sim.events_processed,
-                    "links": _topo_snapshot(topo)}
+                    "links": _topo_snapshot(sim)}
 
         _fast, events = _assert_identical_events(build)
         assert events > 0
@@ -171,7 +171,7 @@ class TestRingAllreduceIdentity:
             )
             result = ring_allreduce(sim, list(range(8)), message_bytes)
             return {"result": result, "now": sim.now,
-                    "links": _topo_snapshot(topo),
+                    "links": _topo_snapshot(sim),
                     "events": sim.events_processed}
 
         _fast, events = _assert_identical_events(build)
@@ -199,7 +199,7 @@ class TestRingAllreduceIdentity:
                 reset_profile()
             observed = {"result": result, "now": sim.now,
                         "delivered": (sim.messages_delivered, sim.bytes_delivered),
-                        "links": _topo_snapshot(topo)}
+                        "links": _topo_snapshot(sim)}
             coalesced = counters.get("netsim.collectives_coalesced", 0)
             return observed, coalesced, sim.events_processed
 
@@ -218,7 +218,7 @@ class TestAllToAllIdentity:
             sim = NetworkSimulator(topo, fastpath=fastpath)
             result = all_to_all(sim, list(range(n)), bytes_per_pair)
             return {"result": result, "now": sim.now,
-                    "links": _topo_snapshot(topo)}
+                    "links": _topo_snapshot(sim)}
 
         fast = _assert_identical(build)
         assert fast["result"].completed
@@ -232,7 +232,7 @@ class TestAllToAllIdentity:
             sim = NetworkSimulator(topo, fastpath=fastpath)
             result = all_to_all(sim, [0, 1, 2, 3], 2048)
             return {"result": result, "now": sim.now,
-                    "links": _topo_snapshot(topo)}
+                    "links": _topo_snapshot(sim)}
 
         _assert_identical(build)
 
@@ -250,7 +250,8 @@ class TestPaperGridIdentity:
                 a2a = all_to_all(sim2, layout.cluster_members(0), a2a_bytes)
                 observation["a2a"] = a2a
                 observation["now_a2a"] = sim2.now
-            observation["links"] = _topo_snapshot(topo)
+                observation["links_a2a"] = _topo_snapshot(sim2)
+            observation["links"] = _topo_snapshot(sim)
             return observation
 
         return build
@@ -296,7 +297,7 @@ def _spliced_ring_build(groups, clusters, message_bytes, deadline_s=None,
             "result": result,
             "now": sim.now,
             "delivered": (sim.messages_delivered, sim.bytes_delivered),
-            "links": _topo_snapshot(machine.topology),
+            "links": _topo_snapshot(sim),
             "packets_served": counters.get("netsim.packets_served", 0),
             "events": sim.events_processed,
         }
@@ -476,12 +477,13 @@ class TestPaperRingReplayPin:
         # Python scalars only: no numpy value reaches a result or a report.
         assert type(result.finish_time_s) is float and type(sim.now) is float
         assert type(result.messages) is int
-        assert all(type(link.bytes_carried) is float for link in ring_links)
+        ring_bytes = [sim.bytes_carried(link) for link in ring_links]
+        assert all(type(wire) is float for wire in ring_bytes)
         on_ring = {id(link) for link in ring_links}
-        off_ring = [link.bytes_carried for link in machine.topology.links
+        off_ring = [sim.bytes_carried(link) for link in machine.topology.links
                     if id(link) not in on_ring]
         assert not any(off_ring)
-        return result, sim, served, [link.bytes_carried for link in ring_links]
+        return result, sim, served, ring_bytes
 
     def test_clean(self):
         result, sim, served, ring_bytes = self._run()
@@ -614,7 +616,7 @@ class TestFaultScenarioIdentity:
             result = ring_allreduce(sim, list(range(8)), message_bytes,
                                     deadline_s=deadline_s)
             return {"result": result, "now": sim.now,
-                    "links": _topo_snapshot(topo)}
+                    "links": _topo_snapshot(sim)}
 
         return build
 
@@ -668,7 +670,7 @@ class TestFaultScenarioIdentity:
             cut = ring_allreduce(sim2, list(range(8)), 64 * 1024,
                                  deadline_s=full.finish_time_s * 0.4)
             return {"full": full, "cut": cut, "now": sim2.now,
-                    "links": _topo_snapshot(topo2)}
+                    "links": _topo_snapshot(sim2)}
 
         fast = _assert_identical(build)
         assert fast["full"].completed and not fast["cut"].completed
@@ -684,7 +686,7 @@ class TestRawMessageIdentity:
                              on_complete=lambda m, t: done.setdefault("t", t)))
             sim.run()
             return {"done": done, "now": sim.now,
-                    "links": _topo_snapshot(topo)}
+                    "links": _topo_snapshot(sim)}
 
         _assert_identical(build)
 
@@ -702,7 +704,7 @@ class TestRawMessageIdentity:
                     )
                 sim.run()
                 return {"times": sorted(times), "now": sim.now,
-                        "links": _topo_snapshot(topo)}
+                        "links": _topo_snapshot(sim)}
 
             return build
 
@@ -752,7 +754,7 @@ class TestPropertyIdentity:
             sim = NetworkSimulator(topo, fastpath=fastpath)
             result = ring_allreduce(sim, list(range(n)), message_bytes)
             return {"result": result, "now": sim.now,
-                    "links": _topo_snapshot(topo)}
+                    "links": _topo_snapshot(sim)}
 
         _assert_identical(build)
 
@@ -787,7 +789,7 @@ class TestPropertyIdentity:
                 )
             sim.run()
             return {"times": sorted(times), "now": sim.now,
-                    "links": _topo_snapshot(topo)}
+                    "links": _topo_snapshot(sim)}
 
         _assert_identical(build)
 
@@ -808,7 +810,7 @@ class TestPropertyIdentity:
             result = ring_allreduce(sim, list(range(n)), message_bytes,
                                     deadline_s=1.0)
             return {"result": result, "now": sim.now,
-                    "links": _topo_snapshot(topo)}
+                    "links": _topo_snapshot(sim)}
 
         _assert_identical(build, plan)
 

@@ -79,7 +79,7 @@ class TestRandomTraffic:
             total_sent += size
             sim.send(Message(src=int(src), dst=int(dst), size_bytes=size))
         sim.run()
-        carried = sum(link.bytes_carried for link in topo.links)
+        carried = sum(sim.bytes_carried(link) for link in topo.links)
         # Carried >= sent (headers, multi-hop); and bounded by a small
         # multiple (max 2 hops + headers).
         assert carried >= total_sent

@@ -123,36 +123,36 @@ class TestSpliceOut:
         machine = reconfigure(16, 16, 16)
         ring_order = machine.logical_rings[0]
         dead = ring_order[8]
-        survivors, bridges = splice_out(machine.topology, ring_order, [dead])
+        spliced, survivors, bridges = splice_out(machine.topology, ring_order, [dead])
         assert dead not in survivors
         assert len(survivors) == 15
         assert bridges == 1
-        self._ring_is_closed(machine.topology, survivors)
+        self._ring_is_closed(spliced, survivors)
 
     def test_head_splice(self):
         from repro.netsim import splice_out
 
         machine = reconfigure(16, 16, 16)
         ring_order = machine.logical_rings[0]
-        survivors, bridges = splice_out(
+        spliced, survivors, bridges = splice_out(
             machine.topology, ring_order, [ring_order[0]]
         )
         assert survivors == ring_order[1:]
         # The gap spans the old wrap-around: tail -> new head.
         assert bridges == 1
-        self._ring_is_closed(machine.topology, survivors)
+        self._ring_is_closed(spliced, survivors)
 
     def test_tail_splice(self):
         from repro.netsim import splice_out
 
         machine = reconfigure(16, 16, 16)
         ring_order = machine.logical_rings[0]
-        survivors, bridges = splice_out(
+        spliced, survivors, bridges = splice_out(
             machine.topology, ring_order, [ring_order[-1]]
         )
         assert survivors == ring_order[:-1]
         assert bridges == 1
-        self._ring_is_closed(machine.topology, survivors)
+        self._ring_is_closed(spliced, survivors)
 
     def test_adjacent_double_splice_collapses_to_one_gap(self):
         from repro.netsim import splice_out
@@ -160,17 +160,17 @@ class TestSpliceOut:
         machine = reconfigure(16, 16, 16)
         ring_order = machine.logical_rings[0]
         dead = [ring_order[5], ring_order[6]]
-        survivors, bridges = splice_out(machine.topology, ring_order, dead)
+        spliced, survivors, bridges = splice_out(machine.topology, ring_order, dead)
         assert len(survivors) == 14
         assert bridges == 1  # one bridge closes the double gap
-        self._ring_is_closed(machine.topology, survivors)
+        self._ring_is_closed(spliced, survivors)
 
     def test_splice_down_to_single_worker(self):
         from repro.netsim import splice_out
 
         machine = reconfigure(16, 16, 16)
         ring_order = machine.logical_rings[0]
-        survivors, bridges = splice_out(
+        _, survivors, bridges = splice_out(
             machine.topology, ring_order, ring_order[1:]
         )
         assert survivors == [ring_order[0]]
@@ -189,9 +189,11 @@ class TestSpliceOut:
 
         machine = reconfigure(16, 16, 16)
         ring_order = machine.logical_rings[0]
-        survivors, _ = splice_out(machine.topology, ring_order, [ring_order[3]])
+        spliced, survivors, _ = splice_out(
+            machine.topology, ring_order, [ring_order[3]]
+        )
         sim = NetworkSimulator(
-            machine.topology, packet_bytes=DEFAULT_PARAMS.collective_packet_bytes
+            spliced, packet_bytes=DEFAULT_PARAMS.collective_packet_bytes
         )
         result = ring_allreduce(sim, survivors, 100_000)
         closed = ring_allreduce_time(
@@ -199,3 +201,27 @@ class TestSpliceOut:
         )
         assert result.completed
         assert result.finish_time_s == pytest.approx(closed, rel=0.08)
+
+    def test_splice_leaves_the_machine_unchanged(self):
+        """The bridges and the dead-avoiding router go on a copy: the
+        machine keeps its links, its router and its cached routes."""
+        from repro.netsim import splice_out
+
+        machine = reconfigure(16, 16, 16)
+        topology = machine.topology
+        ring_order = machine.logical_rings[0]
+        links, routing_fn = list(topology.links), topology.routing_fn
+        dead = ring_order[8]
+        before = topology.route(ring_order[7], ring_order[9])
+        spliced, survivors, bridges = splice_out(topology, ring_order, [dead])
+        assert bridges == 1 and spliced is not topology
+        assert len(topology.links) == len(links)
+        assert all(a is b for a, b in zip(topology.links, links))
+        assert topology.routing_fn is routing_fn
+        assert topology.route(ring_order[7], ring_order[9]) is before
+        assert ring_order[9] not in topology.neighbors(ring_order[7])
+        assert [link.name for link in spliced.route(ring_order[7], ring_order[9])] == [
+            "host-bridge"
+        ]
+        # The copy shares every link it did not replace.
+        assert sum(a is b for a, b in zip(spliced.links, links)) >= len(links) - 2

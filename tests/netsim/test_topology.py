@@ -135,11 +135,3 @@ class TestTopologyBasics:
         with pytest.raises(ValueError, match="0->1"):
             topo.add_link(0, 1, rate, latency)
         assert topo.links == []
-
-    def test_reset_clears_link_state(self):
-        topo = ring(4)
-        topo.links[0].free_at = 5.0
-        topo.links[0].bytes_carried = 10
-        topo.reset()
-        assert topo.links[0].free_at == 0.0
-        assert topo.links[0].bytes_carried == 0

@@ -132,13 +132,13 @@ class TestBackToBackSameChannel:
     def test_back_to_back_conserves_flits_and_bytes(self):
         topo = ring(4)
         link = topo.link(0, 1)
-        carried_before = link.bytes_carried
         sim = WormholeSimulator(topo, flit_bytes=16)
+        assert sim.bytes_carried(link) == 0.0
         a = sim.send(0, 1, 64)
         b = sim.send(0, 1, 64)
         sim.run()
         assert sim.flits_delivered == a.flits + b.flits
-        assert link.bytes_carried - carried_before == 16 * (a.flits + b.flits)
+        assert sim.bytes_carried(link) == 16 * (a.flits + b.flits)
 
     def test_three_worms_fifo_order(self):
         """Same-source worms to one destination deliver in send order."""
