@@ -28,7 +28,6 @@ from .dynamic_clustering import (
     candidate_grids,
     choose_clustering,
     choose_clustering_and_transform,
-    replan_for_survivors,
 )
 from .functional import (
     MptLayerMachine,
@@ -63,7 +62,6 @@ __all__ = [
     "candidate_grids",
     "choose_clustering",
     "choose_clustering_and_transform",
-    "replan_for_survivors",
     "MptLayerMachine",
     "MptNetworkMachine",
     "MptWorker",

@@ -111,29 +111,6 @@ def _choose_clustering_cached(
     return ClusteringChoice(layer=layer, chosen=best, evaluations=evaluations)
 
 
-def replan_for_survivors(
-    layer: ConvLayerSpec,
-    batch: int,
-    config: SystemConfig,
-    workers: int,
-    dead_workers: Sequence[int],
-    model: Optional[PerfModel] = None,
-) -> ClusteringChoice:
-    """Re-run dynamic clustering after permanent worker loss.
-
-    Degraded-ring splicing (:mod:`repro.faults`) keeps the iteration
-    alive the moment a worker dies; at the next iteration boundary the
-    host can instead *re-plan* — the clustering optimiser already works
-    for any worker count, so the surviving machine simply gets a fresh
-    ``(N_g, N_c)`` choice.  Memoization makes repeated re-plans for the
-    same survivor count free.
-    """
-    survivors = workers - len(frozenset(dead_workers))
-    if survivors < 1:
-        raise ValueError("no surviving workers to re-plan for")
-    return choose_clustering(layer, batch, config, survivors, model)
-
-
 def choose_clustering_and_transform(
     layer: ConvLayerSpec,
     batch: int,

@@ -7,7 +7,6 @@ from .comm_unit import (
     PackedTransfer,
     ReduceBlock,
 )
-from .dram import DramModel
 from .energy import EnergyBreakdown, EnergyModel
 from .systolic import (
     GemmTiming,
@@ -18,7 +17,6 @@ from .systolic import (
 )
 from .systolic_functional import FunctionalSystolicArray, SystolicRun, tiled_gemm
 from .taskgraph import ScheduleEntry, Task, TaskExecutor, TaskGraph
-from .worker import BlockTiming, NdpWorker, WorkBlock
 
 __all__ = [
     "Chunk",
@@ -26,7 +24,6 @@ __all__ = [
     "P2PEngine",
     "PackedTransfer",
     "ReduceBlock",
-    "DramModel",
     "EnergyBreakdown",
     "EnergyModel",
     "GemmTiming",
@@ -41,7 +38,4 @@ __all__ = [
     "Task",
     "TaskExecutor",
     "TaskGraph",
-    "BlockTiming",
-    "NdpWorker",
-    "WorkBlock",
 ]

@@ -1,87 +1,14 @@
-"""3D-stacked memory model (paper Table III: HMC-class, 320 GB/s).
+"""3D-stacked memory capacity (paper Table III: one HMC-class stack per
+worker).
 
-The stack exposes ``vaults`` independent channels behind an FR-FCFS-style
-scheduler; for the streaming access patterns of convolution training
-(large sequential DMA bursts, address-interleaved across vaults) the
-sustained bandwidth is the aggregate vault bandwidth de-rated by a row-
-activation efficiency.  The model exposes both the simple time-for-bytes
-form the performance model uses and a burst-level accessor that tracks
-per-vault occupancy for irregular patterns.
+The performance model prices streaming time as
+``nbytes / dram_bytes_per_s``; this module holds the capacity check
+the planner filters candidates with.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import List
-
 from ..params import DEFAULT_PARAMS, HardwareParams
-
-
-@dataclass
-class DramModel:
-    """Bandwidth/occupancy model of one memory stack.
-
-    Attributes
-    ----------
-    params:
-        Shared hardware constants (total bandwidth).
-    vaults:
-        Number of independent vaults (HMC: 16 or 32).
-    efficiency:
-        Sustained fraction of peak for streaming DMA (row-buffer hits
-        dominate for sequential bursts).
-    interleave_bytes:
-        Address-interleave granularity across vaults.
-    """
-
-    params: HardwareParams = field(default_factory=lambda: DEFAULT_PARAMS)
-    vaults: int = 16
-    efficiency: float = 0.9
-    interleave_bytes: int = 256
-
-    def __post_init__(self) -> None:
-        if not 0 < self.efficiency <= 1:
-            raise ValueError(f"efficiency must be in (0, 1], got {self.efficiency}")
-        self._vault_busy: List[float] = [0.0] * self.vaults
-
-    @property
-    def vault_bytes_per_s(self) -> float:
-        return self.params.dram_bytes_per_s * self.efficiency / self.vaults
-
-    def transfer_time(self, nbytes: float) -> float:
-        """Seconds to stream ``nbytes`` with perfect vault interleaving."""
-        if nbytes < 0:
-            raise ValueError(f"nbytes must be non-negative, got {nbytes}")
-        return nbytes / (self.params.dram_bytes_per_s * self.efficiency)
-
-    def access(self, address: int, nbytes: int, start_s: float) -> float:
-        """Burst access with per-vault occupancy; returns completion time.
-
-        Bursts are split at the interleave granularity and issued to
-        consecutive vaults starting at ``address``'s home vault.
-        """
-        if nbytes <= 0:
-            raise ValueError(f"nbytes must be positive, got {nbytes}")
-        first_vault = (address // self.interleave_bytes) % self.vaults
-        chunks = math.ceil(nbytes / self.interleave_bytes)
-        finish = start_s
-        for i in range(chunks):
-            vault = (first_vault + i) % self.vaults
-            chunk = min(self.interleave_bytes, nbytes - i * self.interleave_bytes)
-            begin = max(start_s, self._vault_busy[vault])
-            done = begin + chunk / self.vault_bytes_per_s
-            self._vault_busy[vault] = done
-            finish = max(finish, done)
-        return finish
-
-    def reset(self) -> None:
-        self._vault_busy = [0.0] * self.vaults
-
-    @property
-    def capacity_bytes(self) -> float:
-        """Usable stack capacity (Table III: one HMC-class module per worker)."""
-        return self.params.dram_capacity_bytes
 
 
 def stack_fits(

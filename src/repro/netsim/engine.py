@@ -35,7 +35,7 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from ..params import DEFAULT_PARAMS, HardwareParams
 from ..perf import counter_add
-from .fastpath import fastpath_enabled, packet_split, store_and_forward_times
+from .fastpath import fastpath_enabled, packet_split
 from .topology import Link, Topology
 
 Callback = Callable[["Message", float], None]
@@ -229,8 +229,8 @@ class FaultHooks:
         whole horizon, i.e. a permanent failure no later than ``t0``)
         or ``"dirty"`` (anything time-dependent).  The conservative
         default keeps fast paths off for injectors that do not opt in —
-        an unknown hook can observe per-packet traffic the coalesced
-        schedule never generates.
+        an unknown hook can observe per-packet traffic a collective
+        shortcut never generates.
         """
         return "dirty"
 
@@ -258,9 +258,9 @@ class NetworkSimulator:
         #: Optional fault injector (duck-typed: see :class:`FaultHooks`).
         #: ``None`` keeps every fault branch off the hot path.
         self.faults = faults
-        #: Whether the bit-identical fast paths (flow coalescing and the
-        #: collective shortcuts of :mod:`repro.netsim.fastpath`) may
-        #: fire; ``None`` reads ``REPRO_NETSIM_REFERENCE``.
+        #: Whether the bit-identical collective shortcuts of
+        #: :mod:`repro.netsim.fastpath` may fire; ``None`` reads
+        #: ``REPRO_NETSIM_REFERENCE``.
         self.fastpath = fastpath_enabled() if fastpath is None else bool(fastpath)
         if faults is not None:
             faults.bind(topology)
@@ -281,15 +281,9 @@ class NetworkSimulator:
         #: Engine events popped so far — the quantity packet batching
         #: exists to reduce (see ``_LinkServer._serve_next``).
         self.events_processed = 0
-        #: Messages completed via flow-level coalescing (observability).
-        self.flows_coalesced = 0
         #: Deferred ``netsim.packets_served`` counter delta (published
         #: once per ``run`` by ``_flush_counters``).
         self._packets_served_accum = 0
-        #: The ``until`` horizon of the active ``run`` call; coalescing
-        #: declines any flow whose completion would overrun it, so the
-        #: partial-delivery semantics of a paused run are preserved.
-        self._run_until: Optional[float] = None
 
     # ---- event machinery ---------------------------------------------------
     def schedule(self, time: float, action: Callable[[], None]) -> None:
@@ -299,8 +293,8 @@ class NetworkSimulator:
 
     def is_quiescent(self) -> bool:
         """No pending events and every link server idle and empty — the
-        precondition under which a coalesced flow cannot contend with
-        (or be observed by) anything else in flight."""
+        precondition under which a shortcut collective cannot contend
+        with (or be observed by) anything else in flight."""
         if self._heap:
             return False
         for server in self._servers.values():
@@ -310,7 +304,6 @@ class NetworkSimulator:
 
     def run(self, until: Optional[float] = None) -> float:
         """Drain the event queue; returns the final simulated time."""
-        self._run_until = until
         processed = 0
         try:
             heap = self._heap
@@ -328,7 +321,6 @@ class NetworkSimulator:
         finally:
             self.events_processed += processed
             self._flush_counters()
-            self._run_until = None
         return self.now
 
     def _flush_counters(self) -> None:
@@ -378,15 +370,8 @@ class NetworkSimulator:
             self._split_cache[message.size_bytes] = sizes
         message.pending_packets = len(sizes)
         servers = self._servers
-        fastpath = self.fastpath
-        heap = self._heap
 
         def inject() -> None:
-            # Guard hoisted out of ``_try_coalesce``: under contention
-            # (pending events) the quiescence precondition fails on the
-            # first check, so skip the call entirely.
-            if fastpath and not heap and self._try_coalesce(message, route, sizes):
-                return
             link = route[0]
             server = servers.get((link.src, link.dst))
             if server is None:
@@ -422,49 +407,6 @@ class NetworkSimulator:
                 )
 
         self.schedule(start, inject)
-
-    def _try_coalesce(self, message: Message, route: List[Link], sizes: List[int]) -> bool:
-        """Flow-level coalescing: collapse an entire message's
-        store-and-forward recurrence into one bulk completion event.
-
-        Fires only when this inject is the *sole* activity in the
-        simulator (quiescent queue and servers), every route link is
-        fault-clean over the flow's whole lifetime, and an active
-        ``run(until=...)`` horizon would not cut the flow off — under
-        those conditions no arbitration, drop, or pause can observe the
-        per-packet schedule, and the bulk event's timestamp is the
-        bit-exact fold the per-packet loop computes (see
-        :mod:`repro.netsim.fastpath`).
-        """
-        if not self.fastpath or not self.is_quiescent():
-            return False
-        start = self.now
-        deliveries = store_and_forward_times(
-            start, sizes, [(link.bytes_per_s, link.latency_s) for link in route]
-        )
-        finish = deliveries[-1]
-        if self._run_until is not None and finish > self._run_until:
-            return False
-        faults = self.faults
-        if faults is not None:
-            for link in route:
-                if faults.link_state(link, start, finish) != "clean":
-                    return False
-        total_wire = sum(sizes)
-        hops = len(route)
-        packets = len(sizes)
-
-        def complete_flow() -> None:
-            for link in route:
-                self.carry(link, total_wire)
-            counter_add("netsim.packets_served", packets * hops)
-            counter_add("netsim.flows_coalesced", 1)
-            self.flows_coalesced += 1
-            message.pending_packets = 0
-            self._complete(message)
-
-        self.schedule(finish, complete_flow)
-        return True
 
     def _packet_arrived(self, packet: _Packet) -> None:
         packet.hop_index += 1

@@ -2,11 +2,8 @@
 construction.
 
 This module extends the uncontended-batch precedent of the link server
-(``engine._LinkServer._serve_next``) three levels up:
+(``engine._LinkServer._serve_next``) from packets to whole collectives:
 
-* **Flow-level coalescing** (:func:`store_and_forward_times` + the
-  engine's ``_try_coalesce``): a whole message traversing a quiescent
-  simulator collapses into one bulk completion event.
 * **Ring all-reduce shortcut** (:func:`ring_allreduce_shortcut`): the
   whole collective on an idle simulator is priced by a per-link FIFO
   replay, without creating a packet — multi-hop ring pairs included,
@@ -32,8 +29,9 @@ or (the ring replay) one-packet flows that reach each link in strictly
 increasing order, for which round-robin is FIFO.
 
 Fallback is always safe and always total: every precondition failure
-returns ``None``/``False`` and the caller runs the reference per-packet
-path.  The preconditions are:
+returns ``None``, counts ``netsim.<collective>_declined.<reason>``
+(``ring`` or ``all_to_all``), and the caller runs the reference
+per-packet path.  The preconditions are:
 
 * the fast path is enabled (``REPRO_NETSIM_REFERENCE=1`` disables it);
 * the simulator is quiescent (no pending events, no busy or queued
@@ -42,18 +40,18 @@ path.  The preconditions are:
 * any attached fault injector classifies every involved link as
   ``"clean"`` over the whole fault-free horizon (the ring shortcut also
   accepts ``"dead"`` links — stranding is deterministic); an injector
-  that does not implement :meth:`FaultHooks.link_state`, or any finite
+  that keeps the default :meth:`FaultHooks.link_state`, or any finite
   fault window or packet-loss rule touching the horizon, disables the
   fast path (``"dirty"``);
-* a ``run(until=...)`` / collective deadline would not truncate the
-  priced work mid-flight.
+* the collective's deadline would not truncate the priced work
+  mid-flight.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple
+from typing import AbstractSet, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -93,45 +91,10 @@ def packet_split(size_bytes: int, payload_bytes: int, header_bytes: int) -> List
     return sizes
 
 
-def store_and_forward_times(
-    start: float,
-    sizes: Sequence[int],
-    hops: Sequence[Tuple[float, float]],
-) -> List[float]:
-    """Per-packet delivery times at the final hop of ``hops``.
-
-    Replays the engine's store-and-forward fold for one uncontended
-    flow whose packets are all queued at ``start``: on each hop
-    ``(rate, latency)``, packet ``i`` starts at ``max(done, arrival_i)``,
-    finishes serialising at ``fl(start_i + wire_i/rate)`` and arrives
-    downstream at ``fl(done_i + latency)``.  The returned list is
-    nondecreasing, so its last element is the flow completion time.
-    """
-    times = [start] * len(sizes)
-    for rate, latency in hops:
-        done = float("-inf")
-        out = []
-        for arrival, wire in zip(times, sizes):
-            begin = arrival if arrival > done else done
-            done = begin + wire / rate
-            out.append(done + latency)
-        times = out
-    return times
-
-
-def _hooks_link_state(faults, link, t0: float, t1: float) -> str:
-    """Classify ``link`` over ``[t0, t1]`` via the injector's
-    capability hook; injectors without one are conservatively dirty."""
-    state_fn = getattr(faults, "link_state", None)
-    if state_fn is None:
-        return "dirty"
-    return state_fn(link, t0, t1)
-
-
-def _declined(reason: str) -> None:
-    """Count why the ring shortcut fell back (a no-op unless profiling
-    is on) and return the fallback ``None``."""
-    counter_add("netsim.ring_declined." + reason)
+def _declined(collective: str, reason: str) -> None:
+    """Count why a collective shortcut fell back (a no-op unless
+    profiling is on) and return the fallback ``None``."""
+    counter_add(f"netsim.{collective}_declined.{reason}")
     return None
 
 
@@ -181,14 +144,14 @@ def ring_allreduce_shortcut(
     committed before returning.
     """
     if not sim.fastpath:
-        return _declined("disabled")
+        return _declined("ring", "disabled")
     if not sim.is_quiescent():
-        return _declined("not_quiescent")
+        return _declined("ring", "not_quiescent")
     n = len(nodes)
     if n < 2 or len(set(nodes)) != n:
-        return _declined("not_a_ring")
+        return _declined("ring", "not_a_ring")
     if start_time < sim.now - _PAST_SLACK:
-        return _declined("past_start")  # reference path raises the "past" error
+        return _declined("ring", "past_start")  # reference path raises the "past" error
     return _ring_shortcut_locked(sim, nodes, slice_sizes, start_time, deadline_s)
 
 
@@ -217,20 +180,20 @@ def _ring_shortcut_locked(
     try:
         routes = [sim.topology.route(nodes[i], nodes[(i + 1) % n]) for i in range(n)]
     except (KeyError, ValueError, RuntimeError):
-        return _declined("unreachable")  # the reference path raises it
+        return _declined("ring", "unreachable")  # the reference path raises it
     links = [link for route in routes for link in route]
     if len({(link.src, link.dst) for link in links}) != len(links):
-        return _declined("shared_link")  # steps do not order its users
+        return _declined("ring", "shared_link")  # steps do not order its users
     payload = sim.packet_bytes
     header = sim.params.packet_header_bytes
     splits = {b: packet_split(b, payload, header) for b in sorted(set(slice_sizes)) if b}
     if not splits:
-        return _declined("empty")  # all-zero slices: the engine is trivial
+        return _declined("ring", "empty")  # all-zero slices: the engine is trivial
     one_packet = all(len(sizes) == 1 for sizes in splits.values())
     single_hop = len(links) == n
     if not (one_packet or single_hop):
         # Multi-packet messages pipeline across hops and interleave.
-        return _declined("multi_packet_multi_hop")
+        return _declined("ring", "multi_packet_multi_hop")
     steps = 2 * (n - 1)
     if (
         single_hop
@@ -256,11 +219,11 @@ def _ring_shortcut_locked(
     if faults is not None:
         dead = set()
         for index, link in enumerate(links):
-            state = _hooks_link_state(faults, link, start_time, schedule.latest)
+            state = faults.link_state(link, start_time, schedule.latest)
             if state == "dead":
                 dead.add(index)
             elif state != "clean":
-                return _declined("dirty_link")
+                return _declined("ring", "dirty_link")
         if dead:
             # Stranding only removes users, so no event moves later and
             # the fault-free horizon still covers the run.
@@ -270,7 +233,7 @@ def _ring_shortcut_locked(
             if schedule is None:
                 return None
     if deadline_s is not None and schedule.latest > deadline_s:
-        return _declined("deadline")  # cut off mid-flight: reference semantics
+        return _declined("ring", "deadline")  # cut off mid-flight: reference semantics
 
     for link, wire in zip(links, schedule.carried):
         sim.carry(link, wire)
@@ -364,12 +327,12 @@ def _fifo_replay(
                 break
             arrive = times[at]
             if (arrive <= last[li]).any():
-                return _declined("arrival_tie")  # not FIFO in step order
+                return _declined("ring", "arrival_tie")  # not FIFO in step order
             last[li] = arrive
             begin = free[li]
             if not queue_ok and (arrive < begin).any():
                 # A queued multi-packet flow interleaves.
-                return _declined("queued_multi_packet")
+                return _declined("ring", "queued_multi_packet")
             done = np.maximum(arrive, begin)
             hop_rate = rate[li]
             for column in columns:
@@ -420,29 +383,29 @@ def all_to_all_shortcut(
     case.  Multi-hop FBFLY grids (where dimension-order routes share
     links) fall back to the reference engine.
     """
-    if not sim.fastpath or not sim.is_quiescent():
-        return None
+    if not sim.fastpath:
+        return _declined("all_to_all", "disabled")
+    if not sim.is_quiescent():
+        return _declined("all_to_all", "not_quiescent")
     n = len(nodes)
-    if n < 2 or len(set(nodes)) != n or pair_bytes <= 0:
-        return None
+    if n < 2 or len(set(nodes)) != n:
+        return _declined("all_to_all", "degenerate")
+    if pair_bytes <= 0:
+        return _declined("all_to_all", "empty")
     if start_time < sim.now - _PAST_SLACK:
-        return None
+        return _declined("all_to_all", "past_start")
     try:
-        links = []
-        for src in nodes:
-            for dst in nodes:
-                if src == dst:
-                    continue
-                route = sim.topology.route(src, dst)
-                if len(route) != 1:
-                    return None
-                links.append(route[0])
+        routes = [
+            sim.topology.route(src, dst) for src in nodes for dst in nodes if src != dst
+        ]
     except (KeyError, ValueError, RuntimeError):
-        return None  # unreachable pair: the reference path raises it
-    if len(set(link.bytes_per_s for link in links)) != 1:
-        return None
-    if len(set(link.latency_s for link in links)) != 1:
-        return None
+        # The reference path raises it.
+        return _declined("all_to_all", "unreachable")
+    if any(len(route) != 1 for route in routes):
+        return _declined("all_to_all", "multi_hop")
+    links = [route[0] for route in routes]
+    if len({(link.bytes_per_s, link.latency_s) for link in links}) != 1:
+        return _declined("all_to_all", "mixed_links")
     rate = links[0].bytes_per_s
     lat = links[0].latency_s
     sizes = packet_split(
@@ -450,12 +413,12 @@ def all_to_all_shortcut(
     )
     finish = _serialise_step(start_time, sizes, rate) + lat
     if deadline_s is not None and finish > deadline_s:
-        return None
+        return _declined("all_to_all", "deadline")
     faults = sim.faults
     if faults is not None:
         for link in links:
-            if _hooks_link_state(faults, link, start_time, finish) != "clean":
-                return None
+            if faults.link_state(link, start_time, finish) != "clean":
+                return _declined("all_to_all", "dirty_link")
     wire = sum(sizes)
     for link in links:
         sim.carry(link, wire)

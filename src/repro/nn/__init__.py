@@ -18,9 +18,8 @@ from .layers import (
     WinogradConv2D,
 )
 from .losses import accuracy, softmax_cross_entropy
-from .models import fractalnet_small, small_cnn, wrn_small
-from .network import FractalJoin2, Residual, Sequential
-from .normalization import BatchNorm2d
+from .models import fractalnet_small, small_cnn
+from .network import FractalJoin2, Sequential
 from .optim import SGD
 from .training import TrainingCurve, evaluate, train
 
@@ -42,9 +41,6 @@ __all__ = [
     "softmax_cross_entropy",
     "fractalnet_small",
     "small_cnn",
-    "wrn_small",
-    "BatchNorm2d",
-    "Residual",
     "FractalJoin2",
     "Sequential",
     "SGD",

@@ -46,45 +46,6 @@ def small_cnn(
     )
 
 
-def wrn_small(
-    channels: int = 3,
-    classes: int = 10,
-    width: int = 8,
-    seed: int = 0,
-) -> Sequential:
-    """A two-block wide-residual network (the Table I WRN-40-10 at toy
-    scale): Winograd convolutions, batch norm, pre-activation residuals."""
-    from .normalization import BatchNorm2d
-
-    rng = np.random.default_rng(seed)
-    transform = make_transform(2, 3)
-
-    def wconv(i: int, o: int) -> WinogradConv2D:
-        return WinogradConv2D(i, o, transform, pad=1, rng=rng)
-
-    from .network import Residual
-
-    def block(ch: int) -> Residual:
-        return Residual(
-            Sequential(
-                [BatchNorm2d(ch), ReLU(), wconv(ch, ch),
-                 BatchNorm2d(ch), ReLU(), wconv(ch, ch)]
-            )
-        )
-
-    return Sequential(
-        [
-            wconv(channels, width),
-            block(width),
-            MaxPool2x2(),
-            wconv(width, 2 * width),
-            block(2 * width),
-            GlobalAvgPool(),
-            Dense(2 * width, classes, rng=rng),
-        ]
-    )
-
-
 def fractalnet_small(
     join_mode: str = "spatial",
     channels: int = 3,

@@ -14,7 +14,7 @@ The fractal block implements both join variants of paper Section VII-A:
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Sequence
 
 import numpy as np
 
@@ -45,7 +45,7 @@ class Sequential(Layer):
     def parameters(self) -> Iterable[tuple[Layer, str]]:
         """Yield ``(layer, param_name)`` pairs over the whole tree."""
         for layer in self.layers:
-            if isinstance(layer, (Sequential, FractalJoin2, Residual)):
+            if isinstance(layer, (Sequential, FractalJoin2)):
                 yield from layer.parameters()
             else:
                 for name in layer.params:
@@ -53,39 +53,6 @@ class Sequential(Layer):
 
     def param_count(self) -> int:
         return sum(layer.params[name].size for layer, name in self.parameters())
-
-
-class Residual(Layer):
-    """A pre-activation residual block: ``x + body(x)`` (WRN-style).
-
-    ``projection`` (optional) adapts the skip path when the body changes
-    the channel count.
-    """
-
-    def __init__(self, body: "Sequential", projection: Optional[Layer] = None) -> None:
-        super().__init__()
-        self.body = body
-        self.projection = projection
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        skip = self.projection.forward(x) if self.projection else x
-        return skip + self.body.forward(x)
-
-    def backward(self, dy: np.ndarray) -> np.ndarray:
-        d_body = self.body.backward(dy)
-        d_skip = self.projection.backward(dy) if self.projection else dy
-        return d_body + d_skip
-
-    def zero_grads(self) -> None:
-        self.body.zero_grads()
-        if self.projection:
-            self.projection.zero_grads()
-
-    def parameters(self) -> Iterable[tuple["Layer", str]]:
-        yield from self.body.parameters()
-        if self.projection:
-            for name in self.projection.params:
-                yield self.projection, name
 
 
 class FractalJoin2(Layer):

@@ -5,7 +5,7 @@
   ``(layer, grid, batch)`` points in a sweep are computed once per
   process.
 * :mod:`repro.perf.profiler` — a global counter registry (packets
-  served, flows coalesced, ...) that is a no-op until enabled.
+  served, collectives coalesced, ...) that is a no-op until enabled.
 * :mod:`repro.perf.parallel` — imports every module that registers a
   sweep kernel and lists their caches.
 

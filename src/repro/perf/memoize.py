@@ -5,9 +5,11 @@ batch)`` perf-model points thousands of times — per configuration, per
 worker count, per network — and every evaluation is a pure function of
 a handful of (mostly frozen) dataclasses.  :func:`memoize_sweep` caches
 those evaluations behind a *content* key: two calls hit the same entry
-exactly when every field of every argument (including nested dataclass
-fields) is equal, so mutating any knob of a config invalidates the key
-by construction.
+exactly when, bound to the function's signature with defaults filled
+in, every field of every argument (including nested dataclass fields)
+is equal, so mutating any knob of a config invalidates the key by
+construction, and spelling an argument positionally, by keyword or by
+its default does not.
 
 Cached results are shared between callers and must be treated as
 immutable; every current consumer only reads them.
@@ -208,9 +210,10 @@ def sweep_key(*objs: Any) -> Tuple[Any, ...]:
 
 def build_key(args: Tuple[Any, ...], kwargs: Dict[str, Any]) -> Tuple[Any, Any]:
     """The exact cache key a :func:`memoize_sweep` wrapper builds for a
-    call ``fn(*args, **kwargs)`` — a fixed ``(positional, keyword)``
-    2-tuple of canonical forms.  The wrapper calls it by module-level
-    name, so a tracer that rebinds it sees every key build.
+    call ``fn(*args, **kwargs)`` already bound to ``fn``'s signature — a
+    fixed ``(positional, keyword)`` 2-tuple of canonical forms.  The
+    wrapper calls it by module-level name, so a tracer that rebinds it
+    sees every key build.
     """
     if kwargs:
         kw_key: Any = tuple(
@@ -273,7 +276,8 @@ def memoize_sweep(func: Callable) -> Callable:
     # degrading key fidelity.  Raising at registration (import time)
     # turns a latent cache-aliasing bug into an immediate, attributable
     # failure.
-    for param in inspect.signature(func).parameters.values():
+    signature = inspect.signature(func)
+    for param in signature.parameters.values():
         if param.kind is inspect.Parameter.VAR_KEYWORD:
             raise TypeError(
                 f"memoize_sweep refuses {func.__qualname__!r}: "
@@ -281,10 +285,24 @@ def memoize_sweep(func: Callable) -> Callable:
                 "(arbitrary keywords bypass canonical hooks); "
                 "spell the cacheable keywords out explicitly"
             )
+    # Calls are keyed as bound to the signature, in declaration order
+    # with defaults filled in, so ``f(1)``, ``f(1, 2)`` and ``f(1, b=2)``
+    # share one entry when ``b`` defaults to 2.  A call that passes every
+    # parameter positionally is already in that form and skips binding.
+    positional = (inspect.Parameter.POSITIONAL_ONLY, inspect.Parameter.POSITIONAL_OR_KEYWORD)
+    arity = (
+        len(signature.parameters)
+        if all(p.kind in positional for p in signature.parameters.values())
+        else None
+    )
     cache = SweepCache()
 
     @functools.wraps(func)
     def wrapper(*args: Any, **kwargs: Any) -> Any:
+        if kwargs or len(args) != arity:
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            args, kwargs = bound.args, bound.kwargs
         key = build_key(args, kwargs)
         found, value = cache.lookup(key)
         if found:

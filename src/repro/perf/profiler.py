@@ -1,7 +1,7 @@
 """Zero-dependency event counters for the hot paths.
 
 A module-global registry accumulates named integer counters (packets
-served, flows coalesced, ...).  Instrumentation points call
+served, collectives coalesced, ...).  Instrumentation points call
 :func:`counter_add`; while profiling is disabled — the default — that
 is one flag test and nothing else.
 

@@ -13,8 +13,8 @@ interpreter overhead the vectorization removed.
 netsim event engine: scheduling one event per item from a Python loop
 is the per-packet slow path the batching fast paths exist to avoid
 (``_LinkServer._serve_next`` serialises a whole uncontended batch under
-one completion event; the flow coalescer and collective shortcuts
-schedule one bulk event per message or collective).  A ``for``/``while``
+one completion event; the collective shortcuts price a whole
+collective without scheduling an event).  A ``for``/``while``
 loop in ``repro.netsim`` whose body calls ``*.schedule(...)`` /
 ``*._schedule(...)`` / ``heappush(...)`` per iteration reintroduces the
 heap-traffic scaling the fast paths removed.  The batching primitive
@@ -142,8 +142,8 @@ class PerPacketScheduleLoop(Rule):
     description = (
         "Python loop in repro.netsim scheduling one event per iteration "
         "(schedule/_schedule); batch the run under one bulk event like "
-        "_serve_next / the flow coalescer, or route it through an "
-        "allowlisted scheduling primitive."
+        "_serve_next, or route it through an allowlisted scheduling "
+        "primitive."
     )
 
     def check(self, ctx: Context) -> Iterator:

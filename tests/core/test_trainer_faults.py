@@ -119,26 +119,3 @@ class TestDegradedIteration:
         # iteration's critical path when inflated this much).
         growth = charged.iteration_s - base.iteration_s
         assert 0.0 < growth <= 1.0 + 1e-9
-
-
-class TestReplanForSurvivors:
-    def test_replans_at_reduced_worker_count(self):
-        from repro.core import replan_for_survivors
-
-        layer = tiny_net().conv_layers[0]
-        choice = replan_for_survivors(
-            layer, batch=16, config=w_mp_plus_plus(), workers=16,
-            dead_workers=[3, 7],
-        )
-        grid = choice.chosen
-        assert grid.num_groups * grid.num_clusters == 14
-
-    def test_no_survivors_rejected(self):
-        from repro.core import replan_for_survivors
-
-        layer = tiny_net().conv_layers[0]
-        with pytest.raises(ValueError):
-            replan_for_survivors(
-                layer, batch=16, config=w_mp_plus_plus(), workers=2,
-                dead_workers=[0, 1],
-            )

@@ -1,52 +1,38 @@
-"""Tests for the DRAM and energy models."""
+"""Tests for the DRAM capacity check and the energy model."""
+
+from dataclasses import replace
 
 import pytest
 
-from repro.ndp import DramModel, EnergyBreakdown, EnergyModel
+from repro.ndp import EnergyBreakdown, EnergyModel
+from repro.ndp.dram import stack_fits
 from repro.params import DEFAULT_PARAMS
 
 
-class TestDram:
-    def test_transfer_time_linear(self):
-        dram = DramModel(efficiency=1.0)
-        t1 = dram.transfer_time(1e6)
-        t2 = dram.transfer_time(2e6)
-        assert t2 == pytest.approx(2 * t1)
-        assert t1 == pytest.approx(1e6 / DEFAULT_PARAMS.dram_bytes_per_s)
+class TestStackFits:
+    """The planner's per-worker capacity filter."""
 
-    def test_efficiency_derates(self):
-        fast = DramModel(efficiency=1.0)
-        slow = DramModel(efficiency=0.5)
-        assert slow.transfer_time(1e6) == pytest.approx(2 * fast.transfer_time(1e6))
+    def test_fits_at_the_reserved_capacity_and_not_one_byte_over(self):
+        capacity = DEFAULT_PARAMS.dram_capacity_bytes
+        assert stack_fits(0)
+        assert stack_fits(capacity) and not stack_fits(capacity + 1)
+        for fraction in (0.5, 0.25):
+            assert stack_fits(capacity * fraction, fraction=fraction)
+            assert not stack_fits(capacity * fraction + 1, fraction=fraction)
 
-    def test_invalid_efficiency_rejected(self):
-        with pytest.raises(ValueError):
-            DramModel(efficiency=0.0)
+    def test_capacity_comes_from_params(self):
+        small = replace(DEFAULT_PARAMS, dram_capacity_bytes=1024.0)
+        assert stack_fits(512, small, fraction=0.5)
+        assert not stack_fits(513, small, fraction=0.5)
 
     def test_negative_bytes_rejected(self):
-        with pytest.raises(ValueError):
-            DramModel().transfer_time(-1)
+        with pytest.raises(ValueError, match="nbytes"):
+            stack_fits(-1)
 
-    def test_burst_access_interleaves_vaults(self):
-        dram = DramModel(vaults=4, efficiency=1.0, interleave_bytes=256)
-        # A 1 KiB burst spreads over all 4 vaults -> finishes in the time
-        # one vault needs for 256 bytes.
-        finish = dram.access(0, 1024, 0.0)
-        assert finish == pytest.approx(256 / dram.vault_bytes_per_s)
-
-    def test_burst_same_vault_serialises(self):
-        dram = DramModel(vaults=4, efficiency=1.0, interleave_bytes=256)
-        dram.access(0, 256, 0.0)
-        second = dram.access(0, 256, 0.0)  # same home vault
-        assert second == pytest.approx(2 * 256 / dram.vault_bytes_per_s)
-
-    def test_reset(self):
-        dram = DramModel()
-        dram.access(0, 1024, 0.0)
-        dram.reset()
-        assert dram.access(0, 256, 0.0) == pytest.approx(
-            256 / dram.vault_bytes_per_s
-        )
+    @pytest.mark.parametrize("fraction", [0.0, -0.5, 1.0 + 1e-9, 2.0])
+    def test_fraction_outside_unit_interval_rejected(self, fraction):
+        with pytest.raises(ValueError, match="fraction"):
+            stack_fits(1, fraction=fraction)
 
 
 class TestEnergy:

@@ -27,7 +27,7 @@ from repro.params import DEFAULT_PARAMS
 
 def _sim(batch, nodes=8):
     # fastpath=False: these tests exercise the *batching* tier, which
-    # flow-level coalescing would otherwise bypass entirely.
+    # the collective shortcuts would otherwise bypass entirely.
     return NetworkSimulator(
         ring(nodes),
         DEFAULT_PARAMS,

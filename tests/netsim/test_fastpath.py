@@ -225,7 +225,7 @@ class TestAllToAllIdentity:
 
     def test_two_hop_fbfly(self):
         """Diagonal pairs need two hops: the closed form declines and
-        the engine (with coalescing) must still match the reference."""
+        the packet engine must still match the reference."""
 
         def build(fastpath, injector):
             topo = flattened_butterfly_2d(2, 2)
@@ -511,9 +511,28 @@ class TestPaperRingReplayPin:
         assert ring_bytes == [count * self.PACKET_WIRE for count in packets]
 
 
+def _profiled_counters(call):
+    """Profiler counters ``call()`` bumps."""
+    profiling_enabled()
+    reset_profile()
+    try:
+        call()
+        return snapshot_profile()["counters"]
+    finally:
+        profiling_disabled()
+        reset_profile()
+
+
+def _with_prefix(counters, prefix):
+    return {name[len(prefix):]: count for name, count in counters.items()
+            if name.startswith(prefix)}
+
+
 class TestDeclineReasons:
-    """The ring shortcut counts why it fell back, one profiler counter
-    per reason, on the fault battery's two remaining engine runs."""
+    """The collective shortcuts count why they fell back, one profiler
+    counter per reason: the ring shortcut on the fault battery's two
+    remaining engine runs, the all-to-all shortcut on the group-leader
+    replays of ``planner.validate_plan_transitions``."""
 
     @pytest.fixture(autouse=True)
     def _fast_paths_on(self, monkeypatch):
@@ -523,17 +542,9 @@ class TestDeclineReasons:
     def _declines(scenario, groups):
         machine = reconfigure(16, 16, groups)
         plan = SCENARIOS[scenario](machine, 0)
-        profiling_enabled()
-        reset_profile()
-        try:
-            resilient_ring_allreduce(machine, 0, 64 * 1024, plan, DEFAULT_PARAMS)
-            counters = snapshot_profile()["counters"]
-        finally:
-            profiling_disabled()
-            reset_profile()
-        prefix = "netsim.ring_declined."
-        return {name[len(prefix):]: count for name, count in counters.items()
-                if name.startswith(prefix)}
+        counters = _profiled_counters(lambda: resilient_ring_allreduce(
+            machine, 0, 64 * 1024, plan, DEFAULT_PARAMS))
+        return _with_prefix(counters, "netsim.ring_declined.")
 
     def test_dead_worker_retry_on_the_255_ring(self):
         """The first attempt is replayed; the retry's ragged 256/257 B
@@ -542,6 +553,33 @@ class TestDeclineReasons:
 
     def test_lossy_inter_cluster(self):
         assert self._declines("lossy-inter-cluster", 16) == {"dirty_link": 1}
+
+    @staticmethod
+    def _group_leader_all_to_all(groups, clusters):
+        """Route lengths and counters of the all-to-all among cluster
+        0's members (one leader per group) that the transition replay
+        runs when a plan enters a ``groups x clusters`` grid."""
+        topology, layout = hybrid(groups, clusters, DEFAULT_PARAMS)
+        sim = NetworkSimulator(topology, DEFAULT_PARAMS)
+        leaders = layout.cluster_members(0)
+        counters = _profiled_counters(lambda: all_to_all(sim, leaders, 4096))
+        hops = {len(topology.route(src, dst))
+                for src in leaders for dst in leaders if src != dst}
+        return hops, counters
+
+    def test_16x16_group_leaders_are_multi_hop(self):
+        hops, counters = self._group_leader_all_to_all(16, 16)
+        assert hops == {1, 2}
+        assert _with_prefix(counters, "netsim.all_to_all_declined.") == {
+            "multi_hop": 1}
+        assert "netsim.collectives_coalesced" not in counters
+
+    def test_4x64_group_leaders_coalesce(self):
+        hops, counters = self._group_leader_all_to_all(4, 64)
+        assert hops == {1}
+        assert counters["netsim.collectives_coalesced"] == 1
+        assert not _with_prefix(counters, "netsim.all_to_all_declined.")
+        assert not _with_prefix(counters, "netsim.ring_declined.")
 
 
 class TestInvalidInput:
@@ -677,19 +715,6 @@ class TestFaultScenarioIdentity:
 
 
 class TestRawMessageIdentity:
-    def test_single_message_coalesces_identically(self):
-        def build(fastpath, injector):
-            topo = ring(4)
-            sim = NetworkSimulator(topo, fastpath=fastpath)
-            done = {}
-            sim.send(Message(src=0, dst=1, size_bytes=50_000,
-                             on_complete=lambda m, t: done.setdefault("t", t)))
-            sim.run()
-            return {"done": done, "now": sim.now,
-                    "links": _topo_snapshot(sim)}
-
-        _assert_identical(build)
-
     def test_staggered_flows(self):
         def build_flows(n, flows):
             def build(fastpath, injector):
@@ -715,8 +740,7 @@ class TestRawMessageIdentity:
             (3, 4, 64_000, 0.0),
         ]))
         # A five-hop 200 kB flow, a disjoint four-hop flow and a late
-        # one-hop flow onto the five-hop path.  No flow starts alone in
-        # the simulator, so none is coalesced: the fast engine must
+        # one-hop flow onto the five-hop path: the fast engine must
         # still match packet for packet.
         _assert_identical(build_flows(16, [
             (0, 5, 200_000, 0.0),

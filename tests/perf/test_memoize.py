@@ -9,6 +9,7 @@ hand-picking a few.
 """
 
 import dataclasses
+import inspect
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -243,6 +244,77 @@ class TestRegistrationPolicy:
             return a + b + c
 
         assert fine(1) == 6
+
+    def test_keys_follow_the_signature(self):
+        calls = []
+
+        @memoize_sweep
+        def f(a, b=2, *, c=3):
+            calls.append((a, b, c))
+            return a + b + c
+
+        assert {f(1), f(1, 2), f(1, b=2), f(a=1), f(1, c=3), f(b=2, a=1)} == {6}
+        assert calls == [(1, 2, 3)]
+        assert f.cache_info() == {"hits": 5, "misses": 1, "size": 1}
+        assert f(1, 3) == 7 and f(1, c=5) == 8
+        assert f.cache_info()["misses"] == 3
+
+    def test_full_positional_call_does_not_bind(self, monkeypatch):
+        @memoize_sweep
+        def f(a, b=2):
+            return a + b
+
+        binds = []
+        bind = inspect.Signature.bind
+
+        def counting(self, *args, **kwargs):
+            binds.append(args)
+            return bind(self, *args, **kwargs)
+
+        monkeypatch.setattr(inspect.Signature, "bind", counting)
+        assert f(1, 2) == f(1, 2) == 3
+        assert binds == []
+        assert f(1) == 3 and f.cache_info()["hits"] == 2
+        assert binds == [(1,)]
+
+    def test_bad_call_raises_type_error(self):
+        @memoize_sweep
+        def f(a, b=2):
+            return a + b
+
+        with pytest.raises(TypeError):
+            f()
+        with pytest.raises(TypeError):
+            f(1, d=4)
+        assert f.cache_info()["size"] == 0
+
+    def test_reconfigure_builds_one_machine_per_grid(self, monkeypatch):
+        from repro.netsim import reconfiguration
+        from repro.netsim.reconfiguration import reconfigure
+        from repro.params import DEFAULT_PARAMS
+
+        builds = []
+        hybrid = reconfiguration.hybrid
+
+        def counting(*args, **kwargs):
+            builds.append(args)
+            return hybrid(*args, **kwargs)
+
+        monkeypatch.setattr(reconfiguration, "hybrid", counting)
+        reconfigure.cache_clear()
+        try:
+            machines = {
+                id(reconfigure(16, 16, 16)),
+                id(reconfigure(16, 16, 16, DEFAULT_PARAMS)),
+                id(reconfigure(16, 16, logical_groups=16)),
+                id(reconfigure(physical_groups=16, clusters=16, logical_groups=16,
+                               params=DEFAULT_PARAMS)),
+            }
+            assert len(machines) == 1
+            assert len(builds) == 1
+            assert reconfigure.cache_info() == {"hits": 3, "misses": 1, "size": 1}
+        finally:
+            reconfigure.cache_clear()
 
     def test_registry_records_decorated_functions(self):
         from repro.perf import MEMOIZED_SWEEPS
