@@ -6,21 +6,20 @@ only for single-group data parallelism.  Searching the transform jointly
 with the grid finds a better point for tile-transfer-bound mid layers:
 multi-group F(4x4) has 44% less tile volume and 1.78x fewer MACs, which
 outweighs its larger weight slices wherever the collective is not the
-bottleneck.
+bottleneck.  The search is the planner's strategy space with
+``search_transforms`` on (``repro plan --search-transforms``); its
+fastest candidate is the searched point.
 """
 
 import statistics
 
 from conftest import print_figure
 
-from repro.core import (
-    PerfModel,
-    choose_clustering,
-    choose_clustering_and_transform,
-    w_dp,
-    w_mp_plus_plus,
-)
+from repro.core import PerfModel, choose_clustering, w_dp, w_mp_plus_plus
+from repro.planner import StrategyKnobs, layer_candidates
 from repro.workloads import five_layers
+
+SEARCH = StrategyKnobs(search_transforms=True)
 
 
 def run_search():
@@ -29,22 +28,23 @@ def run_search():
     for layer in five_layers():
         baseline = choose_clustering(layer, 256, w_dp(), 256, model)
         paper_rule = choose_clustering(layer, 256, w_mp_plus_plus(), 256, model)
-        searched = choose_clustering_and_transform(
-            layer, 256, w_mp_plus_plus(), 256, model
+        # min keeps the first of equal times: strict-< tie-breaking.
+        searched = min(
+            layer_candidates(layer, 256, w_mp_plus_plus(), 256, SEARCH, model),
+            key=lambda candidate: candidate.time_s,
         )
-        tr = searched.chosen_transform
+        tr = searched.transform
         rows.append(
             {
                 "layer": layer.name,
                 "paper_grid": f"({paper_rule.chosen.num_groups},"
                 f"{paper_rule.chosen.num_clusters})",
                 "paper_us": paper_rule.perf.total_s * 1e6,
-                "searched_grid": f"({searched.chosen.num_groups},"
-                f"{searched.chosen.num_clusters}) F({tr.m}x{tr.m})",
-                "searched_us": searched.perf.total_s * 1e6,
-                "gain_vs_paper_rule": paper_rule.perf.total_s
-                / searched.perf.total_s,
-                "speedup_vs_w_dp": baseline.perf.total_s / searched.perf.total_s,
+                "searched_grid": f"({searched.grid.num_groups},"
+                f"{searched.grid.num_clusters}) F({tr.m}x{tr.m})",
+                "searched_us": searched.time_s * 1e6,
+                "gain_vs_paper_rule": paper_rule.perf.total_s / searched.time_s,
+                "speedup_vs_w_dp": baseline.perf.total_s / searched.time_s,
             }
         )
     return rows

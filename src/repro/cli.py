@@ -133,28 +133,6 @@ def cmd_figure(args: argparse.Namespace) -> None:
               "(paper: 2.74x)")
 
 
-def cmd_statcheck(args: argparse.Namespace) -> None:
-    """Run the repo's static-analysis suite (units/determinism/config)."""
-    from .statcheck.cli import main as statcheck_main
-
-    argv: List[str] = list(args.paths)
-    if args.json:
-        argv.append("--json")
-    if args.changed:
-        argv.append("--changed")
-    if args.base:
-        argv.extend(["--base", args.base])
-    if args.rules:
-        argv.extend(["--rules", args.rules])
-    if args.effects:
-        argv.append("--effects")
-    if args.costs:
-        argv.append("--costs")
-    if args.update_cost_baseline:
-        argv.append("--update-cost-baseline")
-    sys.exit(statcheck_main(argv))
-
-
 def cmd_faults(args: argparse.Namespace) -> None:
     """Run a named fault scenario and write its JSON report."""
     from .faults import report_json, run_scenario, scenario_names
@@ -286,26 +264,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_tl.add_argument("--batch", type=int, default=256)
     p_tl.set_defaults(func=cmd_timeline)
 
-    p_chk = sub.add_parser(
-        "statcheck", help="run the unit/determinism/config static analysis"
+    # Listed for --help only: main() hands everything after `statcheck`
+    # to repro.statcheck's own parser, which owns its flags.
+    sub.add_parser(
+        "statcheck",
+        help="run the static analysis (the flags of python -m repro.statcheck)",
     )
-    p_chk.add_argument("paths", nargs="*",
-                       help="files or directories (default: the repro package)")
-    p_chk.add_argument("--json", action="store_true",
-                       help="emit a machine-readable JSON report")
-    p_chk.add_argument("--changed", action="store_true",
-                       help="check only files changed vs the base ref")
-    p_chk.add_argument("--base", default=None, metavar="REF",
-                       help="base ref for --changed")
-    p_chk.add_argument("--rules", default="", metavar="IDS",
-                       help="rule ids or family prefixes to run (e.g. EFF,COMM001)")
-    p_chk.add_argument("--effects", action="store_true",
-                       help="emit per-function effect summaries as JSON")
-    p_chk.add_argument("--costs", action="store_true",
-                       help="emit per-function symbolic cost report as JSON")
-    p_chk.add_argument("--update-cost-baseline", action="store_true",
-                       help="regenerate the COST003 complexity baseline")
-    p_chk.set_defaults(func=cmd_statcheck)
 
     p_flt = sub.add_parser(
         "faults", help="run a fault scenario, write its JSON report"
@@ -369,7 +333,14 @@ def main(argv: List[str] | None = None) -> None:
     """Run one command.  Invalid input (a ``ValueError`` — which
     ``PlannerError`` is — or a ``KeyError``) exits non-zero with its
     one-line message; commands write their output file only after
-    their work succeeds, so a rejected run leaves none."""
+    their work succeeds, so a rejected run leaves none.  ``statcheck``
+    passes everything after it to :func:`repro.statcheck.cli.main`
+    unchanged and exits with its code."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv[:1] == ["statcheck"]:
+        from .statcheck.cli import main as statcheck_main
+
+        sys.exit(statcheck_main(argv[1:]))
     args = build_parser().parse_args(argv)
     try:
         args.func(args)

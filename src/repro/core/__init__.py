@@ -27,7 +27,6 @@ from .dynamic_clustering import (
     ClusteringChoice,
     candidate_grids,
     choose_clustering,
-    choose_clustering_and_transform,
 )
 from .functional import (
     MptLayerMachine,
@@ -61,7 +60,6 @@ __all__ = [
     "ClusteringChoice",
     "candidate_grids",
     "choose_clustering",
-    "choose_clustering_and_transform",
     "MptLayerMachine",
     "MptNetworkMachine",
     "MptWorker",

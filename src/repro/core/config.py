@@ -92,33 +92,24 @@ class SystemConfig:
             )
 
 
-# The Table IV constructors return interned singletons (the configs are
-# frozen): sweeps call them inside per-point loops, and a stable object
-# identity lets the sweep-cache key builder reuse the memoized canonical
-# form instead of re-walking the fields on every evaluation.
-@lru_cache(maxsize=None)
 def d_dp() -> SystemConfig:
     return SystemConfig(name="d_dp", conv="direct", collective_rings=4)
 
 
-@lru_cache(maxsize=None)
 def w_dp() -> SystemConfig:
     return SystemConfig(name="w_dp", conv="winograd", collective_rings=4)
 
 
-@lru_cache(maxsize=None)
 def w_mp() -> SystemConfig:
     return SystemConfig(
         name="w_mp", mpt=True, update_domain="winograd", collective_rings=2
     )
 
 
-@lru_cache(maxsize=None)
 def w_mp_plus() -> SystemConfig:
     return replace(w_mp(), name="w_mp+", prediction=True)
 
 
-@lru_cache(maxsize=None)
 def w_mp_plus_plus() -> SystemConfig:
     return replace(w_mp_plus(), name="w_mp++", dynamic_clustering=True)
 

@@ -16,7 +16,6 @@ from typing import Dict, Optional, Sequence
 
 from ..params import DEFAULT_PARAMS, HardwareParams
 from ..perf import memoize_sweep
-from ..winograd.cook_toom import WinogradTransform
 from ..workloads.layers import ConvLayerSpec
 from .comm_model import DEFAULT_FACTORS, TrafficFactors, transform_for
 from .config import GridConfig, SystemConfig, clustering_candidates, default_grid
@@ -30,9 +29,6 @@ class ClusteringChoice:
     layer: ConvLayerSpec
     chosen: GridConfig
     evaluations: Dict[GridConfig, LayerPerf]
-    #: Transform chosen by the transform-search extension (None = the
-    #: paper's default rule).
-    chosen_transform: Optional[WinogradTransform] = None
 
     @property
     def perf(self) -> LayerPerf:
@@ -87,7 +83,7 @@ def _choose_clustering_cached(
     # Call the model implementation directly: this function's own cache
     # already keys on (layer, batch, config, workers, params, factors),
     # so routing per-grid evaluations through ``evaluate_layer_cached``
-    # would only rebuild content keys that can never hit here.
+    # would only build cache keys that can never hit here.
     if not config.dynamic_clustering:
         multi_group = transform_for(
             config, GridConfig(4, max(1, workers // 4)), layer.kernel
@@ -109,53 +105,3 @@ def _choose_clustering_cached(
             best = grid
     assert best is not None
     return ClusteringChoice(layer=layer, chosen=best, evaluations=evaluations)
-
-
-def choose_clustering_and_transform(
-    layer: ConvLayerSpec,
-    batch: int,
-    config: SystemConfig,
-    workers: int,
-    model: Optional[PerfModel] = None,
-) -> ClusteringChoice:
-    """Extension beyond the paper: jointly search the grid *and* the
-    Winograd transform.
-
-    The paper fixes F(2x2, r x r) for multi-group configurations "to
-    have smaller Winograd-domain weights" and F(4x4, 3x3) for a single
-    group.  But a multi-group F(4x4) trades bigger weight slices for
-    ~44% less tile-transfer volume and 1.78x fewer MACs, which can win
-    on tile-bound mid layers.  This optimiser evaluates every
-    (grid, transform) pair and returns the best.
-    """
-    from ..winograd.cook_toom import make_transform
-
-    model = model or PerfModel()
-    candidates = []
-    for grid in candidate_grids(layer, config, workers):
-        default_tr = transform_for(config, grid, layer.kernel)
-        options = {(default_tr.m, default_tr.r): default_tr}
-        if layer.kernel == 3:
-            for m in (2, 4):
-                tr = make_transform(m, 3)
-                if grid.num_groups <= tr.tile**2:
-                    options[(m, 3)] = tr
-        for tr in options.values():
-            candidates.append((grid, tr))
-    best = None
-    best_perf = None
-    evaluations: Dict[GridConfig, LayerPerf] = {}
-    for grid, tr in candidates:
-        perf = model.evaluate_layer(layer, batch, config, grid, transform=tr)
-        if best_perf is None or perf.total_s < best_perf.total_s:
-            best, best_perf = (grid, tr), perf
-        # Keep the best evaluation seen per grid for reporting.
-        if grid not in evaluations or perf.total_s < evaluations[grid].total_s:
-            evaluations[grid] = perf
-    assert best is not None and best_perf is not None
-    return ClusteringChoice(
-        layer=layer,
-        chosen=best[0],
-        evaluations=evaluations,
-        chosen_transform=best[1],
-    )

@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from dataclasses import fields as dataclass_fields
 from typing import Dict, Optional
 
 from ..ndp.energy import EnergyBreakdown, EnergyModel
 from ..ndp.systolic import batched_gemm_cycles
-from ..perf import memoize_sweep, register_canonical
+from ..perf import memoize_sweep
 from ..netsim.collectives import (
     all_to_all_time,
     fbfly_injection_rate,
@@ -408,25 +407,6 @@ class PerfModel:
         )
         perf.phases["update"] = update
         return perf
-
-
-# ``WinogradTransform``'s exact-Fraction matrices are fully determined
-# by ``(m, r)`` (always built by ``make_transform`` with the default
-# interpolation points), so the content key collapses to those two ints
-# instead of recursing through ~T^2 Fractions per call.
-register_canonical(WinogradTransform, lambda t: (t.m, t.r))
-
-# A layer's ``name`` is display-only — the model reads shapes and
-# channel counts.  Dropping it from the content key lets same-shape
-# layers (e.g. the repeated VGG blocks) share one evaluation.
-register_canonical(
-    ConvLayerSpec,
-    lambda layer: tuple(
-        (f.name, getattr(layer, f.name))
-        for f in dataclass_fields(layer)
-        if f.name != "name"
-    ),
-)
 
 
 @memoize_sweep

@@ -15,7 +15,6 @@ from typing import List, Optional
 
 from ..ndp.energy import EnergyBreakdown
 from ..ndp.taskgraph import TaskExecutor, TaskGraph
-from ..perf import canonicalize
 from ..workloads.layers import ConvLayerSpec
 from ..workloads.networks import CnnSpec
 from .comm_model import DEFAULT_FACTORS, TrafficFactors
@@ -180,22 +179,21 @@ class TrainingSimulator:
         """Pick a grid per layer (dynamic clustering when enabled).
 
         Same-shape layers (repeated VGG/WRN blocks) share one choice:
-        within a plan, batch/config/workers are fixed, so the layer's
-        canonical form (which ignores the display ``name``) fully keys
+        within a plan, batch/config/workers are fixed, so the layer
+        itself (whose equality ignores the display ``name``) fully keys
         the decision — a local dict probe instead of a trip through the
-        process-wide content cache per repeated block.
+        process-wide sweep cache per repeated block.
         """
         local: dict = {}
         choices = []
         for layer in net.conv_layers:
-            key = canonicalize(layer)
-            choice = local.get(key)
+            choice = local.get(layer)
             if choice is None:
                 choice = choose_clustering(
                     layer, self.machine.batch, config, self.machine.workers,
                     self.model,
                 )
-                local[key] = choice
+                local[layer] = choice
             choices.append(choice)
         return choices
 

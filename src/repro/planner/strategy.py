@@ -62,6 +62,8 @@ class StrategyKnobs:
     batch_splits:
         Micro-batch split factors to evaluate.  ``1`` (whole batch) must
         be included; splits that do not divide the batch are skipped.
+        Stored as a tuple, so a list spelling keys memoized plans as
+        the tuple does.
     capacity_frac:
         Fraction of the per-worker DRAM stack a strategy's resident
         working set may occupy (headroom for DMA staging buffers).
@@ -72,6 +74,7 @@ class StrategyKnobs:
     capacity_frac: float = 1.0
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "batch_splits", tuple(self.batch_splits))
         if not self.batch_splits:
             raise PlannerError("batch_splits must not be empty")
         if 1 not in self.batch_splits:

@@ -91,12 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit a machine-readable JSON report instead of text",
     )
     parser.add_argument(
-        "--select",
-        default="",
-        metavar="IDS",
-        help="comma-separated rule ids to run (default: all)",
-    )
-    parser.add_argument(
         "--ignore",
         default="",
         metavar="IDS",
@@ -108,8 +102,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="IDS",
         help=(
             "comma-separated rule ids or family prefixes to run "
-            "(`--rules EFF001,COMM001` or `--rules EFF,SHAPE`); "
-            "combines with --select as a union"
+            "(`--rules EFF001,COMM001` or `--rules EFF,SHAPE`; "
+            "default: all)"
         ),
     )
     parser.add_argument(
@@ -169,10 +163,11 @@ def _split_ids(raw: str) -> Optional[List[str]]:
 
 
 def _expand_rule_tokens(raw: str) -> Optional[List[str]]:
-    """Expand ``--rules`` tokens (exact ids or alphabetic family
-    prefixes like ``EFF``) against the catalogue.
+    """Expand ``--rules`` tokens against the catalogue: an alphabetic
+    token is a family prefix (``EFF``), any other an exact rule id,
+    which ``check_paths`` validates.
 
-    Raises ``ValueError`` for a token matching nothing.
+    Raises ``ValueError`` for a family with no rules.
     """
     tokens = _split_ids(raw)
     if tokens is None:
@@ -180,11 +175,10 @@ def _expand_rule_tokens(raw: str) -> Optional[List[str]]:
     catalogue = [rule.id for rule in all_rules()]
     expanded: List[str] = []
     for token in tokens:
-        if token in catalogue:
+        if not token.isalpha():
             expanded.append(token)
             continue
-        family = [rid for rid in catalogue if token.isalpha()
-                  and rid.rstrip("0123456789") == token]
+        family = [rid for rid in catalogue if rid.rstrip("0123456789") == token]
         if not family:
             raise ValueError(f"unknown rule or family: {token!r}")
         expanded.extend(family)
@@ -350,12 +344,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(_costs_report(list(paths)))
         return 0
     try:
-        selected = _split_ids(args.select)
-        expanded = _expand_rule_tokens(args.rules)
-        if expanded is not None:
-            selected = sorted(set(selected or []) | set(expanded))
         findings = check_paths(
-            paths, select=selected, ignore=_split_ids(args.ignore)
+            paths,
+            select=_expand_rule_tokens(args.rules),
+            ignore=_split_ids(args.ignore),
         )
     except ValueError as exc:
         print(f"statcheck: {exc}", file=sys.stderr)

@@ -5,8 +5,8 @@ Built on the interprocedural effect inference in
 
 ``EFF001``
     A function registered with ``memoize_sweep`` (or anything it
-    reaches) must be pure modulo its canonicalized arguments — the
-    cache key *is* the claim that nothing else influences the result.
+    reaches) must be pure modulo its arguments — the cache key *is*
+    the claim that nothing else influences the result.
     Argument mutation, mutable-global reads/writes, ``os.environ``,
     unseeded RNG, wall-clock and filesystem access are findings, each
     attributed to the definition that introduced the effect.
@@ -58,8 +58,8 @@ class MemoizedFunctionImpurity(Rule):
     name = "memoized-function-impurity"
     description = (
         "A `memoize_sweep` function (or anything it reaches) depends on "
-        "or modifies state outside its canonicalized arguments — the "
-        "cached value can go stale or corrupt downstream sweeps."
+        "or modifies state outside its arguments — the cached value can "
+        "go stale or corrupt downstream sweeps."
     )
 
     def check(self, ctx: Context) -> Iterator:

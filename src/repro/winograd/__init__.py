@@ -16,7 +16,6 @@ Public surface:
 from .cook_toom import WinogradTransform, make_transform
 from .conv import (
     WinogradConvCache,
-    default_transform_for,
     elementwise_matmul,
     elementwise_matmul_transposed,
     elementwise_weight_grad,
@@ -57,7 +56,6 @@ __all__ = [
     "WinogradTransform",
     "make_transform",
     "WinogradConvCache",
-    "default_transform_for",
     "elementwise_matmul",
     "elementwise_matmul_transposed",
     "elementwise_weight_grad",

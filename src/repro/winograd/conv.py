@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..contracts import TILE_GEOMETRY, cost, shaped
-from .cook_toom import WinogradTransform, _sandwich, make_transform
+from .cook_toom import WinogradTransform, _sandwich
 from .tiling import (
     TileGrid,
     assemble_output,
@@ -297,17 +297,3 @@ def winograd_to_spatial_lstsq(
     g_pinv = np.linalg.pinv(transform.G)
     out = _sandwich(g_pinv, weights_wd.reshape(t, t, in_ch * out_ch))
     return out.reshape(transform.r, transform.r, in_ch, out_ch).transpose(3, 2, 0, 1)
-
-
-def default_transform_for(r: int, groups: int = 1) -> WinogradTransform:
-    """The transform the paper pairs with a given weight size.
-
-    ``F(2x2, r x r)`` when intra-tile parallelism is in use (smaller
-    Winograd-domain weights), ``F(4x4, 3x3)`` for single-group data
-    parallelism (more computation saving) — see Section VII-A.
-    """
-    if groups > 1:
-        return make_transform(2, r)
-    if r == 3:
-        return make_transform(4, 3)
-    return make_transform(2, r)

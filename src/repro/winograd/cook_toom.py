@@ -137,6 +137,9 @@ class WinogradTransform:
         ``(T, m)`` respectively, used as in Equation 1 of the paper.
     B_exact, G_exact, A_exact:
         The same matrices with exact :class:`~fractions.Fraction` entries.
+        Equality and hash ignore them: :func:`make_transform`, the only
+        constructor, determines them from ``(m, r)``, so a transform
+        compares (and keys a memoized call) as ``(m, r)``.
 
     The 1D helpers act on the last axis; the 2D helpers act on the
     leading two axes (element-major layout, see :mod:`.tiling`).
@@ -144,9 +147,9 @@ class WinogradTransform:
 
     m: int
     r: int
-    B_exact: FractionMatrix = field(repr=False)
-    G_exact: FractionMatrix = field(repr=False)
-    A_exact: FractionMatrix = field(repr=False)
+    B_exact: FractionMatrix = field(repr=False, compare=False)
+    G_exact: FractionMatrix = field(repr=False, compare=False)
+    A_exact: FractionMatrix = field(repr=False, compare=False)
 
     @property
     def tile(self) -> int:

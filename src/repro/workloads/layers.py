@@ -15,7 +15,7 @@ compute/memory ratios (Fig. 1) and communication trade-offs (Fig. 6).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import List
 
 
@@ -26,7 +26,9 @@ class ConvLayerSpec:
     Attributes
     ----------
     name:
-        Human-readable layer name.
+        Human-readable layer name, display only: equality and hash
+        ignore it, so same-shape layers (the repeated VGG blocks) are
+        equal and share one memoized evaluation.
     in_channels, out_channels:
         ``I`` and ``J`` in the paper's notation.
     height, width:
@@ -40,7 +42,7 @@ class ConvLayerSpec:
         Whether a ReLU follows (drives activation prediction).
     """
 
-    name: str
+    name: str = field(compare=False)
     in_channels: int
     out_channels: int
     height: int

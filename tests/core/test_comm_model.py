@@ -101,3 +101,19 @@ class TestTileTransfer:
         )
         expected_fprop_scatter = per_channel * layer.in_channels
         assert volume.scatter_fprop == pytest.approx(expected_fprop_scatter)
+
+
+class TestTransformFor:
+    """Section VII-A's rule: F(2x2, r x r) with several groups (smaller
+    Winograd-domain weights), F(4x4, 3x3) for one group with 3x3
+    weights, F(2x2, r x r) otherwise."""
+
+    @pytest.mark.parametrize(
+        "groups, kernel, expected",
+        [(16, 3, (2, 3)), (1, 3, (4, 3)), (1, 5, (2, 5))],
+        ids=["multi_group_uses_f2", "single_group_3x3_uses_f4",
+             "single_group_5x5_uses_f2"],
+    )
+    def test_paper_rule(self, groups, kernel, expected):
+        transform = transform_for(w_mp(), GridConfig(groups, 256 // groups), kernel)
+        assert (transform.m, transform.r) == expected

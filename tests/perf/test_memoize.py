@@ -1,80 +1,35 @@
-"""Content-hash memoization: key faithfulness and cache behaviour.
+"""Sweep memoization: key faithfulness and cache behaviour.
 
-The property the whole subsystem rests on: *any* field change in *any*
-argument — including fields of nested dataclasses — must produce a
-different sweep key (a cache miss).  ``TestEveryFieldChangesTheKey``
-verifies it mechanically for every field of ``MachineConfig`` and
-``SystemConfig``, recursing into nested dataclass fields, rather than
-hand-picking a few.
+The property the whole subsystem rests on: *any* change to a compared
+field of *any* argument — including fields of nested dataclasses — must
+produce a different key (a cache miss).  ``TestEveryFieldChangesTheKey``
+verifies it mechanically for every field of the config dataclasses the
+sweep kernels take, recursing into nested dataclass fields, rather than
+hand-picking a few; the display-only fields equality ignores are named.
 """
 
 import dataclasses
+import gc
 import inspect
+import weakref
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
-import numpy as np
 import pytest
 
-from repro.core.config import GridConfig, MachineConfig, SystemConfig
+from repro.core.comm_model import TrafficFactors
+from repro.core.config import MachineConfig, SystemConfig, w_mp_plus_plus
+from repro.faults.plan import FaultPlan, LinkFault, PacketLoss, Straggler, WorkerFault
 from repro.params import HardwareParams
-from repro.perf import canonicalize, memoize_sweep, register_canonical, sweep_key
+from repro.perf import build_key, memoize_sweep
+from repro.planner import StrategyKnobs, plan_network
+from repro.winograd import make_transform
+from repro.workloads.layers import ConvLayerSpec
+from repro.workloads.networks import CnnSpec
 
 
-# ---- canonicalize -----------------------------------------------------------
-
-
-class TestCanonicalize:
-    def test_primitives_pass_through(self):
-        for value in (1, 1.5, "x", b"x", True, None):
-            assert canonicalize(value) == value
-
-    def test_dataclass_includes_every_field(self):
-        canon = canonicalize(GridConfig(4, 64))
-        assert canon == ("GridConfig", ("num_groups", 4), ("num_clusters", 64))
-
-    def test_equal_content_distinct_objects_share_keys(self):
-        a = SystemConfig(name="x", mpt=True)
-        b = SystemConfig(name="x", mpt=True)
-        assert a is not b
-        assert canonicalize(a) == canonicalize(b)
-
-    def test_containers(self):
-        assert canonicalize([1, 2]) == canonicalize((1, 2))
-        assert canonicalize({1, 2}) == canonicalize({2, 1})
-        assert canonicalize({"a": 1}) == canonicalize({"a": 1})
-        assert canonicalize({"a": 1}) != canonicalize({"a": 2})
-
-    def test_fraction(self):
-        assert canonicalize(Fraction(1, 3)) == ("Fraction", 1, 3)
-
-    def test_ndarray_content_keyed(self):
-        a = np.arange(6).reshape(2, 3)
-        assert canonicalize(a) == canonicalize(a.copy())
-        assert canonicalize(a) != canonicalize(a.T.copy())
-        assert canonicalize(a) != canonicalize(a.astype(np.float64))
-
-    def test_unsupported_type_raises(self):
-        class Opaque:
-            pass
-
-        with pytest.raises(TypeError, match="register a canonical form"):
-            canonicalize(Opaque())
-
-    def test_register_canonical_hook(self):
-        class Wrapped:
-            def __init__(self, payload):
-                self.payload = payload
-
-        register_canonical(Wrapped, lambda w: w.payload)
-        try:
-            assert canonicalize(Wrapped(3)) == canonicalize(Wrapped(3))
-            assert canonicalize(Wrapped(3)) != canonicalize(Wrapped(4))
-        finally:
-            from repro.perf.memoize import _CANONICAL_HOOKS, _KIND_BY_TYPE
-
-            _CANONICAL_HOOKS.pop(Wrapped, None)
-            _KIND_BY_TYPE.pop(Wrapped, None)
+def key(obj):
+    """The key a memoized one-argument call on ``obj`` builds."""
+    return build_key((obj,), {})
 
 
 # ---- the field-invalidation property ----------------------------------------
@@ -89,12 +44,14 @@ def _candidate_perturbations(value):
     if isinstance(value, int):
         return [value * 2, value + 1, value - 1]
     if isinstance(value, float):
-        return [value * 2 + 1.0]
+        return [value * 2 + 1.0, value / 2]
     if isinstance(value, str):
         # Stay within validated vocabularies where one exists.
         swaps = {"spatial": ["winograd"], "winograd": ["spatial", "direct"],
                  "direct": ["winograd"]}
         return swaps.get(value, []) + [value + "_changed"]
+    if isinstance(value, tuple):
+        return [value[:-1], value + value[:1]]
     if dataclasses.is_dataclass(value):
         return [
             _with_one_field_changed(value, dataclasses.fields(value)[0].name)
@@ -130,18 +87,44 @@ def _change_at_path(obj, path):
     return replace(obj, **{field_name: changed})
 
 
-class TestEveryFieldChangesTheKey:
-    """memoize_sweep must miss when ANY field of a config changes."""
+LAYER = ConvLayerSpec("Mid-2", 512, 512, 28, 28)
 
-    @pytest.mark.parametrize("base", [MachineConfig(), SystemConfig(name="x")],
-                             ids=["MachineConfig", "SystemConfig"])
+#: Display-only fields, which equality (and so the key) ignores.
+DISPLAY_ONLY = {ConvLayerSpec: {("name",)}}
+
+
+class TestEveryFieldChangesTheKey:
+    """memoize_sweep must miss when ANY compared field of an argument
+    changes, and hit when only a display-only field does."""
+
+    @pytest.mark.parametrize(
+        "base",
+        [
+            MachineConfig(),
+            SystemConfig(name="x"),
+            TrafficFactors(),
+            StrategyKnobs(batch_splits=(1, 2)),
+            FaultPlan(
+                seed=1,
+                link_faults=(LinkFault(src=0, dst=1),),
+                worker_faults=(WorkerFault(worker=3),),
+                stragglers=(Straggler(worker=2, slowdown=1.5),),
+                losses=(PacketLoss(loss_prob=0.1),),
+            ),
+            LAYER,
+        ],
+        ids=["MachineConfig", "SystemConfig", "TrafficFactors",
+             "StrategyKnobs", "FaultPlan", "ConvLayerSpec"],
+    )
     def test_every_field_path_invalidates(self, base):
-        baseline = sweep_key(base)
-        paths = list(_leaf_field_paths(base))
+        baseline = key(base)
+        hash(baseline)  # a cache key must hash
+        skipped = DISPLAY_ONLY.get(type(base), set())
+        paths = [p for p in _leaf_field_paths(base) if p not in skipped]
         assert paths, "dataclass under test has no fields?"
         for path in paths:
             changed = _change_at_path(base, path)
-            assert sweep_key(changed) != baseline, (
+            assert key(changed) != baseline, (
                 f"changing field {'.'.join(path)} did not change the key"
             )
 
@@ -151,14 +134,28 @@ class TestEveryFieldChangesTheKey:
         deep = replace(
             base, params=replace(base.params, dram_bytes_per_s=1.0)
         )
-        assert sweep_key(deep) != sweep_key(base)
+        assert key(deep) != key(base)
 
     def test_hardware_params_every_field(self):
         base = HardwareParams()
-        baseline = sweep_key(base)
+        baseline = key(base)
         for f in dataclasses.fields(base):
             changed = _with_one_field_changed(base, f.name)
-            assert sweep_key(changed) != baseline, f.name
+            assert key(changed) != baseline, f.name
+
+    def test_layer_name_is_display_only(self):
+        renamed = replace(LAYER, name="conv4_2")
+        assert key(renamed) == key(LAYER)
+        assert hash(key(renamed)) == hash(key(LAYER))
+
+    def test_transforms_built_apart_share_a_key(self):
+        first = make_transform(4, 3)
+        make_transform.cache_clear()
+        second = make_transform(4, 3)
+        assert first is not second
+        assert key(first) == key(second)
+        assert hash(key(first)) == hash(key(second))
+        assert key(first) != key(make_transform(2, 3))
 
 
 # ---- memoize_sweep wrapper --------------------------------------------------
@@ -203,14 +200,33 @@ class TestMemoizeSweep:
         f.cache_clear()
         assert f.cache_info() == {"hits": 0, "misses": 0, "size": 0}
 
-    def test_unhashable_arguments_work(self):
+    def test_unhashable_arguments_raise(self):
         @memoize_sweep
         def f(xs):
             return sum(xs)
 
-        assert f([1, 2]) == 3
-        assert f([1, 2]) == 3
-        assert f.cache_info()["hits"] == 1
+        with pytest.raises(TypeError, match="unhashable"):
+            f([1, 2])
+        assert f.cache_info() == {"hits": 0, "misses": 0, "size": 0}
+
+    def test_list_batch_splits_plan_as_the_tuple(self):
+        net = CnnSpec("probe", "none", [LAYER, replace(LAYER, name="again")])
+        listed = plan_network(net, w_mp_plus_plus(), knobs=StrategyKnobs(batch_splits=[1, 2]))
+        tupled = plan_network(net, w_mp_plus_plus(), knobs=StrategyKnobs(batch_splits=(1, 2)))
+        assert listed is tupled
+
+    def test_cleared_cache_keeps_no_argument_alive(self):
+        @memoize_sweep
+        def f(layer):
+            return layer.in_channels
+
+        layer = ConvLayerSpec("probe", 3, 5, 7, 7)
+        alive = weakref.ref(layer)
+        assert f(layer) == 3
+        f.cache_clear()
+        del layer
+        gc.collect()
+        assert alive() is None
 
 
 class TestRegistrationPolicy:

@@ -5,6 +5,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from repro.cli import main as repro_main
 from repro.statcheck.cli import main
 
 CLEAN = "def f(a_bytes, b_bytes):\n    return a_bytes + b_bytes\n"
@@ -33,7 +36,7 @@ class TestExitCodes:
         assert "no such path" in capsys.readouterr().err
 
     def test_unknown_rule_id_exits_two(self, tmp_path, capsys):
-        assert main(["--select", "NOPE999", write(tmp_path, "c.py", CLEAN)]) == 2
+        assert main(["--rules", "NOPE999", write(tmp_path, "c.py", CLEAN)]) == 2
         assert "unknown rule ids" in capsys.readouterr().err
 
     def test_syntax_error_reported_not_raised(self, tmp_path, capsys):
@@ -44,9 +47,9 @@ class TestExitCodes:
 class TestSelection:
     def test_select_filters_rules(self, tmp_path, capsys):
         path = write(tmp_path, "dirty.py", DIRTY)
-        assert main(["--select", "DET004", path]) == 0
+        assert main(["--rules", "DET004", path]) == 0
         capsys.readouterr()
-        assert main(["--select", "UNIT001", path]) == 1
+        assert main(["--rules", "UNIT001", path]) == 1
 
     def test_ignore_drops_rules(self, tmp_path, capsys):
         path = write(tmp_path, "dirty.py", DIRTY)
@@ -104,6 +107,28 @@ class TestModuleEntryPoint:
         )
         assert result.returncode == 1
         assert "UNIT001" in result.stdout
+
+
+class TestReproCommand:
+    """`repro statcheck` passes everything after it to this CLI."""
+
+    def test_list_rules(self, capsys):
+        assert main(["--list-rules"]) == 0
+        direct = capsys.readouterr().out
+        with pytest.raises(SystemExit) as info:
+            repro_main(["statcheck", "--list-rules"])
+        assert info.value.code == 0
+        out = capsys.readouterr().out
+        assert out == direct and "UNIT001" in out
+
+    def test_ignore_exits_as_statcheck_does(self, tmp_path, capsys):
+        path = write(tmp_path, "dirty.py", DIRTY)
+        code = main(["--ignore", "UNIT001", path])
+        direct = capsys.readouterr().out
+        with pytest.raises(SystemExit) as info:
+            repro_main(["statcheck", "--ignore", "UNIT001", path])
+        assert info.value.code == code == 0
+        assert capsys.readouterr().out == direct
 
 
 class TestExcludedDirs:

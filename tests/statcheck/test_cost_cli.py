@@ -71,7 +71,7 @@ class TestCostsReport:
         # The pass shared with SHAPE also finds the (K,B) return-shape
         # conflict; the cost report leaves it to the SHAPE rules.
         source = BAD_COST.replace('-> (B,K)")', '-> (K,B)")')
-        assert main(["--select", "SHAPE002", write(tmp_path, "bad.py", source)]) == 1
+        assert main(["--rules", "SHAPE002", write(tmp_path, "bad.py", source)]) == 1
         capsys.readouterr()
         assert main(["--costs", str(tmp_path / "bad.py")]) == 0
         report = json.loads(capsys.readouterr().out)

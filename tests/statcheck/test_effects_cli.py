@@ -61,9 +61,9 @@ class TestRulesFlag:
         assert main(["--rules", "NOPE", path]) == 2
         assert "unknown rule or family" in capsys.readouterr().err
 
-    def test_combines_with_select_as_union(self, tmp_path, capsys):
+    def test_ids_and_families_combine_as_union(self, tmp_path, capsys):
         path = write(tmp_path, "both.py", MEMO_DIRTY + UNIT_DIRTY)
-        assert main(["--select", "UNIT001", "--rules", "EFF", path]) == 1
+        assert main(["--rules", "UNIT001,EFF", path]) == 1
         out = capsys.readouterr().out
         assert "EFF001" in out and "UNIT001" in out
 

@@ -9,7 +9,6 @@ from repro.winograd import (
     conv2d_backward_input,
     conv2d_backward_weight,
     conv2d_forward,
-    default_transform_for,
     elementwise_matmul,
     make_transform,
     spatial_to_winograd,
@@ -130,15 +129,3 @@ class TestWeightProjection:
         lifted = spatial_to_winograd(w, tr)
         back = winograd_to_spatial_lstsq(lifted, tr)
         np.testing.assert_allclose(back, w, atol=1e-9)
-
-
-class TestDefaultTransform:
-    def test_multi_group_uses_f2(self):
-        assert default_transform_for(3, groups=16).m == 2
-
-    def test_single_group_3x3_uses_f4(self):
-        assert default_transform_for(3, groups=1).m == 4
-
-    def test_single_group_5x5_uses_f2(self):
-        tr = default_transform_for(5, groups=1)
-        assert (tr.m, tr.r) == (2, 5)
