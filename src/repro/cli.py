@@ -8,6 +8,7 @@ downstream user to poke at the reproduction without writing code.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Callable, Dict, List
 
@@ -335,17 +336,26 @@ def main(argv: List[str] | None = None) -> None:
     one-line message; commands write their output file only after
     their work succeeds, so a rejected run leaves none.  ``statcheck``
     passes everything after it to :func:`repro.statcheck.cli.main`
-    unchanged and exits with its code."""
+    unchanged and exits with its code.  A reader that closes stdout
+    early (``| head``) ends the run with exit code 1 and no traceback."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    if argv[:1] == ["statcheck"]:
-        from .statcheck.cli import main as statcheck_main
-
-        sys.exit(statcheck_main(argv[1:]))
-    args = build_parser().parse_args(argv)
     try:
-        args.func(args)
-    except (KeyError, ValueError) as exc:
-        sys.exit(str(exc.args[0]) if exc.args else type(exc).__name__)
+        if argv[:1] == ["statcheck"]:
+            from .statcheck.cli import main as statcheck_main
+
+            sys.exit(statcheck_main(argv[1:]))
+        args = build_parser().parse_args(argv)
+        try:
+            args.func(args)
+        except (KeyError, ValueError) as exc:
+            sys.exit(str(exc.args[0]) if exc.args else type(exc).__name__)
+    except BrokenPipeError:
+        # Point stdout at devnull so the interpreter's final flush of
+        # what is still buffered stays quiet.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        sys.exit(1)
 
 
 if __name__ == "__main__":

@@ -234,10 +234,12 @@ class TrainingSimulator:
             result.grad_renorm = faults.grad_renorm
         graph = TaskGraph()
         previous_fprop: Optional[str] = None
-        for index, choice in enumerate(choices):
+        for index, (layer, choice) in enumerate(zip(net.conv_layers, choices)):
             perf = choice.perf
+            # A shared choice keeps the first same-shape layer it was
+            # computed for; the report names this one.
             result.layers.append(
-                LayerReport(layer=choice.layer, grid=choice.chosen, perf=perf)
+                LayerReport(layer=layer, grid=choice.chosen, perf=perf)
             )
             duration = perf.phases["fprop"].time_s
             if faults is not None:

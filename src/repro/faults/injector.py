@@ -1,9 +1,10 @@
 """Bridge from a :class:`FaultPlan` to the event engine's fault hooks.
 
 The injector compiles the plan against a concrete topology (worker
-faults expand to every link touching the worker) and answers the two
-questions the engine asks on its fault path: *is this link available
-now?* and *is this transmission lost?*
+faults expand to every link touching the worker) and answers the
+questions the engine asks on its fault path: *can this link ever be
+blocked?* (once per link), *is this link available now?* and *is this
+transmission lost?*
 
 Loss decisions are **counter-free**: each one is a pure hash of
 ``(seed, link, flow, packet, attempt)``, so they do not depend on the
@@ -25,10 +26,51 @@ from .plan import FaultPlan
 _Window = Tuple[float, float]
 
 
-def _unit_hash(*key: object) -> float:
-    """Deterministic uniform draw in [0, 1) from a structured key."""
-    digest = hashlib.blake2b(repr(key).encode("utf-8"), digest_size=8).digest()
+def _draw(text: str) -> float:
+    """Uniform draw in [0, 1) from the blake2b digest of ``text``."""
+    digest = hashlib.blake2b(text.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "big") / 2.0**64
+
+
+def _unit_hash(*key: object) -> float:
+    """Deterministic uniform draw in [0, 1) from a structured key: the
+    digest of ``repr(key)``."""
+    return _draw(repr(key))
+
+
+class _LinkLosses:
+    """The loss rules that match one link, compiled once per link.
+
+    ``rules`` keeps the plan's order as ``(start_s, end_s, loss_prob)``
+    for every rule whose prefix and endpoints match the link and whose
+    probability is positive.  ``head`` is the text of ``repr((seed,
+    src, dst))`` without its closing parenthesis, so :meth:`draw` hashes
+    exactly the bytes ``_unit_hash(seed, src, dst, flow_id, seq,
+    attempt, hop_index)`` hashes.
+    """
+
+    __slots__ = ("rules", "head")
+
+    def __init__(self, plan: FaultPlan, link: Link) -> None:
+        self.rules = tuple(
+            (loss.start_s, loss.end_s, loss.loss_prob)
+            for loss in plan.losses
+            if loss.loss_prob > 0.0
+            and (
+                loss.link_name_prefix is None
+                or link.name.startswith(loss.link_name_prefix)
+            )
+            and (loss.src is None or loss.src == link.src)
+            and (loss.dst is None or loss.dst == link.dst)
+        )
+        self.head = repr((plan.seed, link.src, link.dst))[:-1]
+
+    def draw(self, packet) -> float:
+        """This transmission's uniform draw (``attempt`` included)."""
+        return _draw(
+            f"{self.head}, {packet.flow_id!r}, {packet.seq!r}, "
+            f"{packet.attempt!r}, {packet.hop_index!r})"
+        )
 
 
 class FaultInjector(FaultHooks):
@@ -49,6 +91,9 @@ class FaultInjector(FaultHooks):
         self.packets_failed = 0
         self._windows: Dict[Tuple[int, int], List[_Window]] = {}
         self._has_losses = bool(plan.losses)
+        #: Compiled loss rules by link, filled on each link's first
+        #: transmission (they depend on the link alone, not the bind).
+        self._losses: Dict[Link, _LinkLosses] = {}
         # Engine capability flags (see FaultHooks): a plan with no loss
         # rules can never drop, and one with no fault windows can never
         # block a link — the engine then skips those per-packet hooks.
@@ -84,6 +129,11 @@ class FaultInjector(FaultHooks):
         self._windows = windows
 
     # ---- engine hooks -----------------------------------------------------
+    def may_block_link(self, link: Link) -> bool:
+        """Whether a compiled fault window covers ``link``; the engine
+        never asks ``link_available_at`` about any other link."""
+        return (link.src, link.dst) in self._windows
+
     def link_available_at(self, link: Link, now: float) -> float:
         """Earliest time >= ``now`` the link is up (``inf`` = never)."""
         spans = self._windows.get((link.src, link.dst))
@@ -136,29 +186,18 @@ class FaultInjector(FaultHooks):
         return "clean"
 
     def drop_packet(self, link: Link, packet, time: float) -> bool:
-        if not self._has_losses:
-            return False
-        for loss in self.plan.losses:
-            if loss.loss_prob <= 0.0 or not loss.start_s <= time < loss.end_s:
+        """Whether this transmission is lost: the first rule of the link
+        active at ``time`` whose probability exceeds the draw."""
+        losses = self._losses.get(link)
+        if losses is None:
+            losses = self._losses[link] = _LinkLosses(self.plan, link)
+        draw = None
+        for start_s, end_s, loss_prob in losses.rules:
+            if not start_s <= time < end_s:
                 continue
-            if loss.link_name_prefix is not None and not link.name.startswith(
-                loss.link_name_prefix
-            ):
-                continue
-            if loss.src is not None and loss.src != link.src:
-                continue
-            if loss.dst is not None and loss.dst != link.dst:
-                continue
-            draw = _unit_hash(
-                self.plan.seed,
-                link.src,
-                link.dst,
-                packet.flow_id,
-                packet.seq,
-                packet.attempt,
-                packet.hop_index,
-            )
-            if draw < loss.loss_prob:
+            if draw is None:
+                draw = losses.draw(packet)
+            if draw < loss_prob:
                 self.packets_dropped += 1
                 return True
         return False

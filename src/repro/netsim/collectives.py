@@ -157,43 +157,90 @@ def ring_allreduce(
             messages=shortcut["messages"],
             completed=shortcut["completed"],
         )
-    total_steps = 2 * (n - 1)
-    collector = _Collector(start_time)
-    progress = {"chains_done": 0, "chains_expected": 0}
-    tags = [f"ar-s{slice_id}" for slice_id in range(n)]
+    return _RingRun(sim, nodes, slice_sizes).run(start_time, deadline_s)
 
-    def send_step(position: int, slice_id: int, step: int, when: float) -> None:
-        """Node at ring `position` forwards `slice_id` for `step`."""
-        if step >= total_steps:
-            progress["chains_done"] += 1
-            if when > collector.finish:
-                collector.finish = when
-            return
-        src = nodes[position]
-        dst = nodes[(position + 1) % n]
 
-        def delivered(msg: Message, time: float) -> None:
-            collector.messages += 1
-            collector.bytes += msg.size_bytes
-            send_step((position + 1) % n, slice_id, step + 1, time)
+class _RingMessage(Message):
+    """One step of a ring all-reduce chain: the ring position it leaves,
+    its slice and its step ride on the message."""
 
-        sim.send(
-            Message(src=src, dst=dst, size_bytes=slice_sizes[slice_id],
-                    tag=tags[slice_id], on_complete=delivered),
-            start_time=when,
+    __slots__ = ("position", "slice_id", "step")
+
+
+class _RingRun:
+    """The reference engine's ring all-reduce.
+
+    Every chain's messages share one completion callback,
+    :meth:`hop_done`, which forwards the slice one ring position on; a
+    slotted instance, like :class:`_Collector`, so the callback does
+    attribute bumps.  ``finish`` is the latest chain end.
+    """
+
+    __slots__ = (
+        "sim", "nodes", "n", "slice_sizes", "tags", "total_steps", "messages",
+        "bytes", "finish", "chains_done", "chains_expected", "on_delivered",
+    )
+
+    def __init__(
+        self, sim: NetworkSimulator, nodes: Sequence[int], slice_sizes: Sequence[int]
+    ) -> None:
+        n = len(nodes)
+        self.sim = sim
+        self.nodes = nodes
+        self.n = n
+        self.slice_sizes = slice_sizes
+        self.tags = [f"ar-s{slice_id}" for slice_id in range(n)]
+        self.total_steps = 2 * (n - 1)
+        self.messages = 0
+        self.bytes = 0.0
+        self.chains_done = 0
+        self.chains_expected = 0
+        #: The shared completion callback, bound once.
+        self.on_delivered = self.hop_done
+
+    def run(self, start_time: float, deadline_s: Optional[float]) -> CollectiveResult:
+        self.finish = start_time
+        # Slice i starts at the node at ring position i (standard ring AR).
+        # Zero-byte slices (message smaller than the ring) have nothing to
+        # reduce or broadcast, so their chains never start.
+        for slice_id, size in enumerate(self.slice_sizes):
+            if size:
+                self.chains_expected += 1
+                self.send_step(slice_id, slice_id, 0, start_time)
+        self.sim.run(until=deadline_s)
+        return CollectiveResult(
+            finish_time_s=self.finish,
+            total_bytes_on_wire=self.bytes,
+            messages=self.messages,
+            completed=self.chains_done == self.chains_expected,
         )
 
-    # Slice i starts at the node at ring position i (standard ring AR).
-    # Zero-byte slices (message smaller than the ring) have nothing to
-    # reduce or broadcast, so their chains never start.
-    for slice_id in range(n):
-        if slice_sizes[slice_id]:
-            progress["chains_expected"] += 1
-            send_step(slice_id, slice_id, 0, start_time)
-    sim.run(until=deadline_s)
-    result = collector.result()
-    result.completed = progress["chains_done"] == progress["chains_expected"]
-    return result
+    def send_step(self, position: int, slice_id: int, step: int, when: float) -> None:
+        """Node at ring ``position`` forwards ``slice_id`` for ``step``."""
+        if step >= self.total_steps:
+            self.chains_done += 1
+            if when > self.finish:
+                self.finish = when
+            return
+        nodes = self.nodes
+        message = _RingMessage(
+            nodes[position],
+            nodes[(position + 1) % self.n],
+            self.slice_sizes[slice_id],
+            self.tags[slice_id],
+            self.on_delivered,
+        )
+        message.position = position
+        message.slice_id = slice_id
+        message.step = step
+        self.sim.send(message, start_time=when)
+
+    def hop_done(self, msg: _RingMessage, time: float) -> None:
+        self.messages += 1
+        self.bytes += msg.size_bytes
+        self.send_step(
+            (msg.position + 1) % self.n, msg.slice_id, msg.step + 1, time
+        )
 
 
 @shaped("_, _, BPP, ST, _ -> _")

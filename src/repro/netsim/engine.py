@@ -28,10 +28,10 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from collections import OrderedDict, defaultdict, deque
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from ..params import DEFAULT_PARAMS, HardwareParams
 from ..perf import counter_add
@@ -56,56 +56,101 @@ class Message:
     pending_packets: int = field(default=0, init=False, repr=False)
 
 
-@dataclass(slots=True)
 class _Packet:
-    wire_bytes: int
-    flow_id: int
-    route: List[Link]
-    hop_index: int
-    message: Message
-    #: Position of this packet within its message (stable across
-    #: retransmissions; keys the injector's per-packet loss decision).
-    seq: int = 0
-    #: Transmission attempts of the *current* hop so far.
-    attempt: int = 0
+    """One packet in flight on its flow's resolved route."""
+
+    __slots__ = ("wire_bytes", "flow_id", "servers", "hop_index", "message", "seq", "attempt")
+
+    def __init__(
+        self,
+        wire_bytes: int,
+        flow_id: int,
+        servers: Tuple["_LinkServer", ...],
+        message: Message,
+        seq: int = 0,
+    ) -> None:
+        self.wire_bytes = wire_bytes
+        self.flow_id = flow_id
+        #: The link server of every hop of the route, in order.
+        self.servers = servers
+        #: Index into ``servers`` of the hop being served.
+        self.hop_index = 0
+        self.message = message
+        #: Position of this packet within its message (stable across
+        #: retransmissions; keys the injector's per-packet loss decision).
+        self.seq = seq
+        #: Transmission attempts of the *current* hop so far.
+        self.attempt = 0
 
 
-# Queue entries are plain ``(time, seq, action)`` tuples: the heap
-# then orders with C-level tuple comparison (``seq`` breaks time ties,
-# so the ``action`` callables are never compared), which profiles
-# measurably faster than a dataclass ``__lt__`` at netsim event volumes.
-_Event = Tuple[float, int, Callable[[], None]]
+# Queue entries are plain ``(time, seq, fn, arg)`` tuples and popping
+# one runs ``fn(arg)``: the heap then orders with C-level tuple
+# comparison (``seq`` breaks time ties, so ``fn`` and ``arg`` are never
+# compared), and an event needs no closure or ``partial`` of its own.
+_Event = Tuple[float, int, Callable[[Any], None], Any]
+
+
+def _call(action: Callable[[], None]) -> None:
+    """Event function of :meth:`NetworkSimulator.schedule`'s actions."""
+    action()
 
 
 class _LinkServer:
-    """Round-robin flow arbitration and serialisation for one link."""
+    """Round-robin flow arbitration and serialisation for one link.
+
+    One server per link a simulator has routed over, created when a
+    route through the link is first resolved.  It caches the link's
+    rate and latency, and whether the fault injector can ever block the
+    link (``FaultHooks.may_block_link``): a server that cannot be
+    blocked never asks ``link_available_at``.  ``wire_bytes`` counts
+    what it has serialised, dropped transmissions included.
+    """
+
+    __slots__ = (
+        "link", "sim", "queues", "busy", "rate", "latency", "blocks",
+        "wire_bytes", "arrived",
+    )
 
     def __init__(self, link: Link, sim: "NetworkSimulator") -> None:
         self.link = link
-        self.key = (link.src, link.dst)
         self.sim = sim
         self.queues: "OrderedDict[int, Deque[_Packet]]" = OrderedDict()
         self.busy = False
+        self.rate = link.bytes_per_s
+        self.latency = link.latency_s
+        self.blocks = False
+        faults = sim.faults
+        if faults is not None and faults.may_block:
+            self.blocks = faults.may_block_link(link)
+        self.wire_bytes = 0
+        #: The arrival event function, bound once per server.
+        self.arrived = sim._packet_arrived
 
     def enqueue(self, packet: _Packet) -> None:
+        if not (self.busy or self.blocks):
+            # An idle server that is never blocked has nothing queued,
+            # so ``_serve_next`` would serve this packet alone, now.
+            self._serialise((packet,))
+            return
         queue = self.queues.get(packet.flow_id)
         if queue is None:
-            queue = deque()
-            self.queues[packet.flow_id] = queue
-        queue.append(packet)
+            self.queues[packet.flow_id] = deque((packet,))
+        else:
+            queue.append(packet)
         if not self.busy:
             self._serve_next()
 
     def _serve_next(self) -> None:
-        if not self.queues:
+        queues = self.queues
+        if not queues:
             self.busy = False
             return
         sim = self.sim
         faults = sim.faults
-        if faults is not None and faults.may_block:
+        if faults is not None and self.blocks:
             available_at = faults.link_available_at(self.link, sim.now)
             if available_at > sim.now:
-                if available_at == float("inf"):
+                if available_at == math.inf:
                     # Permanently dead link: queued packets are stranded.
                     # The event queue drains around them, so ``run()``
                     # returns with their messages incomplete — that is
@@ -113,11 +158,11 @@ class _LinkServer:
                     self.busy = False
                     return
                 self.busy = True
-                sim.schedule(available_at, self._serve_next)
+                sim._push(available_at, _LinkServer._serve_next, self)
                 return
         # Round-robin: pop the front flow, rotate it to the back (or
         # drop it) after serving.
-        flow_id, queue = self.queues.popitem(last=False)
+        flow_id, queue = queues.popitem(last=False)
         # Uncontended batching: with a single flow queued, a run of
         # back-to-back packets is serialised under one completion event
         # instead of one per packet.  Per-packet arrival times are the
@@ -129,18 +174,24 @@ class _LinkServer:
         # of interleaving round-robin after the current packet
         # (pinned as a strict xfail in tests/netsim/test_engine_batching.py).
         batch = [queue.popleft()]
-        if not self.queues:
+        if not queues:
             limit = sim.max_batch_packets - 1
             while queue and limit > 0:
                 batch.append(queue.popleft())
                 limit -= 1
         if queue:
-            self.queues[flow_id] = queue
+            queues[flow_id] = queue
+        self._serialise(batch)
+
+    def _serialise(self, batch) -> None:
+        """Serialise ``batch`` back to back from now: one arrival event
+        per packet not dropped, then one event to serve what is next."""
         self.busy = True
-        link = self.link
-        arrived = sim._packet_arrived
-        rate = link.bytes_per_s
-        latency = link.latency_s
+        sim = self.sim
+        faults = sim.faults
+        rate = self.rate
+        latency = self.latency
+        arrived = self.arrived
         done_time = sim.now
         # Inline the ``schedule`` heap push: ``done_time`` only ever
         # advances from ``sim.now``, so the cannot-schedule-in-the-past
@@ -155,18 +206,18 @@ class _LinkServer:
                 wire = packet.wire_bytes
                 done_time += wire / rate
                 carried += wire
-                push(heap, (done_time + latency, next(seq), partial(arrived, packet)))
+                push(heap, (done_time + latency, next(seq), arrived, packet))
         else:
             for packet in batch:
                 wire = packet.wire_bytes
                 done_time += wire / rate
                 carried += wire
-                if faults.drop_packet(link, packet, done_time):
+                if faults.drop_packet(self.link, packet, done_time):
                     self._handle_drop(packet, done_time, faults)
                 else:
-                    push(heap, (done_time + latency, next(seq), partial(arrived, packet)))
-        sim._wire_bytes[self.key] += carried
-        push(heap, (done_time, next(seq), self._serve_next))
+                    push(heap, (done_time + latency, next(seq), arrived, packet))
+        self.wire_bytes += carried
+        push(heap, (done_time, next(seq), _LinkServer._serve_next, self))
         sim._packets_served_accum += len(batch)
 
     def _handle_drop(self, packet: _Packet, done_time: float, faults) -> None:
@@ -181,7 +232,7 @@ class _LinkServer:
         delay = faults.retransmit_timeout_s * (
             faults.backoff_factor ** (packet.attempt - 1)
         )
-        self.sim.schedule(done_time + delay, partial(self.enqueue, packet))
+        self.sim._push(done_time + delay, self.enqueue, packet)
 
 
 class FaultHooks:
@@ -191,6 +242,13 @@ class FaultHooks:
     depends on this duck-typed surface so netsim never imports the faults
     package (no import cycle, and importing ``repro.faults`` cannot
     change engine behaviour).
+
+    The engine asks three things, each only where the capability flags
+    and :meth:`may_block_link` leave it possible: every link server asks
+    :meth:`may_block_link` once when it is created, a server that may be
+    blocked asks :meth:`link_available_at` before each serve, and every
+    serialised packet asks :meth:`drop_packet` while ``may_drop`` holds.
+    The fast paths ask :meth:`link_state` instead.
     """
 
     #: Sender-side retransmission policy for dropped packets.
@@ -201,10 +259,10 @@ class FaultHooks:
     retransmits: int = 0
     packets_failed: int = 0
     #: Static capability flags: whether ``drop_packet`` can ever answer
-    #: True, and whether ``link_available_at`` can ever exceed ``now``.
-    #: The engine skips the corresponding per-packet/per-serve hook call
-    #: when a flag is False; the conservative defaults keep both calls
-    #: for injectors that do not opt in.
+    #: True, and whether ``link_available_at`` can ever exceed ``now``
+    #: on any link.  The engine skips the corresponding per-packet or
+    #: per-serve hook call when a flag is False; the conservative
+    #: defaults keep both calls for injectors that do not opt in.
     may_drop: bool = True
     may_block: bool = True
 
@@ -213,13 +271,21 @@ class FaultHooks:
         expand to the links touching the worker)."""
         raise NotImplementedError
 
+    def may_block_link(self, link: Link) -> bool:
+        """Whether ``link_available_at`` can ever exceed ``now`` on this
+        link of the bound topology (asked once per link server, after
+        ``bind``, and only while ``may_block`` holds).  The
+        conservative default keeps the per-serve call."""
+        return True
+
     def link_available_at(self, link: Link, now: float) -> float:
         """Earliest time >= ``now`` the link can serialise a packet
         (``inf`` = dead forever)."""
         raise NotImplementedError
 
     def drop_packet(self, link: Link, packet: "_Packet", time: float) -> bool:
-        """Whether this transmission of ``packet`` is lost on ``link``."""
+        """Whether this transmission of ``packet`` is lost on ``link``;
+        ``time`` is when its serialisation finishes."""
         raise NotImplementedError
 
     def link_state(self, link: Link, t0: float, t1: float) -> str:
@@ -236,7 +302,12 @@ class FaultHooks:
 
 
 class NetworkSimulator:
-    """Event-driven simulator over a :class:`Topology`."""
+    """Event-driven simulator over a :class:`Topology`.
+
+    Each simulator resolves a ``(src, dst)`` pair once, on its first
+    message, to the link servers of its route; packets carry that tuple
+    of servers, so a hop is an index, not a route or server lookup.
+    """
 
     def __init__(
         self,
@@ -265,7 +336,7 @@ class NetworkSimulator:
         if faults is not None:
             faults.bind(topology)
         self.now = 0.0
-        #: The event queue: a ``heapq`` list of ``(time, seq, action)``.
+        #: The event queue: a ``heapq`` list of ``(time, seq, fn, arg)``.
         self._heap: List[_Event] = []
         #: Wire-size splits by message size (splits repeat massively in
         #: collectives; the lists are shared and read-only).
@@ -273,8 +344,10 @@ class NetworkSimulator:
         self._seq = itertools.count()
         self._flow_ids = itertools.count()
         self._servers: Dict[Tuple[int, int], _LinkServer] = {}
-        #: Wire bytes (headers and dropped transmissions included) each
-        #: link has serialised in this simulator, by ``(src, dst)``.
+        #: Each resolved ``(src, dst)`` pair's route as its link servers.
+        self._routes: Dict[Tuple[int, int], Tuple[_LinkServer, ...]] = {}
+        #: Wire bytes the fast paths committed to each link (``carry``),
+        #: by ``(src, dst)``; link servers count their own.
         self._wire_bytes: Dict[Tuple[int, int], float] = defaultdict(float)
         self.messages_delivered = 0
         self.bytes_delivered = 0
@@ -287,9 +360,14 @@ class NetworkSimulator:
 
     # ---- event machinery ---------------------------------------------------
     def schedule(self, time: float, action: Callable[[], None]) -> None:
+        """Run the zero-argument ``action`` at simulated ``time``."""
+        self._push(time, _call, action)
+
+    def _push(self, time: float, fn: Callable[[Any], None], arg: Any) -> None:
+        """Queue the event ``fn(arg)`` at ``time``."""
         if time < self.now - 1e-15:
             raise ValueError(f"cannot schedule in the past ({time} < {self.now})")
-        heapq.heappush(self._heap, (time, next(self._seq), action))
+        heapq.heappush(self._heap, (time, next(self._seq), fn, arg))
 
     def is_quiescent(self) -> bool:
         """No pending events and every link server idle and empty — the
@@ -305,19 +383,19 @@ class NetworkSimulator:
     def run(self, until: Optional[float] = None) -> float:
         """Drain the event queue; returns the final simulated time."""
         processed = 0
+        limit = math.inf if until is None else until
         try:
             heap = self._heap
             pop = heapq.heappop
             while heap:
-                event = pop(heap)
-                time = event[0]
-                if until is not None and time > until:
-                    heapq.heappush(heap, event)
-                    self.now = until
-                    return self.now
+                time, seq, fn, arg = pop(heap)
+                if time > limit:
+                    heapq.heappush(heap, (time, seq, fn, arg))
+                    self.now = limit
+                    return limit
                 self.now = time
                 processed += 1
-                event[2]()
+                fn(arg)
         finally:
             self.events_processed += processed
             self._flush_counters()
@@ -333,20 +411,27 @@ class NetworkSimulator:
 
     def bytes_carried(self, link: Link) -> float:
         """Wire bytes ``link`` has serialised in this simulator."""
-        return self._wire_bytes.get((link.src, link.dst), 0.0)
+        key = (link.src, link.dst)
+        carried = self._wire_bytes.get(key, 0.0)
+        server = self._servers.get(key)
+        return carried if server is None else carried + server.wire_bytes
 
     def carry(self, link: Link, wire: int) -> None:
         """Count ``wire`` bytes onto ``link`` (how the fast paths commit
         what the link servers would have serialised)."""
         self._wire_bytes[(link.src, link.dst)] += wire
 
-    def _server(self, link: Link) -> _LinkServer:
-        key = (link.src, link.dst)
-        server = self._servers.get(key)
-        if server is None:
-            server = _LinkServer(link, self)
-            self._servers[key] = server
-        return server
+    def _route_servers(self, src: int, dst: int) -> Tuple[_LinkServer, ...]:
+        """The link servers of the route from ``src`` to ``dst``."""
+        servers = []
+        for link in self.topology.route(src, dst):
+            key = (link.src, link.dst)
+            server = self._servers.get(key)
+            if server is None:
+                server = self._servers[key] = _LinkServer(link, self)
+            servers.append(server)
+        route = self._routes[(src, dst)] = tuple(servers)
+        return route
 
     # ---- transfers -----------------------------------------------------------
     def send(self, message: Message, start_time: Optional[float] = None) -> None:
@@ -355,11 +440,15 @@ class NetworkSimulator:
         start = self.now if start_time is None else start_time
         if message.size_bytes <= 0:
             raise ValueError(f"message size must be positive, got {message.size_bytes}")
-        if message.src == message.dst:
+        src = message.src
+        dst = message.dst
+        if src == dst:
             # Local: completes immediately (DRAM time is modelled elsewhere).
-            self.schedule(start, partial(self._complete, message))
+            self._push(start, self._complete, message)
             return
-        route = self.topology.route(message.src, message.dst)
+        servers = self._routes.get((src, dst))
+        if servers is None:
+            servers = self._route_servers(src, dst)
         flow_id = next(self._flow_ids)
         # Pre-split into wire sizes: full packets plus an optional tail.
         sizes = self._split_cache.get(message.size_bytes)
@@ -369,55 +458,31 @@ class NetworkSimulator:
             )
             self._split_cache[message.size_bytes] = sizes
         message.pending_packets = len(sizes)
-        servers = self._servers
+        # The flow's first packet is the inject event's argument.
+        self._push(start, self._inject, _Packet(sizes[0], flow_id, servers, message))
 
-        def inject() -> None:
-            link = route[0]
-            server = servers.get((link.src, link.dst))
-            if server is None:
-                server = self._server(link)
-            if len(sizes) == 1:
-                # Fused single-packet enqueue: the flow id is fresh, so
-                # no queue can exist for it yet.
-                server.queues[flow_id] = deque(
-                    (
-                        _Packet(
-                            wire_bytes=sizes[0],
-                            flow_id=flow_id,
-                            route=route,
-                            hop_index=0,
-                            message=message,
-                        ),
-                    )
-                )
-                if not server.busy:
-                    server._serve_next()
-                return
-            enqueue = server.enqueue
-            for seq, wire_bytes in enumerate(sizes):
-                enqueue(
-                    _Packet(
-                        wire_bytes=wire_bytes,
-                        flow_id=flow_id,
-                        route=route,
-                        hop_index=0,
-                        message=message,
-                        seq=seq,
-                    )
-                )
-
-        self.schedule(start, inject)
+    def _inject(self, first: _Packet) -> None:
+        """Queue a flow's packets at the first link of its route."""
+        server = first.servers[0]
+        server.enqueue(first)
+        sizes = self._split_cache[first.message.size_bytes]
+        for seq in range(1, len(sizes)):
+            server.enqueue(
+                _Packet(sizes[seq], first.flow_id, first.servers, first.message, seq)
+            )
 
     def _packet_arrived(self, packet: _Packet) -> None:
-        packet.hop_index += 1
+        hop = packet.hop_index + 1
+        packet.hop_index = hop
         packet.attempt = 0
-        if packet.hop_index == len(packet.route):
+        servers = packet.servers
+        if hop == len(servers):
             message = packet.message
             message.pending_packets -= 1
             if message.pending_packets == 0:
                 self._complete(message)
         else:
-            self._server(packet.route[packet.hop_index]).enqueue(packet)
+            servers[hop].enqueue(packet)
 
     def _complete(self, message: Message) -> None:
         message.completed_at = self.now

@@ -1,5 +1,9 @@
 """Tests for table rendering, timelines and the CLI."""
 
+import errno
+import os
+import sys
+
 import pytest
 
 from repro.analysis import format_table
@@ -51,7 +55,39 @@ class TestTimeline:
         assert utilization([]) == {}
 
 
+class _ClosedPipe:
+    """A stdout whose reader has gone (``| head`` exited): every write
+    raises, as a write to a closed pipe does."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
+
+
 class TestCli:
+    @pytest.mark.parametrize("argv", [
+        ["figure", "table1"],
+        ["statcheck", "--list-rules"],
+    ])
+    def test_closed_stdout_exits_without_traceback(self, argv, tmp_path, monkeypatch):
+        """A reader that closes stdout early ends the run in exit code 1,
+        with stdout's descriptor pointed at devnull so the interpreter's
+        final flush is quiet."""
+        with open(tmp_path / "stdout", "w") as out:
+            monkeypatch.setattr(sys, "stdout", _ClosedPipe(out.fileno()))
+            with pytest.raises(SystemExit) as info:
+                main(argv)
+            assert info.value.code == 1
+            assert os.path.samestat(os.fstat(out.fileno()), os.stat(os.devnull))
+
     def test_machine_command(self, capsys):
         main(["machine"])
         out = capsys.readouterr().out

@@ -11,7 +11,7 @@ from repro.core import (
     w_mp_plus,
     w_mp_plus_plus,
 )
-from repro.workloads import five_layers, resnet34, wide_resnet_40_10
+from repro.workloads import five_layers, resnet34, vgg16, wide_resnet_40_10
 
 
 @pytest.fixture(scope="module")
@@ -28,6 +28,16 @@ class TestIteration:
     def test_layers_all_reported(self, sim, net):
         result = sim.simulate_iteration(net, w_dp())
         assert len(result.layers) == len(net.conv_layers)
+
+    @pytest.mark.parametrize("network", [wide_resnet_40_10, vgg16])
+    def test_each_report_names_its_own_layer(self, sim, network):
+        """Same-shape layers share one clustering choice, but each
+        report carries its own layer, not the first one of its shape."""
+        net = network()
+        result = sim.simulate_iteration(net, w_mp_plus_plus())
+        assert [r.layer.name for r in result.layers] == [
+            layer.name for layer in net.conv_layers
+        ]
 
     def test_iteration_time_between_bounds(self, sim, net):
         """Overlap: iteration time is at most the serial sum of phases

@@ -1,6 +1,9 @@
 """The `python -m repro.statcheck` command-line front end."""
 
+import errno
 import json
+import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -20,7 +23,34 @@ def write(tmp_path, name, source):
     return str(path)
 
 
+class _ClosedPipe:
+    """A stdout whose reader has gone: every write raises."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
+
+
 class TestExitCodes:
+    def test_closed_stdout_exits_without_traceback(self, tmp_path, monkeypatch):
+        """``python -m repro.statcheck --list-rules | head -3``: the entry
+        point exits 1 with stdout pointed at devnull, no traceback."""
+        monkeypatch.setattr(sys, "argv", ["repro.statcheck", "--list-rules"])
+        with open(tmp_path / "stdout", "w") as out:
+            monkeypatch.setattr(sys, "stdout", _ClosedPipe(out.fileno()))
+            with pytest.raises(SystemExit) as info:
+                runpy.run_module("repro.statcheck", run_name="__main__")
+            assert info.value.code == 1
+            assert os.path.samestat(os.fstat(out.fileno()), os.stat(os.devnull))
+
     def test_clean_file_exits_zero(self, tmp_path, capsys):
         assert main([write(tmp_path, "clean.py", CLEAN)]) == 0
         assert "statcheck: 0 findings" in capsys.readouterr().out

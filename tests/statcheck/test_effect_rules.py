@@ -257,7 +257,7 @@ class TestCOMM001SeededMutations:
             tmp_path,
             COLLECTIVES,
             "collectives.py",
-            "if step >= total_steps:",
+            "if step >= self.total_steps:",
             "if False:",
         )
         code, out = run(path, "COMM001", capsys)

@@ -502,7 +502,7 @@ class TestComm:
 
     def test_nontermination_detected(self):
         src = _collectives_source().replace(
-            "if step >= total_steps:", "if False:"
+            "if step >= self.total_steps:", "if False:"
         )
         found = check_collectives(ast.parse(src))
         assert any(
@@ -512,8 +512,8 @@ class TestComm:
 
     def test_incomplete_result_detected(self):
         src = _collectives_source().replace(
-            'result.completed = progress["chains_done"] == progress["chains_expected"]',
-            "result.completed = False",
+            "completed=self.chains_done == self.chains_expected,",
+            "completed=False,",
         )
         found = check_collectives(ast.parse(src))
         assert any(
