@@ -1,8 +1,9 @@
 """Data generators for every table and figure of the paper's evaluation.
 
 Each ``figNN_rows`` function returns the series the corresponding figure
-plots (as dictionaries, ready for tabulation or plotting); the benchmark
-harness prints them and EXPERIMENTS.md records paper-vs-measured values.
+plots (as dictionaries, ready for tabulation or plotting); ``repro
+figure`` prints them and the paper-claims table pins the values read
+from them.
 """
 
 from __future__ import annotations
@@ -74,17 +75,14 @@ def fig06_rows(batch: int = 256, workers: int = 256) -> List[Dict]:
     return rows
 
 
-def fig07_rows(
-    batch: int = 256, worker_counts: Optional[List[int]] = None
-) -> List[Dict]:
+def fig07_rows(batch: int = 256) -> List[Dict]:
     """Fig. 7: per-worker communication per iteration of FractalNet
     training versus worker count, DP vs MPT (Ng = Nc = sqrt(p))."""
     from ..workloads import fractalnet_4_4
 
-    worker_counts = worker_counts or [4, 16, 64, 256, 1024]
     net = fractalnet_4_4()
     rows = []
-    for p in worker_counts:
+    for p in (4, 16, 64, 256, 1024):
         sqrt_p = int(math.isqrt(p))
         ng = min(sqrt_p, 16)
         grids = {
@@ -131,16 +129,16 @@ def fig12_rows(seed: int = 0) -> List[Dict]:
     return rows
 
 
-def fig14_rows(epochs: int = 6, samples: int = 256, seed: int = 0) -> List[Dict]:
+def fig14_rows(seed: int = 0) -> List[Dict]:
     """Fig. 14: standard vs modified (Winograd-domain) FractalNet join —
-    training curves must match."""
+    training curves (six epochs) must match."""
     from ..nn import fractalnet_small, train, train_val_datasets
 
-    train_data, val_data = train_val_datasets(samples, 64, classes=4, size=16, seed=seed)
+    train_data, val_data = train_val_datasets(256, 64, classes=4, size=16, seed=seed)
     rows = []
     for mode in ("spatial", "winograd"):
         net = fractalnet_small(join_mode=mode, width=8, classes=4, seed=seed)
-        curve = train(net, train_data, val_data, epochs=epochs, batch_size=32,
+        curve = train(net, train_data, val_data, epochs=6, batch_size=32,
                       lr=0.1, seed=seed)
         for epoch, (loss, acc) in enumerate(
             zip(curve.losses, curve.val_accuracies), start=1

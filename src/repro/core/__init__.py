@@ -3,7 +3,6 @@
 from .comm_model import (
     DEFAULT_FACTORS,
     CommVolume,
-    TrafficFactors,
     layer_comm_volume,
     tile_transfer_bytes,
     transform_for,
@@ -40,7 +39,6 @@ from .trainer import FaultImpact, IterationResult, LayerReport, TrainingSimulato
 __all__ = [
     "DEFAULT_FACTORS",
     "CommVolume",
-    "TrafficFactors",
     "layer_comm_volume",
     "tile_transfer_bytes",
     "transform_for",

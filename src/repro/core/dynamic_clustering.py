@@ -17,7 +17,7 @@ from typing import Dict, Optional, Sequence
 from ..params import DEFAULT_PARAMS, HardwareParams
 from ..perf import memoize_sweep
 from ..workloads.layers import ConvLayerSpec
-from .comm_model import DEFAULT_FACTORS, TrafficFactors, transform_for
+from .comm_model import transform_for
 from .config import GridConfig, SystemConfig, clustering_candidates, default_grid
 from .perf_model import LayerPerf, PerfModel
 
@@ -59,15 +59,13 @@ def choose_clustering(
     default grid is returned (still evaluated, for reporting).
 
     The choice is memoized process-wide on the contents of
-    ``(layer, batch, config, workers)`` plus the model's params and
-    traffic factors — network sweeps re-optimise identical layers at
-    every worker count.  The returned :class:`ClusteringChoice` is
-    shared across equal calls and must be treated as read-only.
+    ``(layer, batch, config, workers)`` plus the model's params — network
+    sweeps re-optimise identical layers at every worker count.  The
+    returned :class:`ClusteringChoice` is shared across equal calls and
+    must be treated as read-only.
     """
     model = model or PerfModel()
-    return _choose_clustering_cached(
-        layer, batch, config, workers, model.params, model.factors
-    )
+    return _choose_clustering_cached(layer, batch, config, workers, model.params)
 
 
 @memoize_sweep
@@ -77,11 +75,10 @@ def _choose_clustering_cached(
     config: SystemConfig,
     workers: int,
     params: HardwareParams = DEFAULT_PARAMS,
-    factors: TrafficFactors = DEFAULT_FACTORS,
 ) -> ClusteringChoice:
-    model = PerfModel(params=params, factors=factors)
+    model = PerfModel(params=params)
     # Call the model implementation directly: this function's own cache
-    # already keys on (layer, batch, config, workers, params, factors),
+    # already keys on (layer, batch, config, workers, params),
     # so routing per-grid evaluations through ``evaluate_layer_cached``
     # would only build cache keys that can never hit here.
     if not config.dynamic_clustering:

@@ -30,12 +30,7 @@ from ..netsim.collectives import (
 from ..params import DEFAULT_PARAMS, HardwareParams
 from ..winograd.cook_toom import WinogradTransform
 from ..workloads.layers import ConvLayerSpec
-from .comm_model import (
-    DEFAULT_FACTORS,
-    TrafficFactors,
-    layer_comm_volume,
-    transform_for,
-)
+from .comm_model import layer_comm_volume, transform_for
 from .config import GridConfig, SystemConfig
 
 BYTES = 4
@@ -91,13 +86,8 @@ class LayerPerf:
 class PerfModel:
     """Evaluates one layer iteration for a system configuration."""
 
-    def __init__(
-        self,
-        params: HardwareParams = DEFAULT_PARAMS,
-        factors: TrafficFactors = DEFAULT_FACTORS,
-    ) -> None:
+    def __init__(self, params: HardwareParams = DEFAULT_PARAMS) -> None:
         self.params = params
-        self.factors = factors
         self.energy = EnergyModel(params)
 
     # ---- helpers ---------------------------------------------------------
@@ -182,14 +172,12 @@ class PerfModel:
         search extension); ignored for direct convolution.
 
         Results are memoized process-wide on the *contents* of every
-        argument (plus this model's params and traffic factors) — the
-        figure sweeps re-evaluate identical points thousands of times.
-        The returned :class:`LayerPerf` is shared across equal calls and
-        must be treated as read-only.
+        argument (plus this model's params) — the figure sweeps
+        re-evaluate identical points thousands of times.  The returned
+        :class:`LayerPerf` is shared across equal calls and must be
+        treated as read-only.
         """
-        return evaluate_layer_cached(
-            layer, batch, config, grid, transform, self.params, self.factors
-        )
+        return evaluate_layer_cached(layer, batch, config, grid, transform, self.params)
 
     def _evaluate_layer_impl(
         self,
@@ -229,9 +217,7 @@ class PerfModel:
         gemm_m = max(1, math.ceil(tiles_cluster))
         in_ch, out_ch = layer.in_channels, layer.out_channels
 
-        comm = layer_comm_volume(
-            layer, batch, config, grid, self.factors, transform=transform
-        )
+        comm = layer_comm_volume(layer, batch, config, grid, transform=transform)
         perf = LayerPerf(layer=layer, grid=grid)
 
         # Shared byte counts (per worker).
@@ -350,7 +336,7 @@ class PerfModel:
         w_bytes = layer.weight_count * BYTES
 
         perf = LayerPerf(layer=layer, grid=grid)
-        comm = layer_comm_volume(layer, batch, config, grid, self.factors)
+        comm = layer_comm_volume(layer, batch, config, grid)
 
         fprop = PhasePerf()
         fprop.compute_s = self._gemm_seconds(1, gemm_m, k, out_ch)
@@ -417,7 +403,6 @@ def evaluate_layer_cached(
     grid: GridConfig,
     transform: Optional[WinogradTransform] = None,
     params: HardwareParams = DEFAULT_PARAMS,
-    factors: TrafficFactors = DEFAULT_FACTORS,
 ) -> LayerPerf:
     """Content-keyed, process-wide cache in front of the perf model.
 
@@ -425,7 +410,7 @@ def evaluate_layer_cached(
     here; the wrapper's ``cache`` attribute counts hits and misses, and
     the body only runs on a miss.
     """
-    model = PerfModel(params=params, factors=factors)
+    model = PerfModel(params=params)
     return model._evaluate_layer_impl(layer, batch, config, grid, transform)
 
 

@@ -17,7 +17,7 @@ from ..netsim.engine import FaultHooks, Message, NetworkSimulator
 from ..netsim.topology import GridLayout, Topology, hybrid
 from ..params import DEFAULT_PARAMS, HardwareParams
 from ..workloads.layers import ConvLayerSpec
-from .comm_model import DEFAULT_FACTORS, TrafficFactors, layer_comm_volume
+from .comm_model import layer_comm_volume
 from .config import GridConfig, SystemConfig
 
 
@@ -37,7 +37,6 @@ def build_tile_transfer_trace(
     grid: GridConfig,
     layout: GridLayout,
     phase: str = "fprop",
-    factors: TrafficFactors = DEFAULT_FACTORS,
 ) -> TileTransferTrace:
     """Messages for the scatter+gather of one phase in every cluster.
 
@@ -47,7 +46,7 @@ def build_tile_transfer_trace(
     """
     if phase not in ("fprop", "bprop"):
         raise ValueError(f"phase must be fprop or bprop, got {phase!r}")
-    volume = layer_comm_volume(layer, batch, config, grid, factors)
+    volume = layer_comm_volume(layer, batch, config, grid)
     if phase == "fprop":
         per_worker = volume.scatter_fprop + volume.gather_fprop
     else:

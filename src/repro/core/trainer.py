@@ -17,7 +17,6 @@ from ..ndp.energy import EnergyBreakdown
 from ..ndp.taskgraph import TaskExecutor, TaskGraph
 from ..workloads.layers import ConvLayerSpec
 from ..workloads.networks import CnnSpec
-from .comm_model import DEFAULT_FACTORS, TrafficFactors
 from .config import GridConfig, MachineConfig, SystemConfig
 from .dynamic_clustering import ClusteringChoice, choose_clustering
 from .perf_model import LayerPerf, PerfModel
@@ -165,13 +164,9 @@ class IterationResult:
 class TrainingSimulator:
     """Simulates synchronous-SGD iterations of a CNN on the NDP machine."""
 
-    def __init__(
-        self,
-        machine: Optional[MachineConfig] = None,
-        factors: TrafficFactors = DEFAULT_FACTORS,
-    ) -> None:
+    def __init__(self, machine: Optional[MachineConfig] = None) -> None:
         self.machine = machine or MachineConfig()
-        self.model = PerfModel(self.machine.params, factors)
+        self.model = PerfModel(self.machine.params)
 
     def plan_layers(
         self, net: CnnSpec, config: SystemConfig

@@ -112,21 +112,11 @@ class TaskExecutor:
     Tasks on the same resource serialise in dependency-respecting FIFO
     order (the NDP task scheduler loads tasks in a pre-defined order,
     Section VI-A); tasks on different resources run concurrently.
-
-    ``resource_slowdown`` (used by :mod:`repro.faults`) stretches every
-    task on a named resource by a factor — e.g. ``{"compute": 1.5}`` for
-    a straggling worker on the synchronous critical path.  ``None`` (the
-    default) is the fault-free path and changes nothing.
     """
 
-    def __init__(
-        self,
-        graph: TaskGraph,
-        resource_slowdown: Optional[Dict[str, float]] = None,
-    ) -> None:
+    def __init__(self, graph: TaskGraph) -> None:
         self.graph = graph
         self.schedule: List[ScheduleEntry] = []
-        self.resource_slowdown = resource_slowdown
 
     def run(self) -> float:
         """Execute the whole graph; returns the makespan in seconds."""
@@ -140,17 +130,13 @@ class TaskExecutor:
         # List scheduling over the topological order: each task's
         # dependencies already have finish times when we reach it, and
         # tasks serialise FIFO per resource.
-        slowdown = self.resource_slowdown
         for name, task in self.graph.tasks.items():
             start = resource_free.get(task.resource, 0.0)
             for dep in task.deps:
                 dep_finish = finish[dep]
                 if dep_finish > start:
                     start = dep_finish
-            duration = task.duration_s
-            if slowdown is not None:
-                duration *= slowdown.get(task.resource, 1.0)
-            end = start + duration
+            end = start + task.duration_s
             finish[name] = end
             resource_free[task.resource] = end
             if task.body is not None:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..core.comm_model import DEFAULT_FACTORS, TrafficFactors
 from ..core.config import (
     SystemConfig,
     d_dp,
@@ -136,7 +135,6 @@ def plan_report(
     include_greedy: bool = True,
     validate: bool = False,
     params: HardwareParams = DEFAULT_PARAMS,
-    factors: TrafficFactors = DEFAULT_FACTORS,
 ) -> Dict[str, object]:
     """Plan one network and render the result as pure data.
 
@@ -155,7 +153,7 @@ def plan_report(
     net = network_by_name(network)
     system = config_by_name(config)
     transition_model: TransitionCostModel = preset(transition)
-    model = PerfModel(params=params, factors=factors)
+    model = PerfModel(params=params)
     greedy = (
         greedy_plan(
             net, system, workers, batch, knobs, transition_model, objective,
@@ -167,7 +165,7 @@ def plan_report(
     plans = [
         _plan_network_cached(
             net.name, tuple(net.conv_layers), batch, system, workers, knobs,
-            transition_model, objective, mode, params, factors,
+            transition_model, objective, mode, params,
         )
         for mode in modes
     ]

@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from ..core.comm_model import DEFAULT_FACTORS, TrafficFactors
 from ..core.config import SystemConfig
 from ..core.dynamic_clustering import _choose_clustering_cached
 from ..core.perf_model import PerfModel
@@ -144,7 +143,7 @@ def plan_network(
     model = model or PerfModel()
     return _plan_network_cached(
         net.name, tuple(net.conv_layers), batch, config, workers, knobs,
-        transition, objective, mode, model.params, model.factors,
+        transition, objective, mode, model.params,
     )
 
 
@@ -160,13 +159,12 @@ def _plan_network_cached(
     objective: str = "time",
     mode: str = "dp",
     params: HardwareParams = DEFAULT_PARAMS,
-    factors: TrafficFactors = DEFAULT_FACTORS,
 ) -> NetworkPlan:
     """The plan kernel: statically pure (EFF001), so safe to memoize."""
     per_layer: List[Tuple[StrategyCandidate, ...]] = []
     for layer in layers:
         candidates = _layer_candidates_cached(
-            layer, batch, config, workers, knobs, params, factors
+            layer, batch, config, workers, knobs, params
         )
         usable = tuple(c for c in candidates if c.feasible)
         if not usable:
@@ -380,10 +378,10 @@ def greedy_plan(
     indices: List[int] = []
     for layer in layers:
         choice = _choose_clustering_cached(
-            layer, batch, config, workers, model.params, model.factors
+            layer, batch, config, workers, model.params
         )
         candidates = _layer_candidates_cached(
-            layer, batch, config, workers, knobs, model.params, model.factors
+            layer, batch, config, workers, knobs, model.params
         )
         chosen_j = None
         for j, cand in enumerate(candidates):

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from ..contracts import cost, shaped
-from ..core.comm_model import DEFAULT_FACTORS, TrafficFactors, transform_for
+from ..core.comm_model import transform_for
 from ..core.config import GridConfig, SystemConfig, default_grid
 from ..core.dynamic_clustering import candidate_grids
 from ..core.perf_model import LayerPerf, PerfModel
@@ -234,7 +234,7 @@ def layer_candidates(
     """
     model = model or PerfModel()
     return _layer_candidates_cached(
-        layer, batch, config, workers, knobs, model.params, model.factors
+        layer, batch, config, workers, knobs, model.params
     )
 
 
@@ -246,11 +246,10 @@ def _layer_candidates_cached(
     workers: int,
     knobs: StrategyKnobs = DEFAULT_KNOBS,
     params: HardwareParams = DEFAULT_PARAMS,
-    factors: TrafficFactors = DEFAULT_FACTORS,
 ) -> Tuple[StrategyCandidate, ...]:
     """The strategy-space kernel: statically pure (EFF001), so every
     plan over the same layer shares one evaluation of its space."""
-    model = PerfModel(params=params, factors=factors)
+    model = PerfModel(params=params)
     if not config.dynamic_clustering:
         multi_group = transform_for(
             config, GridConfig(4, max(1, workers // 4)), layer.kernel

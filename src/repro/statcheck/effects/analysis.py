@@ -20,7 +20,9 @@ graphs via :func:`solve_fixpoint`).
 Call-site resolution order, per site:
 
 1. package registry — module-level functions and class constructors for
-   plain names; methods (joined across same-named defs) for attributes;
+   plain names; ``C.__init__(self, ...)`` / ``super().__init__(...)`` to
+   the ``__init__`` of ``C`` / the enclosing class's bases; methods
+   (joined across same-named defs) for other attributes;
 2. method-name tables (:mod:`.intrinsics`) for attribute calls the
    registry misses (``.append`` mutates, ``.items`` is pure, ...);
 3. class-field callbacks (``message.on_complete(...)`` where
@@ -48,6 +50,7 @@ from .intrinsics import (
     ALIAS_METHODS,
     IO_METHODS,
     MUTATOR_METHODS,
+    PURE_BUILTINS,
     PURE_METHODS,
     RNG_STATE_METHODS,
 )
@@ -296,6 +299,17 @@ def link_package(
                         node.edges.append((key, desc, mode))
                 elif desc.name not in class_inits:
                     node.direct.add((UNKNOWN_CALL, desc.name))
+                continue
+            if desc.kind == "init":
+                # No bases means ``object``; a synthesised (dataclass) or
+                # builtin initialiser is effect-free.
+                owners = desc.owners or ("object",)
+                unknown = [o for o in owners if o not in class_inits and o not in PURE_BUILTINS]
+                node.direct.update((UNKNOWN_CALL, f"{o}.__init__()") for o in unknown)
+                edges_resolved += not unknown
+                for owner in owners:
+                    inits = class_inits.get(owner, ())
+                    node.edges.extend((key, desc, "method") for key in inits if key)
                 continue
             # attribute call
             keys = methods.get(desc.name, []) + name_funcs.get(desc.name, [])

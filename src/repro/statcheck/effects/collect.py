@@ -35,16 +35,11 @@ from ..registry import _decorator_name
 from .intrinsics import (
     ALIAS_METHODS,
     IO_BUILTINS,
-    IO_METHODS,
     MUTATING_BUILTINS,
-    MUTATOR_METHODS,
     PURE_BUILTINS,
-    PURE_METHODS,
-    RNG_STATE_METHODS,
     classify_intrinsic,
 )
 from .lattice import (
-    CLOCK,
     DYNAMIC_CALL,
     ENV,
     GLOBAL_READ,
@@ -122,12 +117,15 @@ class CallDesc:
     """One unresolved call site, for interprocedural resolution."""
 
     lineno: int
-    kind: str  # "name" (plain function/class) | "attr" (method-style)
+    #: "name" (plain function/class) | "attr" (method-style) | "init"
+    #: (``C.__init__(self, ...)`` or ``super().__init__(...)``)
+    kind: str
     name: str  # bare callee / method name
     recv_roots: Roots = FRESH
     arg_roots: Tuple[Roots, ...] = ()
     kw_roots: Tuple[Tuple[str, Roots], ...] = ()
     star: bool = False  # *args/**kwargs present at the call
+    owners: Tuple[str, ...] = ()  # the classes an "init" call initialises
 
 
 @dataclass
@@ -254,9 +252,11 @@ class _FunctionAnalyzer:
         info: FunctionInfo,
         aliases: Dict[str, str],
         mutable_globals: Set[str],
+        bases: Tuple[str, ...] = (),
     ) -> None:
         self.fn = fn
         self.info = info
+        self.bases = bases  # of the enclosing class, for super()
         self.aliases = dict(aliases)
         self.mutable_globals = mutable_globals
         # In-function imports bind local names that stay module namespaces
@@ -548,6 +548,17 @@ class _FunctionAnalyzer:
                 recv = FRESH
             else:
                 recv = self.eval(func.value)
+            is_super = isinstance(func.value, ast.Call) and _dotted(func.value.func) == "super"
+            if attr == "__init__" and (namespace_chain or is_super):
+                # A base-class initialiser, with ``self`` as its receiver.
+                if is_super:
+                    owners, recv = self.bases, self.roots.get(self.info.self_name, FRESH)
+                else:
+                    owners = (canonical.rsplit(".", 2)[-2],)
+                    recv, arg_roots = (arg_roots or (FRESH,))[0], arg_roots[1:]
+                self._record(node, CallDesc(node.lineno, "init", attr, recv, arg_roots,
+                                            kw_roots, star, owners))
+                return FRESH
             self._record(
                 node,
                 CallDesc(node.lineno, "attr", attr, recv_roots=recv,
@@ -718,6 +729,8 @@ def collect_module(tree: ast.Module, path: str) -> ModuleInfo:
         field_names=set(),
     )
 
+    bases: Dict[str, Tuple[str, ...]] = {}  # class -> its bases, for super()
+
     def collect_fn(fn: ast.FunctionDef, class_name: Optional[str]) -> None:
         decorators = tuple(
             d for d in (_decorator_name(dec) for dec in fn.decorator_list)
@@ -734,13 +747,20 @@ def collect_module(tree: ast.Module, path: str) -> ModuleInfo:
             decorators=decorators,
             vouched="effect_free" in decorators,
         )
-        _FunctionAnalyzer(fn, fninfo, aliases, mutable_globals).walk_function()
+        _FunctionAnalyzer(
+            fn, fninfo, aliases, mutable_globals, bases.get(class_name, ())
+        ).walk_function()
         info.functions.append(fninfo)
 
     def walk(node: ast.AST, class_name: Optional[str]) -> None:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.ClassDef):
                 info.classes.setdefault(child.name, [])
+                bases[child.name] = tuple(
+                    _canonical(dotted, aliases).rsplit(".", 1)[-1]
+                    for dotted in map(_dotted, child.bases)
+                    if dotted is not None
+                )
                 for stmt in child.body:
                     if isinstance(stmt, ast.AnnAssign) and isinstance(
                         stmt.target, ast.Name

@@ -18,7 +18,7 @@ is classified here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .lattice import CLOCK, ENV, IO, RNG, Effect

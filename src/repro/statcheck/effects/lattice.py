@@ -29,7 +29,7 @@ and the fixpoint terminates on the finite per-package atom universe.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 #: One effect atom.
 Effect = Tuple[str, str]

@@ -101,24 +101,3 @@ class TestExecution:
 
     def test_empty_graph(self):
         assert TaskExecutor(TaskGraph()).run() == 0.0
-
-
-class TestResourceSlowdown:
-    def test_named_resource_stretched(self):
-        graph = TaskGraph()
-        graph.add_task("a", 2.0, "compute")
-        graph.add_task("b", 1.0, "network", deps=["a"])
-        makespan = TaskExecutor(graph, resource_slowdown={"compute": 2.0}).run()
-        assert makespan == pytest.approx(5.0)
-
-    def test_other_resources_unaffected(self):
-        graph = TaskGraph()
-        graph.add_task("a", 2.0, "compute")
-        graph.add_task("b", 2.0, "network")
-        makespan = TaskExecutor(graph, resource_slowdown={"network": 3.0}).run()
-        assert makespan == pytest.approx(6.0)
-
-    def test_none_slowdown_is_identical(self):
-        graph = make_graph()
-        assert TaskExecutor(graph, resource_slowdown=None).run() == \
-            TaskExecutor(make_graph()).run()

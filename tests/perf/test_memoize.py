@@ -16,7 +16,6 @@ from dataclasses import dataclass, replace
 
 import pytest
 
-from repro.core.comm_model import TrafficFactors
 from repro.core.config import MachineConfig, SystemConfig, w_mp_plus_plus
 from repro.faults.plan import FaultPlan, LinkFault, PacketLoss, Straggler, WorkerFault
 from repro.params import HardwareParams
@@ -102,7 +101,6 @@ class TestEveryFieldChangesTheKey:
         [
             MachineConfig(),
             SystemConfig(name="x"),
-            TrafficFactors(),
             StrategyKnobs(batch_splits=(1, 2)),
             FaultPlan(
                 seed=1,
@@ -113,8 +111,8 @@ class TestEveryFieldChangesTheKey:
             ),
             LAYER,
         ],
-        ids=["MachineConfig", "SystemConfig", "TrafficFactors",
-             "StrategyKnobs", "FaultPlan", "ConvLayerSpec"],
+        ids=["MachineConfig", "SystemConfig", "StrategyKnobs", "FaultPlan",
+             "ConvLayerSpec"],
     )
     def test_every_field_path_invalidates(self, base):
         baseline = key(base)

@@ -15,8 +15,6 @@ import json
 import textwrap
 from pathlib import Path
 
-import pytest
-
 from repro.statcheck import check_file, check_source
 
 REPO = Path(__file__).resolve().parents[2]

@@ -41,7 +41,7 @@ def run(path: str, rules: str, capsys):
 # ---------------------------------------------------------------------------
 
 PERF_MODEL = REPO_SRC / "core" / "perf_model.py"
-_KERNEL_ANCHOR = "    model = PerfModel(params=params, factors=factors)"
+_KERNEL_ANCHOR = "    model = PerfModel(params=params)"
 
 
 class TestEFF001SeededMutations:

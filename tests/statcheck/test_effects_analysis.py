@@ -306,6 +306,44 @@ class TestInterprocedural:
         )
         assert not atoms(s["make"])
 
+    def test_base_initialiser_resolves_to_its_class(self):
+        # ``C.__init__(self, ...)`` and ``super().__init__(...)`` reach
+        # the named class's (or the bases') initialiser only, never
+        # every ``__init__`` of the package.
+        s, _ = summaries(
+            """
+            from dataclasses import dataclass
+            class Loud:
+                def __init__(self):
+                    print("constructed")
+            class Base:
+                def __init__(self, t):
+                    self.t = t
+            class Explicit(Base):
+                def __init__(self, t):
+                    Base.__init__(self, t)
+            class Implicit(Base):
+                def __init__(self, t):
+                    super().__init__(t)
+            class Plain:
+                def __init__(self):
+                    super().__init__()
+            @dataclass
+            class Record:
+                t: float = 0.0
+            class FromRecord(Record):
+                def __init__(self, t):
+                    Record.__init__(self, t)
+            def make(t):
+                return Explicit(t), Implicit(t), Plain(), FromRecord(t)
+            """
+        )
+        for name in ("Explicit.__init__", "Implicit.__init__"):
+            assert atoms(s[name]) == {("mutates", "self")}
+        assert not atoms(s["Plain.__init__"])
+        assert not atoms(s["FromRecord.__init__"])
+        assert not atoms(s["make"])
+
     def test_recursive_cycle_converges(self):
         s, _ = summaries(
             """

@@ -68,7 +68,7 @@ class TestMemoizedKernelMutations:
     def test_environment_read_in_strategy_kernel_flagged(
         self, tmp_path, capsys
     ):
-        anchor = "    model = PerfModel(params=params, factors=factors)"
+        anchor = "    model = PerfModel(params=params)"
         text = STRATEGY.read_text()
         assert text.count(anchor) == 1
         dest = tmp_path / "strategy.py"

@@ -23,5 +23,5 @@ def test_source_tree_is_clean():
     assert_clean("src/repro")
 
 
-def test_benchmarks_and_examples_are_clean():
-    assert_clean("benchmarks", "examples")
+def test_examples_are_clean():
+    assert_clean("examples")

@@ -21,7 +21,7 @@ def ruff_binary():
 @pytest.mark.skipif(ruff_binary() is None, reason="ruff is not installed")
 def test_ruff_clean():
     result = subprocess.run(
-        [ruff_binary(), "check", "src", "tests", "benchmarks", "examples"],
+        [ruff_binary(), "check", "src", "tests", "examples"],
         cwd=REPO,
         capture_output=True,
         text=True,
