@@ -12,7 +12,8 @@ Run: ``python examples/distributed_mpt_execution.py``
 
 import numpy as np
 
-from repro.core import GridConfig, MptLayerMachine
+from repro.core import GridConfig
+from repro.core.functional import MptLayerMachine
 from repro.winograd import make_transform, spatial_to_winograd, winograd_forward
 
 

@@ -25,7 +25,6 @@ from ..core import (
 )
 from ..gpu import DgxSystem
 from ..params import entire_cnn_params
-from ..prediction import default_datasets, run_prediction_sweep
 from ..winograd import make_transform
 from ..winograd.costs import access_increase, compute_reduction
 from ..workloads import CnnSpec, five_layers, table1_networks
@@ -104,6 +103,8 @@ def fig07_rows(batch: int = 256) -> List[Dict]:
 def fig12_rows(seed: int = 0) -> List[Dict]:
     """Fig. 12: actual and predicted non-activation ratios across
     quantiser configurations, plus Section V-B traffic reductions."""
+    from ..prediction import default_datasets, run_prediction_sweep
+
     sweep = run_prediction_sweep(default_datasets(seed))
     rows: List[Dict] = []
     for row in sweep.rows:

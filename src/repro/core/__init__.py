@@ -27,12 +27,6 @@ from .dynamic_clustering import (
     candidate_grids,
     choose_clustering,
 )
-from .functional import (
-    MptLayerMachine,
-    MptNetworkMachine,
-    MptWorker,
-    TrafficCounters,
-)
 from .perf_model import LayerPerf, PerfModel, PhasePerf, powered_links
 from .trainer import FaultImpact, IterationResult, LayerReport, TrainingSimulator
 
@@ -58,10 +52,6 @@ __all__ = [
     "ClusteringChoice",
     "candidate_grids",
     "choose_clustering",
-    "MptLayerMachine",
-    "MptNetworkMachine",
-    "MptWorker",
-    "TrafficCounters",
     "LayerPerf",
     "PerfModel",
     "PhasePerf",

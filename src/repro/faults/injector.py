@@ -92,7 +92,8 @@ class FaultInjector(FaultHooks):
         self._windows: Dict[Tuple[int, int], List[_Window]] = {}
         self._has_losses = bool(plan.losses)
         #: Compiled loss rules by link, filled on each link's first
-        #: transmission (they depend on the link alone, not the bind).
+        #: transmission or ``link_state`` query (they depend on the link
+        #: alone, not the bind).
         self._losses: Dict[Link, _LinkLosses] = {}
         # Engine capability flags (see FaultHooks): a plan with no loss
         # rules can never drop, and one with no fault windows can never
@@ -169,28 +170,22 @@ class FaultInjector(FaultHooks):
                 if fail_s <= t1 and repair_s > t0:
                     return "dirty"
         if self._has_losses:
-            for loss in self.plan.losses:
-                if loss.loss_prob <= 0.0:
-                    continue
-                if not (loss.start_s <= t1 and loss.end_s > t0):
-                    continue
-                if loss.link_name_prefix is not None and not link.name.startswith(
-                    loss.link_name_prefix
-                ):
-                    continue
-                if loss.src is not None and loss.src != link.src:
-                    continue
-                if loss.dst is not None and loss.dst != link.dst:
-                    continue
-                return "dirty"
+            for start_s, end_s, _ in self._link_losses(link).rules:
+                if start_s <= t1 and end_s > t0:
+                    return "dirty"
         return "clean"
+
+    def _link_losses(self, link: Link) -> _LinkLosses:
+        """The loss rules matching ``link``, compiled on first use."""
+        losses = self._losses.get(link)
+        if losses is None:
+            losses = self._losses[link] = _LinkLosses(self.plan, link)
+        return losses
 
     def drop_packet(self, link: Link, packet, time: float) -> bool:
         """Whether this transmission is lost: the first rule of the link
         active at ``time`` whose probability exceeds the draw."""
-        losses = self._losses.get(link)
-        if losses is None:
-            losses = self._losses[link] = _LinkLosses(self.plan, link)
+        losses = self._link_losses(link)
         draw = None
         for start_s, end_s, loss_prob in losses.rules:
             if not start_s <= time < end_s:

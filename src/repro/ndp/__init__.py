@@ -1,12 +1,6 @@
 """Near-data-processing worker substrate (paper Section VI)."""
 
-from .comm_unit import (
-    Chunk,
-    CollectiveEngine,
-    P2PEngine,
-    PackedTransfer,
-    ReduceBlock,
-)
+from .comm_unit import Chunk, CollectiveEngine, ReduceBlock
 from .energy import EnergyBreakdown, EnergyModel
 from .systolic import (
     GemmTiming,
@@ -21,8 +15,6 @@ from .taskgraph import ScheduleEntry, Task, TaskExecutor, TaskGraph
 __all__ = [
     "Chunk",
     "CollectiveEngine",
-    "P2PEngine",
-    "PackedTransfer",
     "ReduceBlock",
     "EnergyBreakdown",
     "EnergyModel",

@@ -1,29 +1,22 @@
-"""Functional models of the NDP communication units (paper Section VI-C).
+"""Functional model of the NDP collective unit (paper Section VI-C).
 
-Two engines sit on each module's logic layer:
+:class:`CollectiveEngine` runs ring reduce/broadcast with per-message
+Reduce blocks.  Messages are chunked; chunks of *different* messages may
+arrive in any order (the concurrent-collective optimisation), so each
+Reduce block looks up its chunk in the communication buffer and either
+accumulates into it or stores it.
 
-* :class:`CollectiveEngine` — ring reduce/broadcast with per-message
-  Reduce blocks.  Messages are chunked; chunks of *different* messages may
-  arrive in any order (the concurrent-collective optimisation), so each
-  Reduce block looks up its chunk in the communication buffer and either
-  accumulates into it or stores it.
-* :class:`P2PEngine` — tile transfer: packs tile data through the
-  activation map (skipping non-activated tiles / zero values, pointer-
-  shift packing), unpacks with zero refill at the receiver.
-
-These are *functional* models: they move and transform real numpy data so
-correctness is testable end to end; their timing lives in the network
+This is a *functional* model: it moves and sums real numpy data so
+correctness is testable end to end; its timing lives in the network
 simulator and the performance model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
-
-from ..prediction.zero_skip import pack_nonzero, unpack_nonzero
 
 
 @dataclass
@@ -128,47 +121,3 @@ class CollectiveEngine:
                     1, (hi - lo + self.chunk_elems - 1) // self.chunk_elems
                 )
         return [f.reshape(shape) for f in flat], chunk_hops
-
-
-@dataclass
-class PackedTransfer:
-    """A packed tile transfer: bitmask plus surviving values."""
-
-    activation_map: np.ndarray
-    payload: np.ndarray
-    original_shape: tuple
-
-    @property
-    def wire_bytes(self) -> int:
-        """Bytes on the wire: packed FP32 values + 1-bit map."""
-        return int(self.payload.size * 4 + np.ceil(self.activation_map.size / 8))
-
-
-class P2PEngine:
-    """Tile gather/scatter endpoint with activation-map packing."""
-
-    def pack(
-        self, values: np.ndarray, keep_mask: Optional[np.ndarray] = None
-    ) -> PackedTransfer:
-        """Pack ``values`` for transfer.
-
-        ``keep_mask`` (same shape) marks values that must be sent (e.g.
-        tiles predicted activated); by default exact zeros are dropped
-        (zero-skipping).
-        """
-        if keep_mask is None:
-            mask, payload = pack_nonzero(values)
-        else:
-            if keep_mask.shape != values.shape:
-                raise ValueError("keep_mask shape mismatch")
-            mask = keep_mask.reshape(-1).astype(bool)
-            payload = values.reshape(-1)[mask]
-        return PackedTransfer(
-            activation_map=mask, payload=payload, original_shape=values.shape
-        )
-
-    def unpack(self, transfer: PackedTransfer) -> np.ndarray:
-        """Reconstruct the dense array, refilling skipped values with 0."""
-        return unpack_nonzero(
-            transfer.activation_map, transfer.payload, transfer.original_shape
-        )

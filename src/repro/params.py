@@ -24,8 +24,6 @@ class HardwareParams:
     full_link_bytes_per_s: float = 16 * 15e9 / 8
     #: Narrow link: 8 lanes x 10 Gbps per direction (cluster FBFLY).
     narrow_link_bytes_per_s: float = 8 * 10e9 / 8
-    #: Bidirectional full-width I/O links per memory module.
-    io_links_per_module: int = 4
     #: SerDes latency per hop (2.5 ns serialise + 2.5 ns deserialise).
     serdes_latency_s: float = 5e-9
     #: Router pipeline latency (cycles).
@@ -46,9 +44,6 @@ class HardwareParams:
     # --- compute (Section VI-B) ---------------------------------------------
     systolic_rows: int = 64
     systolic_cols: int = 64
-    #: Double-buffered systolic input buffers, bytes per instance.
-    input_buffer_bytes: int = 512 * 1024
-    output_buffer_bytes: int = 128 * 1024
     #: Vector unit lanes (scratch-pad based, Section VI-B).
     vector_lanes: int = 64
 

@@ -21,13 +21,7 @@ from .statistics import (
     run_prediction_sweep,
     tile_sample_from_network,
 )
-from .zero_skip import (
-    ZeroSkipResult,
-    pack_nonzero,
-    unpack_nonzero,
-    zero_skip_1d,
-    zero_skip_2d,
-)
+from .zero_skip import ZeroSkipResult, zero_skip_1d, zero_skip_2d
 
 __all__ = [
     "PredictionResult",
@@ -46,8 +40,6 @@ __all__ = [
     "run_prediction_sweep",
     "tile_sample_from_network",
     "ZeroSkipResult",
-    "pack_nonzero",
-    "unpack_nonzero",
     "zero_skip_1d",
     "zero_skip_2d",
 ]

@@ -62,24 +62,3 @@ def zero_skip_1d(
     """Skip statistics for half-transformed input tiles ``B^T x``."""
     half = np.tensordot(spatial_tiles, transform.B, axes=([-2], [0]))
     return _result_from_mask(np.abs(half) <= tol)
-
-
-def pack_nonzero(values: np.ndarray, tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
-    """Pack a value stream: returns ``(activation_map, packed_values)``.
-
-    Mirrors the pointer-based packing DMA of paper Section VI-C (the
-    hardware shifts pointers instead of data; functionally the result is
-    the same packed stream plus bitmask).
-    """
-    flat = values.reshape(-1)
-    mask = np.abs(flat) > tol
-    return mask, flat[mask]
-
-
-def unpack_nonzero(
-    mask: np.ndarray, packed: np.ndarray, shape: tuple
-) -> np.ndarray:
-    """Inverse of :func:`pack_nonzero`: zeros re-filled at the receiver."""
-    flat = np.zeros(mask.shape, dtype=packed.dtype)
-    flat[mask] = packed
-    return flat.reshape(shape)

@@ -201,6 +201,19 @@ def _arg_map(
     return mapping
 
 
+def _binds(desc: CallDesc, callee: FunctionInfo, mode: str) -> bool:
+    """Whether a call without ``*``/``**`` can bind to ``callee``: no
+    surplus positional, no unknown keyword, every required positional
+    parameter given."""
+    given = len(desc.arg_roots) + (mode == "method" and callee.is_method)
+    if given > callee.positional and not callee.varargs:
+        return False
+    keywords = {name for name, _ in desc.kw_roots}
+    if not callee.varkw and not keywords.issubset(callee.params):
+        return False
+    return all(name in keywords for name in callee.params[given:callee.required])
+
+
 def _translate(
     atoms: EffectSet,
     desc: CallDesc,
@@ -311,24 +324,29 @@ def link_package(
                     inits = class_inits.get(owner, ())
                     node.edges.extend((key, desc, "method") for key in inits if key)
                 continue
-            # attribute call
-            keys = methods.get(desc.name, []) + name_funcs.get(desc.name, [])
-            if keys:
-                edges_resolved += 1
-                for key in keys:
-                    mode = "method" if key in method_keys else "func"
-                    node.edges.append((key, desc, mode))
-                continue
-            if desc.name in PURE_METHODS or desc.name in ALIAS_METHODS:
-                edges_resolved += 1
-                continue
-            if desc.name in MUTATOR_METHODS or desc.name in RNG_STATE_METHODS:
-                edges_resolved += 1
+            # attribute call.  A builtin mutator name mutates its receiver
+            # whatever package defs share the name (``s.add(x)`` on a set).
+            mutator = desc.name in MUTATOR_METHODS or desc.name in RNG_STATE_METHODS
+            if mutator:
                 for base, name in desc.recv_roots:
                     node.direct.add(
                         (MUTATES, name) if base == "param"
                         else (GLOBAL_WRITE, name)
                     )
+            # Every same-named def the call can bind to, or all of them
+            # when none can (or a splat hides the count).
+            keys = methods.get(desc.name, []) + name_funcs.get(desc.name, [])
+            if keys:
+                edges_resolved += 1
+                targets = [(k, "method" if k in method_keys else "func") for k in keys]
+                if not desc.star:
+                    targets = [
+                        (k, mode) for k, mode in targets if _binds(desc, nodes[k].info, mode)
+                    ] or targets
+                node.edges.extend((key, desc, mode) for key, mode in targets)
+                continue
+            if mutator or desc.name in PURE_METHODS or desc.name in ALIAS_METHODS:
+                edges_resolved += 1
                 continue
             if desc.name in IO_METHODS:
                 edges_resolved += 1

@@ -138,6 +138,10 @@ class FunctionInfo:
     params: Tuple[str, ...]  # named parameters, in order, incl. self
     is_method: bool
     decorators: Tuple[str, ...]
+    positional: int = 0  # leading ``params`` that bind by position
+    required: int = 0  # of those, the ones without a default
+    varargs: bool = False  # takes ``*args``
+    varkw: bool = False  # takes ``**kwargs``
     direct: Set[Effect] = field(default_factory=set)
     calls: List[CallDesc] = field(default_factory=list)
     returns_params: Set[str] = field(default_factory=set)
@@ -738,6 +742,8 @@ def collect_module(tree: ast.Module, path: str) -> ModuleInfo:
         )
         is_method = class_name is not None and "staticmethod" not in decorators
         qual = f"{class_name}.{fn.name}" if class_name else fn.name
+        args = fn.args
+        positional = len(args.posonlyargs) + len(args.args)
         fninfo = FunctionInfo(
             name=fn.name,
             qualname=qual,
@@ -745,6 +751,10 @@ def collect_module(tree: ast.Module, path: str) -> ModuleInfo:
             params=_param_names(fn),
             is_method=is_method,
             decorators=decorators,
+            positional=positional,
+            required=positional - len(args.defaults),
+            varargs=args.vararg is not None,
+            varkw=args.kwarg is not None,
             vouched="effect_free" in decorators,
         )
         _FunctionAnalyzer(

@@ -1,10 +1,10 @@
 """End-to-end integration: functional data flow through the
-communication engines.  The figure generators and the measured traffic
+collective engine.  The figure generators and the measured traffic
 factors are checked as claims in ``tests/test_paper_claims.py``."""
 
 import numpy as np
 
-from repro.ndp import CollectiveEngine, P2PEngine
+from repro.ndp import CollectiveEngine
 
 
 class TestFunctionalDataFlow:
@@ -40,22 +40,3 @@ class TestFunctionalDataFlow:
         results, _ = CollectiveEngine(chunk_elems=32).allreduce(contributions)
         for result in results:
             np.testing.assert_allclose(result, dw_full, atol=1e-8)
-
-    def test_tile_transfer_with_packing_is_lossless(self):
-        """Scatter Winograd input tiles through the P2P engine with
-        zero-skipping and verify the dot products are unchanged."""
-        from repro.winograd import TileGrid, elementwise_matmul, extract_tiles, make_transform
-        from repro.nn import natural_feature_maps
-
-        transform = make_transform(2, 3)
-        maps = natural_feature_maps(2, 3, 8, seed=1, sparsity=0.7)
-        grid = TileGrid(height=8, width=8, pad=1, m=2, r=3)
-        tiles = transform.transform_input(extract_tiles(maps, grid))
-        rng = np.random.default_rng(2)
-        weights = rng.standard_normal((4, 4, 3, 4))
-        expected = elementwise_matmul(tiles, weights)
-
-        engine = P2PEngine()
-        received = engine.unpack(engine.pack(tiles))
-        got = elementwise_matmul(received, weights)
-        np.testing.assert_allclose(got, expected, atol=1e-12)

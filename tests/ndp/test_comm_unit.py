@@ -1,11 +1,11 @@
-"""Tests for the functional communication engines (Section VI-C)."""
+"""Tests for the functional collective engine (Section VI-C)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ndp import Chunk, CollectiveEngine, P2PEngine, ReduceBlock
+from repro.ndp import Chunk, CollectiveEngine, ReduceBlock
 
 
 class TestReduceBlock:
@@ -75,33 +75,3 @@ class TestCollectiveEngine:
             [rng.standard_normal(64) for _ in range(8)]
         )[1]
         assert large > small
-
-
-class TestP2PEngine:
-    def test_zero_skip_round_trip(self):
-        engine = P2PEngine()
-        rng = np.random.default_rng(0)
-        values = rng.standard_normal((4, 4, 4))
-        values[np.abs(values) < 0.5] = 0.0
-        transfer = engine.pack(values)
-        np.testing.assert_array_equal(engine.unpack(transfer), values)
-
-    def test_keep_mask_overrides_zero_skip(self):
-        engine = P2PEngine()
-        values = np.array([[1.0, 2.0], [3.0, 4.0]])
-        keep = np.array([[True, False], [False, True]])
-        transfer = engine.pack(values, keep_mask=keep)
-        restored = engine.unpack(transfer)
-        np.testing.assert_array_equal(restored, [[1.0, 0.0], [0.0, 4.0]])
-
-    def test_mask_shape_checked(self):
-        engine = P2PEngine()
-        with pytest.raises(ValueError):
-            engine.pack(np.zeros((2, 2)), keep_mask=np.zeros(3, dtype=bool))
-
-    def test_wire_bytes_counts_payload_and_map(self):
-        engine = P2PEngine()
-        values = np.zeros(64)
-        values[:16] = 1.0
-        transfer = engine.pack(values)
-        assert transfer.wire_bytes == 16 * 4 + 8  # 64-bit map

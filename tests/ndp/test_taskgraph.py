@@ -1,8 +1,8 @@
-"""Tests for the update-counter task graph and executor."""
+"""Tests for the task graph and its executor."""
 
 import pytest
 
-from repro.ndp import Task, TaskExecutor, TaskGraph
+from repro.ndp import TaskExecutor, TaskGraph
 
 
 def make_graph():
@@ -24,34 +24,6 @@ class TestGraphConstruction:
         graph = TaskGraph()
         with pytest.raises(ValueError):
             graph.add_task("b", deps=["missing"])
-
-    def test_cycle_detected(self):
-        graph = TaskGraph()
-        graph.add(Task(name="a"))
-        graph.add(Task(name="b", deps=["a"]))
-        # Force a cycle by editing (the add API prevents forward refs).
-        graph.tasks["a"].deps.append("b")
-        with pytest.raises(ValueError):
-            graph.validate_acyclic()
-
-    def test_topological_order(self):
-        graph = make_graph()
-        order = graph.validate_acyclic()
-        assert order.index("load") < order.index("compute") < order.index("store")
-
-
-class TestUpdateCounters:
-    def test_ready_checks_counters(self):
-        graph = make_graph()
-        assert graph.ready("load")
-        assert not graph.ready("compute")
-        graph.update_counter["load"] = 1
-        assert graph.ready("compute")
-
-    def test_counters_incremented_by_run(self):
-        graph = make_graph()
-        TaskExecutor(graph).run()
-        assert all(count == 1 for count in graph.update_counter.values())
 
 
 class TestExecution:
@@ -83,13 +55,6 @@ class TestExecution:
         # b1 (compute) overlaps c2 (network); c1 then queues behind c2 on
         # the shared rings: 1 + 5 + 1 = 7, not the serial 8.
         assert makespan == pytest.approx(7.0)
-
-    def test_body_executed(self):
-        ran = []
-        graph = TaskGraph()
-        graph.add_task("a", 1.0, body=lambda: ran.append("a"))
-        TaskExecutor(graph).run()
-        assert ran == ["a"]
 
     def test_schedule_recorded(self):
         graph = make_graph()

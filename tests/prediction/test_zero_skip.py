@@ -1,16 +1,9 @@
 """Tests for zero-skipping of input-tile scatter (paper Section V-B)."""
 
 import numpy as np
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.nn import natural_feature_maps
-from repro.prediction import (
-    pack_nonzero,
-    unpack_nonzero,
-    zero_skip_1d,
-    zero_skip_2d,
-)
+from repro.prediction import zero_skip_1d, zero_skip_2d
 from repro.winograd import TileGrid, extract_tiles, make_transform
 
 
@@ -19,29 +12,6 @@ def sparse_tiles(seed=0, sparsity=0.65):
     maps = natural_feature_maps(4, 8, 16, seed=seed, sparsity=sparsity)
     grid = TileGrid(height=16, width=16, pad=1, m=2, r=3)
     return np.moveaxis(extract_tiles(maps, grid), (0, 1), (-2, -1))
-
-
-class TestPackUnpack:
-    @given(seed=st.integers(min_value=0, max_value=10_000))
-    @settings(max_examples=30, deadline=None)
-    def test_property_round_trip(self, seed):
-        rng = np.random.default_rng(seed)
-        values = rng.standard_normal((3, 4, 4))
-        values[values < 0.5] = 0.0
-        mask, packed = pack_nonzero(values)
-        restored = unpack_nonzero(mask, packed, values.shape)
-        np.testing.assert_array_equal(restored, values)
-
-    def test_all_zero(self):
-        mask, packed = pack_nonzero(np.zeros((2, 2)))
-        assert packed.size == 0
-        np.testing.assert_array_equal(unpack_nonzero(mask, packed, (2, 2)), 0.0)
-
-    def test_packed_size_equals_nonzeros(self):
-        values = np.array([0.0, 1.0, 0.0, 2.0, 3.0])
-        mask, packed = pack_nonzero(values)
-        assert packed.size == 3
-        assert mask.sum() == 3
 
 
 class TestSkipRatios:

@@ -294,6 +294,44 @@ class TestInterprocedural:
         )
         assert ("mutates", "sim") in atoms(s["drive"])
 
+    def test_attribute_call_joins_only_bindable_methods(self):
+        # ``sim.send(message, when)`` cannot bind to the three-argument
+        # ``Worm.send``, so its mutated ``dst`` never maps onto ``when``;
+        # a call no candidate can bind to still joins them all.
+        s, _ = summaries(
+            """
+            class Engine:
+                def send(self, message, start_time=None):
+                    self.queue = [message, start_time]
+            class Worm:
+                def send(self, src, dst, size):
+                    dst.append(size)
+            def drive(sim, message, when):
+                sim.send(message, when)
+            def by_keyword(sim, message, when):
+                sim.send(message, start_time=when)
+            def unbindable(sim, a, b, c, d):
+                sim.send(a, b, c, d)
+            """
+        )
+        assert atoms(s["drive"]) == {("mutates", "sim")}
+        assert atoms(s["by_keyword"]) == {("mutates", "sim")}
+        assert atoms(s["unbindable"]) == {("mutates", "sim"), ("mutates", "b")}
+
+    def test_builtin_mutator_shadowed_by_package_method(self):
+        # ``seen.add(x)`` mutates ``seen`` even though the package's own
+        # ``add`` method mutates nothing.
+        s, _ = summaries(
+            """
+            class Tally:
+                def add(self, a, b):
+                    return a + b
+            def record(seen, x):
+                seen.add(x)
+            """
+        )
+        assert atoms(s["record"]) == {("mutates", "seen")}
+
     def test_constructor_self_mutation_dropped(self):
         s, _ = summaries(
             """

@@ -1,14 +1,20 @@
-"""Guard: the declared runtime dependencies are the ones the package
-imports.
+"""Guards on what the package imports.
 
 ``install_requires`` in ``setup.py`` must name exactly the third-party
 top-level modules imported anywhere under ``src/repro`` (the standard
 library, per ``sys.stdlib_module_names``, and the package itself
 excluded), so a dependency is neither missing nor declared for nothing.
+
+The simulator never loads the functional accuracy studies: ``scipy``,
+``repro.nn`` and ``repro.prediction`` are imported only where Figs. 12
+and 14 run, never by the CLI, the fault and planner packages or the
+sweep modules.
 """
 
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -37,3 +43,27 @@ def imported_third_party():
 
 def test_install_requires_matches_imports():
     assert declared_requirements() == imported_third_party()
+
+
+#: Imports the CLI, the fault and planner packages, both figure modules and
+#: every sweep kernel, then prints each loaded training or prediction module.
+SIMULATOR_IMPORTS = """
+import sys
+import repro.analysis.figures, repro.analysis.planner, repro.cli, repro.faults, repro.planner
+import repro.perf
+repro.perf.import_sweep_modules()
+stacks = ("scipy", "repro.nn", "repro.prediction")
+print(*sorted(m for m in sys.modules if m in stacks or m.startswith(tuple(s + "." for s in stacks))))
+"""
+
+
+def test_simulator_does_not_load_training_stack():
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", SIMULATOR_IMPORTS],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.split() == []
