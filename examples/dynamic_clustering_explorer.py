@@ -14,6 +14,7 @@ from repro.core import (
     MachineConfig,
     PerfModel,
     candidate_grids,
+    choose_clustering,
     layer_comm_volume,
     w_mp_plus_plus,
 )
@@ -30,22 +31,18 @@ def main() -> None:
               f"{layer.weight_count * 4 / 1024:.0f} KB weights ===")
         print(f"{'grid':>10} {'weight MB':>10} {'tile MB':>9} "
               f"{'fwd us':>8} {'bwd us':>8} {'total us':>9}")
-        best = None
-        rows = []
+        chosen = choose_clustering(
+            layer, machine.batch, config, machine.workers, model
+        ).grid
         for grid in candidate_grids(layer, config, machine.workers):
             volume = layer_comm_volume(layer, machine.batch, config, grid)
             perf = model.evaluate_layer(layer, machine.batch, config, grid)
-            total = perf.total_s
-            rows.append((grid, volume, perf, total))
-            if best is None or total < best[3]:
-                best = rows[-1]
-        for grid, volume, perf, total in rows:
-            marker = "  <= chosen" if grid == best[0] else ""
+            marker = "  <= chosen" if grid == chosen else ""
             print(f"({grid.num_groups:3d},{grid.num_clusters:3d}) "
                   f"{volume.weight_bytes / 1e6:>10.2f} "
                   f"{volume.tile_bytes / 1e6:>9.2f} "
                   f"{perf.forward_s * 1e6:>8.1f} {perf.backward_s * 1e6:>8.1f} "
-                  f"{total * 1e6:>9.1f}{marker}")
+                  f"{perf.total_s * 1e6:>9.1f}{marker}")
         print()
 
 

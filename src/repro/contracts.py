@@ -15,13 +15,16 @@ automatically) and one entry per returned value:
 * ``N``          — a scalar (int) value bound to symbol/expression ``N``.
 * ``_``          — unconstrained (non-array parameters, opaque returns).
 
-Contracts are **zero-cost by default**: the decorator only attaches the
-parsed contract as ``__shape_contract__`` and returns the function
-unchanged.  The contract is consumed *statically* by statcheck's
-abstract interpreter, ``repro.statcheck.interp`` (rule families
-``SHAPE001``–``SHAPE006`` and ``COST001``–``COST005``).  Set
+Contracts are **zero-cost by default**: ``@shaped`` only records the
+spec text as ``__shape_spec__``, ``@cost`` records nothing, and both
+return the function unchanged without parsing, so importing a contracted
+module loads none of the symbolic-dimension algebra.  The contracts are
+consumed *statically*: statcheck reads them from the AST and its
+abstract interpreter, ``repro.statcheck.interp``, checks them (rule
+families ``SHAPE001``–``SHAPE006`` and ``COST001``–``COST005``; a
+malformed spec is ``SHAPE001``/``COST001``).  Set
 ``REPRO_CHECK_SHAPES=1`` in the environment **before import** to
-additionally wrap every contracted function with a runtime checker that
+additionally wrap every ``@shaped`` function with a runtime checker that
 unifies actual shapes against the spec on each call and raises
 :class:`ShapeContractError` on mismatch.
 
@@ -37,9 +40,10 @@ import inspect
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
-from .statcheck.symdims import SymDim, SymDimError, parse_dim
+if TYPE_CHECKING:
+    from .statcheck.symdims import SymDim
 
 
 class ContractSyntaxError(ValueError):
@@ -110,6 +114,8 @@ def _split_top_level(text: str) -> List[str]:
 
 
 def _parse_entry(text: str, spec: str) -> ArgSpec:
+    from .statcheck.symdims import SymDimError, parse_dim
+
     if text == "_":
         return ArgSpec(kind="skip")
     if text.startswith("(") and text.endswith(")"):
@@ -211,6 +217,8 @@ class CostContract:
 
 
 def _parse_cost_dim(text: str, slot: str) -> SymDim:
+    from .statcheck.symdims import SymDimError, parse_dim
+
     try:
         return parse_dim(text)
     except SymDimError as exc:
@@ -268,20 +276,16 @@ def cost(
 ) -> Callable:
     """Declare the symbolic cost of a kernel (see :class:`CostContract`).
 
-    Zero-cost: the parsed contract is attached as ``__cost_contract__``
-    and the function is returned unchanged.  The ``repro.statcheck``
-    ``COST`` rule family derives each annotated function's actual cost
-    polynomial from its AST and checks it against this declaration.
-    Quantities: ``flops`` counts floating-point operations (2 per MAC),
-    ``mem`` counts bytes materialized (4 bytes/element, fp32 model).
+    Zero-cost: the function is returned unchanged and nothing is parsed
+    or attached at run time.  The ``repro.statcheck`` ``COST`` rule
+    family reads these keywords from the AST, parses them with
+    :func:`parse_cost`, derives each annotated function's actual cost
+    polynomial and checks it against this declaration.  Quantities:
+    ``flops`` counts floating-point operations (2 per MAC), ``mem``
+    counts bytes materialized (4 bytes/element, fp32 model).
     """
-    contract = parse_cost(
-        flops=flops, mem=mem, ret=ret, ret_sum=ret_sum, ret_len=ret_len,
-        where=where, assume=assume,
-    )
 
     def decorate(fn: Callable) -> Callable:
-        fn.__cost_contract__ = contract
         return fn
 
     return decorate
@@ -299,12 +303,14 @@ RUNTIME_CHECKS = _runtime_enabled()
 
 
 def shaped(spec: str) -> Callable:
-    """Declare an array-shape contract (see module docstring)."""
-    contract = parse_spec(spec)
+    """Declare an array-shape contract (see module docstring).  The spec
+    is parsed here only when runtime checks are on; otherwise
+    :func:`checked` parses the recorded ``__shape_spec__`` on demand."""
+    contract = parse_spec(spec) if RUNTIME_CHECKS else None
 
     def decorate(fn: Callable) -> Callable:
-        fn.__shape_contract__ = contract
-        if not RUNTIME_CHECKS:
+        fn.__shape_spec__ = spec
+        if contract is None:
             return fn
         return checked(fn, contract)
 
@@ -428,7 +434,7 @@ def checked(fn: Callable, contract: Optional[ShapeContract] = None) -> Callable:
     import functools
 
     if contract is None:
-        contract = fn.__shape_contract__
+        contract = parse_spec(fn.__shape_spec__)
     param_names = _positional_params(fn)
     sig = inspect.signature(fn)
 
@@ -458,7 +464,6 @@ def checked(fn: Callable, contract: Optional[ShapeContract] = None) -> Callable:
                 _unify_entry(entry, value, env, f"{fn.__qualname__} return[{i}]")
         return result
 
-    wrapper.__shape_contract__ = contract
     return wrapper
 
 

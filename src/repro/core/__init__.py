@@ -15,18 +15,13 @@ from .config import (
     SystemConfig,
     clustering_candidates,
     d_dp,
-    default_grid,
     table4_configs,
     w_dp,
     w_mp,
     w_mp_plus,
     w_mp_plus_plus,
 )
-from .dynamic_clustering import (
-    ClusteringChoice,
-    candidate_grids,
-    choose_clustering,
-)
+from .dynamic_clustering import candidate_grids, choose_clustering
 from .perf_model import LayerPerf, PerfModel, PhasePerf, powered_links
 from .trainer import FaultImpact, IterationResult, LayerReport, TrainingSimulator
 
@@ -43,13 +38,11 @@ __all__ = [
     "SystemConfig",
     "clustering_candidates",
     "d_dp",
-    "default_grid",
     "table4_configs",
     "w_dp",
     "w_mp",
     "w_mp_plus",
     "w_mp_plus_plus",
-    "ClusteringChoice",
     "candidate_grids",
     "choose_clustering",
     "LayerPerf",

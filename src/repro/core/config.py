@@ -143,16 +143,6 @@ def clustering_candidates(p: int, tile_elems: int) -> Tuple[GridConfig, ...]:
     return tuple(candidates)
 
 
-def default_grid(config: SystemConfig, p: int, tile_elems: int) -> GridConfig:
-    """The fixed grid used when dynamic clustering is off: pure DP for
-    non-MPT configs; the squarest candidate (``(16, 16)`` at p = 256,
-    Section VII-A) for MPT."""
-    if not config.mpt:
-        return GridConfig(num_groups=1, num_clusters=p)
-    candidates = clustering_candidates(p, tile_elems)
-    return max(candidates, key=lambda g: g.num_groups)
-
-
 @dataclass(frozen=True)
 class MachineConfig:
     """The simulated machine: worker count, batch and hardware constants."""

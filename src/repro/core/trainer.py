@@ -18,7 +18,7 @@ from ..ndp.taskgraph import TaskExecutor, TaskGraph
 from ..workloads.layers import ConvLayerSpec
 from ..workloads.networks import CnnSpec
 from .config import GridConfig, MachineConfig, SystemConfig
-from .dynamic_clustering import ClusteringChoice, choose_clustering
+from .dynamic_clustering import choose_clustering
 from .perf_model import LayerPerf, PerfModel
 
 
@@ -110,8 +110,11 @@ class LayerReport:
     """One layer's simulated iteration under a configuration."""
 
     layer: ConvLayerSpec
-    grid: GridConfig
     perf: LayerPerf
+
+    @property
+    def grid(self) -> GridConfig:
+        return self.perf.grid
 
     @property
     def forward_s(self) -> float:
@@ -168,16 +171,15 @@ class TrainingSimulator:
         self.machine = machine or MachineConfig()
         self.model = PerfModel(self.machine.params)
 
-    def plan_layers(
-        self, net: CnnSpec, config: SystemConfig
-    ) -> List[ClusteringChoice]:
-        """Pick a grid per layer (dynamic clustering when enabled).
+    def plan_layers(self, net: CnnSpec, config: SystemConfig) -> List[LayerPerf]:
+        """Each layer's evaluation at its chosen grid (dynamic clustering
+        when enabled).
 
         Same-shape layers (repeated VGG/WRN blocks) share one choice:
         within a plan, batch/config/workers are fixed, so the layer
         itself (whose equality ignores the display ``name``) fully keys
         the decision — a local dict probe instead of a trip through the
-        process-wide sweep cache per repeated block.
+        process-wide sweep cache per candidate grid of a repeated block.
         """
         local: dict = {}
         choices = []
@@ -212,7 +214,7 @@ class TrainingSimulator:
         overhead.  ``faults=None`` is the fault-free path and is
         bit-identical to not having the faults package at all.
         """
-        choices = self.plan_layers(net, config)
+        perfs = self.plan_layers(net, config)
         result = IterationResult(
             config_name=config.name,
             workers=self.machine.workers,
@@ -229,13 +231,10 @@ class TrainingSimulator:
             result.grad_renorm = faults.grad_renorm
         graph = TaskGraph()
         previous_fprop: Optional[str] = None
-        for index, (layer, choice) in enumerate(zip(net.conv_layers, choices)):
-            perf = choice.perf
-            # A shared choice keeps the first same-shape layer it was
+        for index, (layer, perf) in enumerate(zip(net.conv_layers, perfs)):
+            # A shared evaluation keeps the first same-shape layer it was
             # computed for; the report names this one.
-            result.layers.append(
-                LayerReport(layer=layer, grid=choice.chosen, perf=perf)
-            )
+            result.layers.append(LayerReport(layer=layer, perf=perf))
             duration = perf.phases["fprop"].time_s
             if faults is not None:
                 duration *= compute_scale
@@ -249,8 +248,8 @@ class TrainingSimulator:
             previous_fprop = f"f{index}"
         previous_bprop: Optional[str] = previous_fprop
         first_collective = True
-        for index in range(len(choices) - 1, -1, -1):
-            perf = choices[index].perf
+        for index in range(len(perfs) - 1, -1, -1):
+            perf = perfs[index]
             update = perf.phases["update"]
             compute_side = max(update.compute_s, update.dram_s)
             duration = perf.phases["bprop"].time_s + compute_side
@@ -286,7 +285,7 @@ class TrainingSimulator:
     ) -> LayerReport:
         """Layer-wise evaluation used by Fig. 15/16: one layer trained in
         isolation (forward + backward including its collective)."""
-        choice = choose_clustering(
+        perf = choose_clustering(
             layer, self.machine.batch, config, self.machine.workers, self.model
         )
-        return LayerReport(layer=layer, grid=choice.chosen, perf=choice.perf)
+        return LayerReport(layer=layer, perf=perf)

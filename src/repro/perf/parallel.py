@@ -22,7 +22,6 @@ from .memoize import MEMOIZED_SWEEPS, SweepCache
 #: Modules whose import registers every sweep kernel.
 SWEEP_MODULES: Tuple[str, ...] = (
     "repro.core.perf_model",
-    "repro.core.dynamic_clustering",
     "repro.faults.scenarios",
     "repro.netsim.reconfiguration",
     "repro.planner.strategy",

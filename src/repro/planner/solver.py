@@ -20,10 +20,9 @@ preset it equals the greedy total bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..core.config import SystemConfig
-from ..core.dynamic_clustering import _choose_clustering_cached
 from ..core.perf_model import PerfModel
 from ..params import DEFAULT_PARAMS, HardwareParams
 from ..perf import memoize_sweep
@@ -57,6 +56,12 @@ def _step_total(prefix: float, transition_c: float, candidate_c: float) -> float
     the greedy reference is what makes their totals comparable in
     floats, not just in exact arithmetic."""
     return (prefix + transition_c) + candidate_c
+
+
+def _first_min(values: Sequence[float]) -> int:
+    """Index of the smallest value.  ``min`` keeps the first of equal
+    values, the tie-breaking every solver and the greedy baseline share."""
+    return min(range(len(values)), key=values.__getitem__)
 
 
 @dataclass(frozen=True)
@@ -185,8 +190,8 @@ def _plan_network_cached(
             per_layer, layers, batch, transition, objective, params
         )
     return _assemble(
-        network, mode, objective, transition, layers, per_layer, indices,
-        batch, params,
+        network, mode, objective, transition, layers,
+        [per_layer[i][j] for i, j in enumerate(indices)], batch, params,
     )
 
 
@@ -214,20 +219,13 @@ def _solve_dp(
 ) -> Tuple[int, ...]:
     """Viterbi decode: exact for adjacent-pair transition costs."""
     if transition.is_zero:
-        # Decomposed per-layer argmin — the same strict-< first-minimal
-        # loop the greedy optimiser runs, so the chosen indices (not
-        # just the total) match greedy exactly.
-        chosen: List[int] = []
-        for candidates in per_layer:
-            best_j = 0
-            best = candidates[0].cost_in(objective)
-            for j in range(1, len(candidates)):
-                value = candidates[j].cost_in(objective)
-                if value < best:
-                    best = value
-                    best_j = j
-            chosen.append(best_j)
-        return tuple(chosen)
+        # Decomposed per-layer argmin: ``min`` keeps the first of equal
+        # costs, as greedy does, so the chosen indices (not just the
+        # total) match greedy exactly.
+        return tuple(
+            _first_min([cand.cost_in(objective) for cand in candidates])
+            for candidates in per_layer
+        )
 
     totals: List[float] = [
         _step_total(0.0, 0.0, c.cost_in(objective)) for c in per_layer[0]
@@ -255,13 +253,7 @@ def _solve_dp(
         back.append(pointers)
         totals = new_totals
 
-    best_j = 0
-    best = totals[0]
-    for j in range(1, len(totals)):
-        if totals[j] < best:
-            best = totals[j]
-            best_j = j
-    chain = [best_j]
+    chain = [_first_min(totals)]
     for pointers in reversed(back):
         chain.append(pointers[chain[-1]])
     chain.reverse()
@@ -320,23 +312,17 @@ def _assemble(
     objective: str,
     transition: TransitionCostModel,
     layers: Tuple[ConvLayerSpec, ...],
-    per_layer: List[Tuple[StrategyCandidate, ...]],
-    indices: Tuple[int, ...],
+    chain: Sequence[StrategyCandidate],
     batch: int,
     params: HardwareParams,
 ) -> NetworkPlan:
     steps: List[PlannedLayer] = []
     total = 0.0
     prev_cand: Optional[StrategyCandidate] = None
-    for i, j in enumerate(indices):
-        cand = per_layer[i][j]
-        trans = transition_cost(
-            transition, prev_cand, cand, layers[i], batch, params
-        )
+    for layer, cand in zip(layers, chain):
+        trans = transition_cost(transition, prev_cand, cand, layer, batch, params)
         total = _step_total(total, trans.cost_in(objective), cand.cost_in(objective))
-        steps.append(
-            PlannedLayer(layer=layers[i], candidate=cand, transition=trans)
-        )
+        steps.append(PlannedLayer(layer=layer, candidate=cand, transition=trans))
         prev_cand = cand
     return NetworkPlan(
         network=network,
@@ -360,10 +346,11 @@ def greedy_plan(
 ) -> NetworkPlan:
     """The paper's greedy baseline, priced as a plan.
 
-    Each layer's grid comes from the per-layer greedy optimiser
-    (:func:`~repro.core.dynamic_clustering.choose_clustering`, via its
-    cached kernel) and is mapped onto the matching default strategy
-    candidate; the chain is then priced under the *same* transition
+    Each layer takes the per-layer greedy optimiser's choice
+    (:func:`~repro.core.dynamic_clustering.choose_clustering`): the first
+    fastest of its default-transform, whole-batch strategy candidates,
+    one per grid in the same order and scored from the same cached
+    evaluations.  The chain is then priced under the *same* transition
     model and fold as the DP, so ``dp.total_cost <= greedy.total_cost``
     holds in exact float comparison.  Greedy ignores the capacity
     filter, as the paper does — its plan may be marked infeasible.
@@ -374,32 +361,20 @@ def greedy_plan(
         )
     model = model or PerfModel()
     layers = tuple(net.conv_layers)
-    per_layer: List[Tuple[StrategyCandidate, ...]] = []
-    indices: List[int] = []
-    for layer in layers:
-        choice = _choose_clustering_cached(
-            layer, batch, config, workers, model.params
+    chain = [
+        min(
+            (
+                cand
+                for cand in _layer_candidates_cached(
+                    layer, batch, config, workers, knobs, model.params
+                )
+                if cand.transform_is_default and cand.batch_split == 1
+            ),
+            key=lambda cand: cand.time_s,
         )
-        candidates = _layer_candidates_cached(
-            layer, batch, config, workers, knobs, model.params
-        )
-        chosen_j = None
-        for j, cand in enumerate(candidates):
-            if (
-                cand.grid == choice.chosen
-                and cand.transform_is_default
-                and cand.batch_split == 1
-            ):
-                chosen_j = j
-                break
-        if chosen_j is None:
-            raise PlannerError(
-                f"greedy grid {choice.chosen} missing from the strategy "
-                f"space of layer {layer.name!r}"
-            )
-        per_layer.append(candidates)
-        indices.append(chosen_j)
+        for layer in layers
+    ]
     return _assemble(
-        net.name, "greedy", objective, transition, layers, per_layer,
-        tuple(indices), batch, model.params,
+        net.name, "greedy", objective, transition, layers, chain, batch,
+        model.params,
     )

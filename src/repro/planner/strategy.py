@@ -12,21 +12,22 @@ paper's machine):
 * an optional micro-batch split ``S`` (gradient accumulation over
   ``S`` sub-batches, amortising one weight collective).
 
-Each candidate is scored by the existing :class:`~repro.core.perf_model.
-PerfModel` — the default candidate of each grid reuses *exactly* the
-evaluation the greedy optimiser performs, so a zero-transition planner
-run recovers the greedy plan bit for bit — and filtered by a per-worker
-DRAM capacity check against :func:`repro.ndp.dram.stack_fits`.
+Each candidate is scored through :meth:`~repro.core.perf_model.
+PerfModel.evaluate_layer`'s process-wide cache — the default candidate of
+each grid *is* the evaluation the greedy optimiser picks from, so a
+zero-transition planner run recovers the greedy plan bit for bit — and
+filtered by a per-worker DRAM capacity check against
+:func:`repro.ndp.dram.stack_fits`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from ..contracts import cost, shaped
 from ..core.comm_model import transform_for
-from ..core.config import GridConfig, SystemConfig, default_grid
+from ..core.config import GridConfig, SystemConfig
 from ..core.dynamic_clustering import candidate_grids
 from ..core.perf_model import LayerPerf, PerfModel
 from ..ndp.dram import stack_fits
@@ -188,20 +189,16 @@ def _score(
 ) -> Tuple[float, float, LayerPerf]:
     """``(time_s, energy_j, perf)`` of one strategy for the whole batch.
 
-    ``split == 1`` reuses the greedy optimiser's evaluation verbatim
-    (same ``_evaluate_layer_impl`` call, so the floats are bit-identical
-    to :func:`~repro.core.dynamic_clustering.choose_clustering`).  For
-    ``split > 1`` the layer runs ``split`` micro-batch iterations with
-    local gradient accumulation: fprop/bprop/updateGrad repeat per
+    ``split == 1`` is the cached whole-batch evaluation itself, the one
+    :func:`~repro.core.dynamic_clustering.choose_clustering` picks from.
+    For ``split > 1`` the layer runs ``split`` micro-batch iterations
+    with local gradient accumulation: fprop/bprop/updateGrad repeat per
     sub-batch, while the weight collective (and its link traffic) is
     paid once on the accumulated gradients.
     """
+    perf = model.evaluate_layer(layer, batch // split, config, grid, transform)
     if split == 1:
-        perf = model._evaluate_layer_impl(layer, batch, config, grid, transform)
         return perf.total_s, perf.energy_j.total_j, perf
-    perf = model._evaluate_layer_impl(
-        layer, batch // split, config, grid, transform
-    )
     update = perf.phases["update"]
     local_update_s = max(update.compute_s, update.dram_s) + update.vector_s
     time_s = (
@@ -226,9 +223,9 @@ def layer_candidates(
 
     Enumeration order is deterministic and significant: grids in
     :func:`candidate_grids` order, the paper-default transform before
-    any searched transform, batch splits in declared order — so a
-    strict-``<`` argmin over the tuple reproduces the greedy
-    tie-breaking exactly.  Memoized process-wide on the contents of
+    any searched transform, batch splits in declared order — so ``min``
+    over the tuple, which keeps the first of equal values, reproduces
+    the greedy tie-breaking exactly.  Memoized process-wide on the contents of
     every argument; the returned tuple is shared and must be treated as
     read-only.
     """
@@ -248,20 +245,11 @@ def _layer_candidates_cached(
     params: HardwareParams = DEFAULT_PARAMS,
 ) -> Tuple[StrategyCandidate, ...]:
     """The strategy-space kernel: statically pure (EFF001), so every
-    plan over the same layer shares one evaluation of its space."""
+    plan over the same layer, greedy or DP, shares one evaluation of its
+    space."""
     model = PerfModel(params=params)
-    if not config.dynamic_clustering:
-        multi_group = transform_for(
-            config, GridConfig(4, max(1, workers // 4)), layer.kernel
-        )
-        grids: Sequence[GridConfig] = (
-            default_grid(config, workers, multi_group.tile**2),
-        )
-    else:
-        grids = candidate_grids(layer, config, workers)
-
     candidates = []
-    for grid in grids:
+    for grid in candidate_grids(layer, config, workers):
         if config.conv == "direct":
             options: Tuple[Tuple[Optional[WinogradTransform], bool], ...] = (
                 (None, True),
@@ -282,7 +270,8 @@ def _layer_candidates_cached(
                 if batch % split:
                     continue
                 # The default option passes transform=None through to
-                # the model, exactly as the greedy optimiser does.
+                # the model, as the greedy optimiser does, so both share
+                # one cache entry.
                 model_tr = None if is_default else transform
                 time_s, energy_j, perf = _score(
                     model, layer, batch, config, grid, model_tr, split

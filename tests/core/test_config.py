@@ -5,15 +5,16 @@ import pytest
 from repro.core import (
     GridConfig,
     SystemConfig,
+    candidate_grids,
     clustering_candidates,
     d_dp,
-    default_grid,
     table4_configs,
     w_dp,
     w_mp,
     w_mp_plus,
     w_mp_plus_plus,
 )
+from repro.workloads import early_layer
 
 
 class TestSystemConfigs:
@@ -78,9 +79,13 @@ class TestClusteringCandidates:
         assert {(g.num_groups, g.num_clusters) for g in grids} == {(1, 4), (4, 1)}
 
     def test_default_grid_dp_for_non_mpt(self):
-        grid = default_grid(w_dp(), 256, 16)
-        assert (grid.num_groups, grid.num_clusters) == (1, 256)
+        for config in (d_dp(), w_dp()):
+            grids = candidate_grids(early_layer(), config, 256)
+            assert [(g.num_groups, g.num_clusters) for g in grids] == [(1, 256)]
 
     def test_default_grid_squarest_for_mpt(self):
-        grid = default_grid(w_mp(), 256, 16)
-        assert (grid.num_groups, grid.num_clusters) == (16, 16)
+        """Without dynamic clustering MPT runs the squarest candidate
+        alone (Section VII-A)."""
+        for config in (w_mp(), w_mp_plus()):
+            grids = candidate_grids(early_layer(), config, 256)
+            assert [(g.num_groups, g.num_clusters) for g in grids] == [(16, 16)]

@@ -8,11 +8,13 @@ sweep kernels take, recursing into nested dataclass fields, rather than
 hand-picking a few; the display-only fields equality ignores are named.
 """
 
+import ast
 import dataclasses
 import gc
 import inspect
 import weakref
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +26,9 @@ from repro.planner import StrategyKnobs, plan_network
 from repro.winograd import make_transform
 from repro.workloads.layers import ConvLayerSpec
 from repro.workloads.networks import CnnSpec
+
+
+SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 
 
 def key(obj):
@@ -340,12 +345,30 @@ class TestRegistrationPolicy:
         assert MEMOIZED_SWEEPS[tracked.__wrapped__.__qualname__] is tracked
 
     def test_tree_kernels_are_registered(self):
-        import repro.core.dynamic_clustering  # noqa: F401
-        import repro.core.perf_model  # noqa: F401
-        from repro.perf import MEMOIZED_SWEEPS
+        # ``SWEEP_MODULES`` must name exactly the modules that define a
+        # ``@memoize_sweep`` kernel: the benchmark clears every cache in
+        # this registry between cold ops, so a missing module would leave
+        # its cache warm and a stale one would load code for nothing.
+        from repro.perf import MEMOIZED_SWEEPS, SWEEP_MODULES, import_sweep_modules
 
-        assert "evaluate_layer_cached" in MEMOIZED_SWEEPS
-        assert "_choose_clustering_cached" in MEMOIZED_SWEEPS
+        kernels = set()
+        for path in SRC.rglob("*.py"):
+            module = ".".join(path.relative_to(SRC.parent).with_suffix("").parts)
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                    (dec.id if isinstance(dec, ast.Name) else getattr(dec, "attr", None))
+                    == "memoize_sweep"
+                    for dec in node.decorator_list
+                ):
+                    kernels.add((module, node.name))
+        assert {module for module, _ in kernels} == set(SWEEP_MODULES)
+        import_sweep_modules()
+        registered = {
+            (fn.__module__, fn.__name__)
+            for fn in MEMOIZED_SWEEPS.values()
+            if fn.__module__.startswith("repro.")
+        }
+        assert registered == kernels
 
 
 class TestEffectFree:

@@ -5,16 +5,20 @@ plan is never costlier than greedy, and under the zero-transition preset
 it recovers the greedy plan bit for bit — total *and* per-layer grids.
 """
 
+from collections import Counter
+
 import pytest
 
-from repro.core import MachineConfig, TrainingSimulator
+from repro.core import MachineConfig, PerfModel, TrainingSimulator
 from repro.core.config import w_mp_plus_plus
+from repro.perf import import_sweep_modules, registered_caches
 from repro.planner import (
     ORACLE_PATH_LIMIT,
     PlannerError,
     StrategyKnobs,
     greedy_plan,
     plan_network,
+    plan_report,
     preset,
 )
 from repro.workloads import vgg16, wide_resnet_40_10
@@ -61,7 +65,7 @@ class TestAcceptance:
         choices = sim.plan_layers(net, CONFIG)
         dp = plan_network(net, CONFIG, 256, 256)
         assert dp.grids == tuple(
-            (c.chosen.num_groups, c.chosen.num_clusters) for c in choices
+            (c.grid.num_groups, c.grid.num_clusters) for c in choices
         )
         assert dp.total_cost == sum(c.perf.total_s for c in dp_perfs(dp))
 
@@ -78,6 +82,29 @@ class TestAcceptance:
 
 def dp_perfs(plan):
     return [step.candidate for step in plan.steps]
+
+
+class TestOneEvaluationPerPoint:
+    def test_greedy_dp_and_simulator_share_each_evaluation(self, monkeypatch):
+        # Greedy, DP and the training simulator search one strategy space
+        # through one cache: from cold caches, each (layer, batch, config,
+        # grid, transform) point is evaluated once.
+        import_sweep_modules()
+        for cache in registered_caches():
+            cache.clear()
+        evaluations = Counter()
+        impl = PerfModel._evaluate_layer_impl
+
+        def counting(self, layer, batch, config, grid, transform):
+            evaluations[(layer, batch, config, grid, transform, self.params)] += 1
+            return impl(self, layer, batch, config, grid, transform)
+
+        monkeypatch.setattr(PerfModel, "_evaluate_layer_impl", counting)
+        plan_report("wrn-40-10", transition="rerouted")
+        TrainingSimulator().simulate_iteration(wide_resnet_40_10(), CONFIG)
+        repeated = [point[:4] for point, n in evaluations.items() if n > 1]
+        assert evaluations
+        assert not repeated, f"{len(repeated)} points evaluated twice or more"
 
 
 class TestOracleAndBeam:
@@ -115,7 +142,6 @@ class TestValidationAndEdges:
         assert plan.feasible
 
     def test_infeasible_space_raises(self):
-        from repro.core.perf_model import PerfModel
         from repro.params import HardwareParams
 
         small = HardwareParams(dram_capacity_bytes=1024)

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core.config import d_dp, w_mp, w_mp_plus_plus
-from repro.core.dynamic_clustering import candidate_grids, choose_clustering
+from repro.core.dynamic_clustering import candidate_grids
+from repro.core.perf_model import PerfModel
 from repro.params import DEFAULT_PARAMS, HardwareParams
 from repro.planner import (
     DEFAULT_KNOBS,
@@ -50,13 +51,14 @@ class TestDefaultCandidates:
         assert all(c.batch_split == 1 for c in candidates)
 
     def test_default_scores_match_greedy_evaluations(self):
-        # The per-grid scores must be bit-identical to the evaluations
-        # the greedy optimiser computes — that equality is what makes
-        # the zero-transition DP recover greedy exactly.
+        # Each default candidate scores the very evaluation the greedy
+        # optimiser picks from (one shared cache entry) — that is what
+        # makes the zero-transition DP recover greedy exactly.
         config = w_mp_plus_plus()
-        choice = choose_clustering(LAYER, BATCH, config, WORKERS)
+        model = PerfModel()
         for cand in layer_candidates(LAYER, BATCH, config, WORKERS):
-            perf = choice.evaluations[cand.grid]
+            perf = model.evaluate_layer(LAYER, BATCH, config, cand.grid)
+            assert cand.perf is perf
             assert cand.time_s == perf.total_s
             assert cand.energy_j == perf.energy_j.total_j
 
@@ -124,8 +126,6 @@ class TestCapacityFilter:
 
     def test_tiny_stack_rejects_candidates(self):
         small = HardwareParams(dram_capacity_bytes=64 * 1024)
-        from repro.core.perf_model import PerfModel
-
         candidates = layer_candidates(
             LAYER, BATCH, w_mp_plus_plus(), WORKERS,
             model=PerfModel(params=small),

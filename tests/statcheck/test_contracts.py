@@ -23,6 +23,7 @@ from repro.contracts import (
     ShapeContractError,
     checked,
     checked_partition,
+    cost,
     parse_spec,
     shaped,
     validate_partition,
@@ -146,7 +147,25 @@ class TestZeroCost:
 
         decorated = shaped("(N) -> (N)")(raw)
         assert decorated is raw
-        assert decorated.__shape_contract__ is not None
+        assert decorated.__shape_spec__ == "(N) -> (N)"
+
+    def test_cost_attaches_nothing(self):
+        def raw(x):
+            return x
+
+        attributes = dict(vars(raw))
+        assert cost(flops="2*N", where="M=N")(raw) is raw
+        assert vars(raw) == attributes
+
+    def test_spec_parsed_only_when_checked(self):
+        if os.environ.get("REPRO_CHECK_SHAPES", "").lower() in {"1", "true", "yes", "on"}:
+            pytest.skip("runtime checks enabled in this environment")
+
+        # A malformed spec is statcheck's to report (SHAPE001); the
+        # decorator only records it, and the runtime checker parses it.
+        decorated = shaped("(N")(lambda x: x)
+        with pytest.raises(ContractSyntaxError):
+            checked(decorated)
 
     def test_env_var_enables_wrapping(self):
         code = textwrap.dedent(

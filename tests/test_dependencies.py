@@ -8,7 +8,9 @@ excluded), so a dependency is neither missing nor declared for nothing.
 The simulator never loads the functional accuracy studies: ``scipy``,
 ``repro.nn`` and ``repro.prediction`` are imported only where Figs. 12
 and 14 run, never by the CLI, the fault and planner packages or the
-sweep modules.
+sweep modules.  Nor does it load the static analyser: the contract
+decorators parse nothing at import, so ``repro.statcheck`` is loaded
+only by the commands that run it.
 """
 
 import ast
@@ -46,13 +48,14 @@ def test_install_requires_matches_imports():
 
 
 #: Imports the CLI, the fault and planner packages, both figure modules and
-#: every sweep kernel, then prints each loaded training or prediction module.
+#: every sweep kernel, then prints each loaded training, prediction or
+#: static-analysis module.
 SIMULATOR_IMPORTS = """
 import sys
 import repro.analysis.figures, repro.analysis.planner, repro.cli, repro.faults, repro.planner
 import repro.perf
 repro.perf.import_sweep_modules()
-stacks = ("scipy", "repro.nn", "repro.prediction")
+stacks = ("scipy", "repro.nn", "repro.prediction", "repro.statcheck")
 print(*sorted(m for m in sys.modules if m in stacks or m.startswith(tuple(s + "." for s in stacks))))
 """
 

@@ -366,8 +366,8 @@ def run_search() -> List[Dict]:
         )
         rows.append(
             {
-                "gain_vs_paper_rule": paper_rule.perf.total_s / searched.time_s,
-                "speedup_vs_w_dp": baseline.perf.total_s / searched.time_s,
+                "gain_vs_paper_rule": paper_rule.total_s / searched.time_s,
+                "speedup_vs_w_dp": baseline.total_s / searched.time_s,
             }
         )
     return rows
