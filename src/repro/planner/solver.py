@@ -9,18 +9,28 @@ Markov structure of a Viterbi decode and the DP solve is exact.  The
 exhaustive oracle enumerates every path (small nets; the property tests
 use it to certify the DP).
 
+The DP prices each previous-class x current-class pair of ``(grid,
+transform)`` classes once (a transition reads only those fields of its
+ends) and folds each layer's candidate pairs in one numpy float64
+broadcast; the oracle, :func:`_assemble` and greedy stay scalar, so the
+oracle certifies the DP independently.
+
 Float-determinism contract: every solver and the greedy reference fold
 path costs with the identical left-associated expression
-``(total + transition) + candidate`` (see :func:`_step_total`), and IEEE
-addition is monotone — so the DP total is *never* greater than the
-greedy total in exact float comparison, and with the zero-transition
-preset it equals the greedy total bit for bit.
+``(total + transition) + candidate`` (see :func:`_step_total`), on floats
+or float64 arrays alike, and IEEE addition is monotone — so the DP total
+is *never* greater than the greedy total in exact float comparison, and
+with the zero-transition preset it equals the greedy total bit for bit.
+``min`` and ``argmin`` keep the first of equal values; non-finite costs
+raise :class:`PlannerError` before either reads them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..core.config import SystemConfig
 from ..core.perf_model import PerfModel
@@ -40,6 +50,7 @@ from .transition import (
     ZERO_TRANSITION,
     TransitionCost,
     TransitionCostModel,
+    _transform_key,
     transition_cost,
 )
 
@@ -50,11 +61,13 @@ MODES: Tuple[str, ...] = ("dp", "oracle")
 ORACLE_PATH_LIMIT = 262144
 
 
-def _step_total(prefix: float, transition_c: float, candidate_c: float) -> float:
+def _step_total(prefix, transition_c, candidate_c):
     """The one chain-cost fold every solver shares.  Keeping the exact
     expression (association included) identical across DP, oracle and
     the greedy reference is what makes their totals comparable in
-    floats, not just in exact arithmetic."""
+    floats, not just in exact arithmetic.  The scalar solvers pass
+    floats; the DP passes float64 arrays and gets the same IEEE adds
+    elementwise."""
     return (prefix + transition_c) + candidate_c
 
 
@@ -209,6 +222,24 @@ def _edge(
     )
 
 
+def _require_finite(values, what: str, layer: ConvLayerSpec) -> None:
+    """Raise before a comparison reads a NaN or infinite cost: ``<`` and
+    ``argmin`` would each pick a different garbage path."""
+    if not np.isfinite(values).all():
+        raise PlannerError(f"non-finite {what} at layer {layer.name!r}")
+
+
+def _classes(
+    candidates: Sequence[StrategyCandidate],
+) -> Tuple[List[int], List[StrategyCandidate]]:
+    """Each candidate's ``(grid, transform)`` class index, and the first
+    candidate of each class.  A transition's price reads only those two
+    fields of its ends, so one member prices its whole class."""
+    first: Dict[tuple, int] = {}
+    labels = [first.setdefault((c.grid, _transform_key(c)), len(first)) for c in candidates]
+    return labels, [candidates[labels.index(k)] for k in range(len(first))]
+
+
 def _solve_dp(
     per_layer: List[Tuple[StrategyCandidate, ...]],
     layers: Tuple[ConvLayerSpec, ...],
@@ -218,44 +249,38 @@ def _solve_dp(
     params: HardwareParams,
 ) -> Tuple[int, ...]:
     """Viterbi decode: exact for adjacent-pair transition costs."""
+    costs = [[c.cost_in(objective) for c in cands] for cands in per_layer]
+    for layer, layer_costs in zip(layers, costs):
+        _require_finite(layer_costs, f"{objective} cost", layer)
     if transition.is_zero:
         # Decomposed per-layer argmin: ``min`` keeps the first of equal
         # costs, as greedy does, so the chosen indices (not just the
         # total) match greedy exactly.
-        return tuple(
-            _first_min([cand.cost_in(objective) for cand in candidates])
-            for candidates in per_layer
-        )
+        return tuple(_first_min(layer_costs) for layer_costs in costs)
 
-    totals: List[float] = [
-        _step_total(0.0, 0.0, c.cost_in(objective)) for c in per_layer[0]
-    ]
-    back: List[List[int]] = []
+    classes = [_classes(candidates) for candidates in per_layer]
+    totals = _step_total(0.0, 0.0, np.array(costs[0]))
+    back: List[np.ndarray] = []
     for i in range(1, len(per_layer)):
-        layer = layers[i]
-        new_totals: List[float] = []
-        pointers: List[int] = []
-        for cand in per_layer[i]:
-            cand_cost = cand.cost_in(objective)
-            best = None
-            best_j = 0
-            for j, prev_cand in enumerate(per_layer[i - 1]):
-                edge = _edge(
-                    transition, prev_cand, cand, layer, batch, params, objective
-                )
-                value = _step_total(totals[j], edge, cand_cost)
-                if best is None or value < best:
-                    best = value
-                    best_j = j
-            assert best is not None
-            new_totals.append(best)
-            pointers.append(best_j)
+        (prev_labels, prev_reps), (labels, reps) = classes[i - 1], classes[i]
+        edges = np.array([
+            [_edge(transition, p, c, layers[i], batch, params, objective)
+             for c in reps]
+            for p in prev_reps
+        ])
+        _require_finite(edges, "transition cost", layers[i])
+        # values[j, k]: the best path to candidate j, extended to k.
+        values = _step_total(
+            totals[:, None], edges[np.ix_(prev_labels, labels)],
+            np.array(costs[i]),
+        )
+        pointers = values.argmin(axis=0)
+        totals = values[pointers, np.arange(len(labels))]
         back.append(pointers)
-        totals = new_totals
 
-    chain = [_first_min(totals)]
+    chain = [int(totals.argmin())]
     for pointers in reversed(back):
-        chain.append(pointers[chain[-1]])
+        chain.append(int(pointers[chain[-1]]))
     chain.reverse()
     return tuple(chain)
 

@@ -61,8 +61,9 @@ class StrategyKnobs:
         Also evaluate the non-default ``F(m x m, 3x3)`` transforms for
         kernel-3 layers (``m`` in 2, 4; constrained by the group count).
     batch_splits:
-        Micro-batch split factors to evaluate.  ``1`` (whole batch) must
-        be included; splits that do not divide the batch are skipped.
+        Micro-batch split factors to evaluate: distinct ``int`` values,
+        ``1`` (whole batch) among them; splits that do not divide the
+        batch are skipped.
         Stored as a tuple, so a list spelling keys memoized plans as
         the tuple does.
     capacity_frac:
@@ -81,8 +82,12 @@ class StrategyKnobs:
         if 1 not in self.batch_splits:
             raise PlannerError("batch_splits must include 1 (the whole batch)")
         for split in self.batch_splits:
+            if isinstance(split, bool) or not isinstance(split, int):
+                raise PlannerError(f"batch split must be an int, got {split!r}")
             if split < 1:
                 raise PlannerError(f"batch split must be >= 1, got {split}")
+        if len(set(self.batch_splits)) < len(self.batch_splits):
+            raise PlannerError(f"batch splits must not repeat: {self.batch_splits}")
         if not 0 < self.capacity_frac <= 1:
             raise PlannerError(
                 f"capacity_frac must be in (0, 1], got {self.capacity_frac}"

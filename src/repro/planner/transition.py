@@ -16,6 +16,7 @@ the ``rerouted`` preset charges the full host-bridge re-routing volume.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -47,10 +48,12 @@ class TransitionCostModel:
     latency_s: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.weight_factor < 0 or self.activation_factor < 0:
-            raise PlannerError("transition factors must be non-negative")
-        if self.latency_s < 0:
-            raise PlannerError("transition latency must be non-negative")
+        # Chained comparisons are False for NaN, so NaN is refused too.
+        if not (0 <= self.weight_factor < math.inf
+                and 0 <= self.activation_factor < math.inf):
+            raise PlannerError("transition factors must be finite and non-negative")
+        if not 0 <= self.latency_s < math.inf:
+            raise PlannerError("transition latency must be finite and non-negative")
 
     @property
     def is_zero(self) -> bool:

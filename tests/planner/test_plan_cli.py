@@ -15,11 +15,14 @@ from repro.core.config import w_mp_plus_plus
 from repro.workloads import wide_resnet_40_10
 
 GOLDEN = Path(__file__).parent / "golden" / "plan_vgg16.json"
+SEARCH_GOLDEN = (
+    Path(__file__).parent / "golden" / "plan_wrn-40-10_rerouted_search.json"
+)
 
 
-def run_plan(tmp_path, *extra):
+def run_plan(tmp_path, *extra, network="vgg16"):
     out = tmp_path / "plan.json"
-    main(["plan", "--network", "vgg16", "-o", str(out), *extra])
+    main(["plan", "--network", network, "-o", str(out), *extra])
     return out.read_bytes()
 
 
@@ -47,6 +50,19 @@ class TestGolden:
         payload = run_plan(tmp_path)
         assert payload == GOLDEN.read_bytes()
 
+    def test_rerouted_search_plan_matches_checked_in_golden(self, tmp_path):
+        # Priced transitions over a widened space: the Viterbi path that
+        # the zero-preset golden never enters.  CI diffs it too;
+        # regenerate with:
+        #   python -m repro plan --network wrn-40-10 --transition rerouted \
+        #       --search-transforms --batch-splits 1,2,4 \
+        #       -o tests/planner/golden/plan_wrn-40-10_rerouted_search.json
+        payload = run_plan(
+            tmp_path, "--transition", "rerouted", "--search-transforms",
+            "--batch-splits", "1,2,4", network="wrn-40-10",
+        )
+        assert payload == SEARCH_GOLDEN.read_bytes()
+
 
 class TestReportShape:
     def test_schema_and_sections(self):
@@ -71,6 +87,14 @@ class TestReportShape:
             plan_report("vgg16", config="tpu")
         with pytest.raises(PlannerError):
             plan_report("vgg16", transition="teleport")
+
+    def test_cli_rejects_repeated_batch_split(self, tmp_path):
+        with pytest.raises(SystemExit) as excinfo:
+            run_plan(tmp_path, "--batch-splits", "1,2,2")
+        message = excinfo.value.code
+        assert isinstance(message, str) and "\n" not in message
+        assert "repeat" in message
+        assert list(tmp_path.iterdir()) == []
 
     def test_cli_rejects_removed_beam_mode(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:

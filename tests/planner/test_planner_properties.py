@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from repro.analysis import pareto_frontier
 from repro.core.config import w_mp_plus_plus
 from repro.planner import (
+    StrategyKnobs,
     TransitionCostModel,
     greedy_plan,
     plan_network,
@@ -61,6 +62,30 @@ class TestDpDominance:
         dp = plan_network(net, CONFIG, 256, 256, transition=transition)
         oracle = plan_network(
             net, CONFIG, 256, 256, transition=transition, mode="oracle"
+        )
+        assert dp.total_cost == oracle.total_cost
+
+    @settings(max_examples=10, deadline=None)
+    @given(weight=factors, activation=factors, latency=latencies,
+           objective=st.sampled_from(("time", "energy")))
+    def test_dp_equals_oracle_when_classes_share_candidates(
+        self, weight, activation, latency, objective
+    ):
+        # Transforms and batch splits put several candidates in each
+        # (grid, transform) class, whose members the DP prices as one:
+        # 18 candidates per layer, 5,832 oracle paths.
+        transition = TransitionCostModel(
+            name="prop", weight_factor=weight,
+            activation_factor=activation, latency_s=latency,
+        )
+        knobs = StrategyKnobs(search_transforms=True, batch_splits=(1, 2, 4))
+        net = chain(3)
+        dp = plan_network(
+            net, CONFIG, 256, 256, knobs, transition, objective=objective
+        )
+        oracle = plan_network(
+            net, CONFIG, 256, 256, knobs, transition, objective=objective,
+            mode="oracle",
         )
         assert dp.total_cost == oracle.total_cost
 

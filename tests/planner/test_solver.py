@@ -5,23 +5,32 @@ plan is never costlier than greedy, and under the zero-transition preset
 it recovers the greedy plan bit for bit — total *and* per-layer grids.
 """
 
+import dataclasses
+import math
 from collections import Counter
 
 import pytest
 
+import repro.planner.solver as solver
 from repro.core import MachineConfig, PerfModel, TrainingSimulator
 from repro.core.config import w_mp_plus_plus
+from repro.params import DEFAULT_PARAMS, HardwareParams
 from repro.perf import import_sweep_modules, registered_caches
 from repro.planner import (
+    DEFAULT_KNOBS,
     ORACLE_PATH_LIMIT,
     PlannerError,
     StrategyKnobs,
+    TransitionCostModel,
     greedy_plan,
+    layer_candidates,
     plan_network,
     plan_report,
     preset,
 )
-from repro.workloads import vgg16, wide_resnet_40_10
+from repro.planner.solver import _edge, _solve_dp, _step_total
+from repro.planner.transition import _transform_key
+from repro.workloads import resnet34, vgg16, wide_resnet_40_10
 from repro.workloads.networks import CnnSpec
 
 NETWORKS = (vgg16, wide_resnet_40_10)
@@ -166,3 +175,150 @@ class TestValidationAndEdges:
             StrategyKnobs(search_transforms=True, batch_splits=(1, 2, 4)),
         )
         assert widened.total_cost <= base.total_cost
+
+
+WIDENED = StrategyKnobs(search_transforms=True, batch_splits=(1, 2, 4))
+
+
+def feasible_space(net, knobs):
+    return [
+        tuple(
+            c for c in layer_candidates(layer, 256, CONFIG, 256, knobs)
+            if c.feasible
+        )
+        for layer in net.conv_layers
+    ]
+
+
+def scalar_viterbi(per_layer, layers, batch, transition, objective, params):
+    """The per-candidate Viterbi loop the vectorised DP replaced, kept
+    as its reference: ``(indices, best folded total)``."""
+    totals = [_step_total(0.0, 0.0, c.cost_in(objective)) for c in per_layer[0]]
+    back = []
+    for i in range(1, len(per_layer)):
+        new_totals, pointers = [], []
+        for cand in per_layer[i]:
+            cand_cost = cand.cost_in(objective)
+            best, best_j = None, 0
+            for j, prev_cand in enumerate(per_layer[i - 1]):
+                edge = _edge(
+                    transition, prev_cand, cand, layers[i], batch, params,
+                    objective,
+                )
+                value = _step_total(totals[j], edge, cand_cost)
+                if best is None or value < best:
+                    best, best_j = value, j
+            new_totals.append(best)
+            pointers.append(best_j)
+        back.append(pointers)
+        totals = new_totals
+    best = min(range(len(totals)), key=totals.__getitem__)
+    chain = [best]
+    for pointers in reversed(back):
+        chain.append(pointers[chain[-1]])
+    return tuple(reversed(chain)), totals[best]
+
+
+class TestVectorisedDp:
+    @pytest.mark.parametrize(
+        "build", (vgg16, wide_resnet_40_10, resnet34), ids=lambda b: b.__name__
+    )
+    @pytest.mark.parametrize("preset_name", ("rerouted", "weights-only"))
+    @pytest.mark.parametrize("objective", ("time", "energy"))
+    @pytest.mark.parametrize(
+        "knobs", (DEFAULT_KNOBS, WIDENED), ids=("default", "widened")
+    )
+    def test_matches_the_scalar_loop(self, build, preset_name, objective, knobs):
+        # Same IEEE adds in the same association, and argmin keeps the
+        # first of equal values as the strict-< scan does: the indices
+        # and the folded total are bit-equal, not merely close.
+        net = build()
+        layers = tuple(net.conv_layers)
+        per_layer = feasible_space(net, knobs)
+        transition = preset(preset_name)
+        expected, folded = scalar_viterbi(
+            per_layer, layers, 256, transition, objective, DEFAULT_PARAMS
+        )
+        got = _solve_dp(
+            per_layer, layers, 256, transition, objective, DEFAULT_PARAMS
+        )
+        assert got == expected
+        plan = plan_network(
+            net, CONFIG, 256, 256, knobs, transition, objective=objective
+        )
+        assert plan.total_cost == folded
+
+    def test_rounding_tie_keeps_the_first_candidate(self):
+        # Two candidates of one (grid, transform) class whose totals
+        # differ by one ulp round to the same value once the 1 s latency
+        # is added.  The first must win, as in the scalar loop; taking
+        # each class's smallest total first would pick the second.
+        net = small_chain(2)
+        first, second = (
+            layer_candidates(layer, 256, CONFIG, 256)
+            for layer in net.conv_layers
+        )
+        (head,) = [c for c in first if c.grid.num_groups == 1]
+        (tail,) = [c for c in second if c.grid.num_groups == 16]
+        a = 1e-3
+        per_layer = [
+            (
+                dataclasses.replace(head, batch_split=1, time_s=a),
+                dataclasses.replace(
+                    head, batch_split=2, time_s=math.nextafter(a, 0)
+                ),
+            ),
+            (tail,),
+        ]
+        tie = TransitionCostModel(name="tie", latency_s=1.0)
+        args = (per_layer, tuple(net.conv_layers), 256, tie, "time",
+                DEFAULT_PARAMS)
+        assert scalar_viterbi(*args)[0] == (0, 0)
+        assert _solve_dp(*args) == (0, 0)
+
+    def test_prices_each_class_pair_once(self, monkeypatch):
+        net = wide_resnet_40_10()
+        classes = [
+            len({(c.grid, _transform_key(c)) for c in cands})
+            for cands in feasible_space(net, WIDENED)
+        ]
+        # One call per previous x current class pair, plus one per layer
+        # when the chosen chain is assembled (11,701 candidate pairs
+        # were priced before classes were shared).
+        bound = sum(p * c for p, c in zip(classes, classes[1:])) + len(classes)
+        calls = 0
+        price = solver.transition_cost
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return price(*args)
+
+        monkeypatch.setattr(solver, "transition_cost", counting)
+        solver._plan_network_cached.__wrapped__(
+            net.name, tuple(net.conv_layers), 256, CONFIG, 256, WIDENED,
+            preset("rerouted"), "time", "dp",
+        )
+        assert 0 < calls <= bound
+
+
+class TestNonFinitePricing:
+    def test_nan_candidate_cost_names_the_layer(self):
+        nan_clock = PerfModel(params=HardwareParams(clock_hz=float("nan")))
+        with pytest.raises(PlannerError, match="time cost at layer 'conv1_1'"):
+            plan_network(
+                small_chain(2), CONFIG, 256, 256,
+                transition=preset("rerouted"), model=nan_clock,
+            )
+
+    def test_nan_transition_cost_names_the_layer(self):
+        nan_link = PerfModel(
+            params=HardwareParams(full_link_bytes_per_s=float("nan"))
+        )
+        with pytest.raises(
+            PlannerError, match="transition cost at layer 'conv1_2'"
+        ):
+            plan_network(
+                small_chain(2), CONFIG, 256, 256,
+                transition=preset("rerouted"), model=nan_link,
+            )

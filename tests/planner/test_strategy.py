@@ -34,6 +34,16 @@ class TestKnobs:
         with pytest.raises(PlannerError):
             StrategyKnobs(batch_splits=(2, 4))
 
+    @pytest.mark.parametrize(
+        "splits", [(1, 1), (1, True), (1, 2, 2), (1, 2.5)],
+        ids=["repeated-one", "bool", "repeated-two", "float"],
+    )
+    def test_rejects_malformed_splits(self, splits):
+        # Each would duplicate candidates (True == 1) or be skipped
+        # silently (256 % 2.5 != 0).
+        with pytest.raises(PlannerError, match="batch split"):
+            StrategyKnobs(batch_splits=splits)
+
     def test_rejects_bad_capacity(self):
         with pytest.raises(PlannerError):
             StrategyKnobs(capacity_frac=0.0)

@@ -58,6 +58,15 @@ class TestPresets:
         with pytest.raises(PlannerError):
             TransitionCostModel(latency_s=-1e-9)
 
+    @pytest.mark.parametrize("field", ["weight_factor", "activation_factor",
+                                       "latency_s"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_pricing_rejected(self, field, value):
+        # NaN passed the old ``< 0`` checks, and every comparison the DP
+        # made against a NaN price was False.
+        with pytest.raises(PlannerError, match="finite"):
+            TransitionCostModel(name="p", **{field: value})
+
 
 class TestFreeCases:
     def test_zero_preset_is_always_free(self):
